@@ -298,15 +298,6 @@ def _rotate_about(center, p, cs):
     return (center + c * dx - s * dy, s * dx + c * dy)
 
 
-def _zone(cfg, p):
-    d2 = (p[0] - cfg.center) ** 2 + p[1] ** 2
-    if d2 <= cfg.r1 ** 2:
-        return 0
-    if d2 >= cfg.r2 ** 2:
-        return 2
-    return 1
-
-
 def _subdivide_for_zones(arc: PLArc, cfg: SceneConfig, rings: int) -> PLArc:
     """Refine until every segment has both ends in the same ring of the
     staircase (or shares one boundary ring), bounded effort."""

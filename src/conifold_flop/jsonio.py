@@ -1,6 +1,8 @@
 """Lossless JSON forms: rationals as "p/q" strings, complex values as
 [re, im] pairs, words over "xyzw".  Encoders sort everything so equal
-inputs give byte-identical output."""
+inputs give byte-identical output.  The representation, stability, arc
+and scene decoders read outside input: a missing key or a value of the
+wrong shape raises ValueError."""
 
 from __future__ import annotations
 
@@ -19,7 +21,25 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except (TypeError, ZeroDivisionError):
+        raise ValueError("expected a rational p/q, got %r" % (s,)) from None
+
+
+def _field(data, key):
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object, got %r" % (data,))
+    if key not in data:
+        raise ValueError("missing key %r" % key)
+    return data[key]
+
+
+def _seq(data, what, length=None):
+    if not isinstance(data, (list, tuple)) or length not in (None, len(data)):
+        raise ValueError("%s must be a list%s, got %r"
+                         % (what, "" if length is None else " of %d" % length, data))
+    return data
 
 
 def fpe_to_json(e: FreePathElement):
@@ -35,7 +55,9 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(rows):
-    return tuple(tuple(parse_frac(c) for c in row) for row in rows)
+    rows = _seq(rows, "matrix")
+    width = len(_seq(rows[0], "matrix row")) if rows else 0
+    return tuple(tuple(parse_frac(c) for c in _seq(row, "matrix row", width)) for row in rows)
 
 
 def rep_to_json(r: Representation):
@@ -44,9 +66,10 @@ def rep_to_json(r: Representation):
 
 
 def rep_from_json(data) -> Representation:
-    return Representation(tuple(data["dims"]), matrix_from_json(data["x"]),
-                          matrix_from_json(data["z"]), matrix_from_json(data["y"]),
-                          matrix_from_json(data["w"]))
+    dims = tuple(_seq(_field(data, "dims"), "dims", 2))
+    if not all(type(d) is int and d >= 0 for d in dims):
+        raise ValueError("dims must be two nonnegative integers, got %r" % (dims,))
+    return Representation(dims, *(matrix_from_json(_field(data, a)) for a in "xzyw"))
 
 
 def params_to_json(p: StabilityParams):
@@ -55,8 +78,9 @@ def params_to_json(p: StabilityParams):
 
 
 def params_from_json(data) -> StabilityParams:
-    return StabilityParams(QC(parse_frac(data["z0"][0]), parse_frac(data["z0"][1])),
-                           QC(parse_frac(data["z1"][0]), parse_frac(data["z1"][1])))
+    z0, z1 = (_seq(_field(data, k), k, 2) for k in ("z0", "z1"))
+    return StabilityParams(QC(parse_frac(z0[0]), parse_frac(z0[1])),
+                           QC(parse_frac(z1[0]), parse_frac(z1[1])))
 
 
 def verdict_to_json(v: StabilityVerdict):
@@ -107,7 +131,9 @@ def arc_to_json(arc: PLArc):
 
 
 def arc_from_json(data) -> PLArc:
-    return PLArc(tuple((parse_frac(x), parse_frac(y)) for x, y in data["points"]),
+    points = _seq(_field(data, "points"), "points")
+    return PLArc(tuple((parse_frac(x), parse_frac(y))
+                       for x, y in (_seq(p, "point", 2) for p in points)),
                  data.get("orientation", 1))
 
 
@@ -117,9 +143,7 @@ def scene_to_json(cfg: SceneConfig):
 
 
 def scene_from_json(data) -> SceneConfig:
-    return SceneConfig(parse_frac(data["a"]), parse_frac(data["b"]),
-                       parse_frac(data["r1"]), parse_frac(data["r2"]),
-                       parse_frac(data["eps"]))
+    return SceneConfig(*(parse_frac(_field(data, k)) for k in ("a", "b", "r1", "r2", "eps")))
 
 
 def dumps(obj) -> str:

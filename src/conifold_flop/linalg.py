@@ -63,10 +63,6 @@ def mat_scale(s, m):
     return tuple(tuple(s * x for x in row) for row in m)
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def rref(rows, ncols=None):
     """Reduced row echelon form; returns (rows_without_zero_rows, pivot_cols)."""
     m = [list(r) for r in rows]
@@ -126,16 +122,11 @@ def in_span(basis, vec):
     return rank(tuple(basis) + (tuple(vec),), len(vec)) == before
 
 
-def span_sum(a, b, ncols):
-    return row_space(tuple(a) + tuple(b), ncols)
-
-
 def span_intersect(a, b, ncols):
     """Intersection of two row spans via the kernel of the stacked system."""
     a, b = tuple(a), tuple(b)
     if not a or not b:
         return ()
-    stacked = transpose(a, ncols) if False else None
     # coefficients (s, t) with s.A = t.B: kernel of [A^T | -B^T]
     rows = []
     for i in range(ncols):

@@ -222,10 +222,6 @@ def central_charge(r: Representation, p: StabilityParams) -> QC:
     return r.dims[0] * p.z0 + r.dims[1] * p.z1
 
 
-def charge_of_dims(dims, p: StabilityParams) -> QC:
-    return dims[0] * p.z0 + dims[1] * p.z1
-
-
 # ---------------------------------------------------------------------------
 # exact subrepresentation candidates
 

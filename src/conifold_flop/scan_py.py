@@ -10,6 +10,17 @@ is bigger than GF(2) are discarded: those are Galois-twisted forms that
 split after a field extension, so they do not witness a stable dimension
 vector of the classification the scan reproduces.
 
+The group G = GL(V0) x GL(V1) acts on the tuples by change of basis and
+preserves the relations, nilpotency, stability and the endomorphism
+algebra.  So ``y`` runs only over its rank normal forms, one per rank,
+and count mode weights each fibre by the number of matrices of that rank.
+Exists mode visits the ranks in the order where witnesses sit: ascending
+when the vertex-0 simple destabilizes (chamber +1, where x and z carry the
+module and y is small), descending otherwise (chamber -1, where y and w
+carry it).  The order changes how soon a witness is found, never a result.
+The compiled core still enumerates every ``y`` and returns the same
+numbers.
+
 The loop order prunes aggressively: the relation xyz = zyx constrains
 (x, z) given y alone, so its solution table is reused across all w.
 """
@@ -204,6 +215,24 @@ def _end_dim(rx, rz, ry, rw, d0, d1):
     return (n0 + n1) - len(_reduce_basis(rows))
 
 
+def _rank_forms(d0, d1, ascending):
+    """Rank normal forms of y : V1 -> V0 with the sizes of their orbits.
+
+    Under (g0, g1) : y -> g0 y g1^-1 the orbit of a d0 x d1 matrix over
+    GF(2) is fixed by its rank r; the representative has the unit vector
+    1 << i as row i for i < r and zero rows below.  The orbit holds every
+    rank-r matrix: prod_{i<r} (2^d0 - 2^i)(2^d1 - 2^i) / (2^r - 2^i).
+    """
+    forms = []
+    for r in range(min(d0, d1) + 1):
+        code = sum(1 << (i * (d1 + 1)) for i in range(r))
+        size = 1
+        for i in range(r):
+            size = size * ((1 << d0) - (1 << i)) * ((1 << d1) - (1 << i)) // ((1 << r) - (1 << i))
+        forms.append((code, size))
+    return forms if ascending else forms[::-1]
+
+
 def scan_dims(d0, d1, destab, count_all=True):
     """Number of stable relation-satisfying nilpotent tuples over GF(2).
 
@@ -230,8 +259,11 @@ def scan_dims(d0, d1, destab, count_all=True):
     count = 0
     codesA, codesB = t.codesA, t.codesB
     pab, pba = t.pab, t.pba
-    for y in codesB:
+    # witnesses sit at low rank of y when the vertex-0 simple destabilizes
+    for y, orbit in _rank_forms(d0, d1, ascending=(1, 0) in destab):
         pba_y = pba[y]
+        ay = _apply_tables(t.rowsB[y], d1, d0)
+        fibre = 0
         # rel xyz = zyx depends on (x, y, z) only; index solutions by z
         s1 = {}
         for x in codesA:
@@ -241,6 +273,7 @@ def scan_dims(d0, d1, destab, count_all=True):
                     s1.setdefault(z, []).append(x)
         for w in codesB:
             pba_w = pba[w]
+            aw = _apply_tables(t.rowsB[w], d1, d0)
             # rel wxy = yxw: prune x given (y, w)
             x4 = [False] * len(codesA)
             for x in codesA:
@@ -258,15 +291,14 @@ def scan_dims(d0, d1, destab, count_all=True):
                         continue
                     ax = _apply_tables(t.rowsA[x], d0, d1)
                     az = _apply_tables(t.rowsA[z], d0, d1)
-                    ay = _apply_tables(t.rowsB[y], d1, d0)
-                    aw = _apply_tables(t.rowsB[w], d1, d0)
                     if not _nilpotent(ax, az, ay, aw, d0, d1):
                         continue
                     if not _stable(ax, az, ay, aw, pairs_by_dims, destab):
                         continue
                     if _end_dim(t.rowsA[x], t.rowsA[z], t.rowsB[y], t.rowsB[w], d0, d1) != 1:
                         continue  # twisted form: splits after field extension
-                    count += 1
                     if not count_all:
-                        return count
+                        return 1
+                    fibre += 1
+        count += orbit * fibre
     return count

@@ -123,9 +123,6 @@ def table_sphere_m(m: int) -> FreeComplex:
     return extend_resolution(top, cutoff=10, s_cap=7, down_to=0)
 
 
-CATALOG_NAMES = ("sphere0", "sphere1", "torus", "sphere_m")
-
-
 def m1b_table(target: str, rho=None, m=None) -> FreeComplex:
     """Catalog lookup: sphere0 | sphere1 | torus (rho) | sphere_m (m)."""
     if target == "sphere0":

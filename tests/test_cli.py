@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conifold_flop import jsonio
 from conifold_flop.cli import main
 
 
@@ -128,3 +129,32 @@ def test_bad_inputs_exit_two(capsys):
 def test_ainfty_check(capsys):
     code, out = run(capsys, "ainfty-check", "--json")
     assert code == 0 and json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("loader,data", [
+    ("rep_from_json", {"dims": [1, 1]}),
+    ("rep_from_json", {"dims": [1], "x": [], "z": [], "y": [], "w": []}),
+    ("rep_from_json", {"dims": [1, 1], "x": ["1"], "z": [["1"]], "y": [["1"]], "w": [["1"]]}),
+    ("params_from_json", {"z0": ["-1", "2"]}),
+    ("params_from_json", {"z0": ["-1"], "z1": ["1", "1"]}),
+    ("arc_from_json", {"points": [["-3", "0"], ["1"]]}),
+    ("arc_from_json", [["-3", "0"], ["-1", "0"]]),
+    ("scene_from_json", {"a": "-3", "b": "-1"}),
+    ("scene_from_json", {"a": "-3", "b": "1/0", "r1": "2", "r2": "3/2", "eps": "1/8"}),
+])
+def test_malformed_json_raises_value_error(loader, data):
+    with pytest.raises(ValueError):
+        getattr(jsonio, loader)(data)
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["rep", "check", "--rep"], {"dims": [1, 1]}),
+    (["stable", "--z0", "-1,2", "--z1", "1,1", "--rep"], {"dims": [1, 1], "x": [["1"]]}),
+    (["arc", "--op", "invariants", "--arc"], {"points": [["-3", "0"], [None, "0"]]}),
+    (["arc", "--op", "invariants", "--catalog", "S:1", "--scene"], {"a": "-3"}),
+])
+def test_malformed_json_files_exit_two(tmp_path, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert main(argv + [str(path)]) == 2
+    assert "error:" in capsys.readouterr().err

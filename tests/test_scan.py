@@ -70,3 +70,48 @@ def test_schur_filter_blocks_twisted_forms():
     # without the endomorphism filter the twisted (2, 2) forms would count
     destab = scan.destabilizing_pairs(1, 2, 2)
     assert scan_py.scan_dims(2, 2, destab) == 0
+
+
+def _gl_order(d):
+    """|GL(d, F2)|."""
+    out = 1
+    for i in range(d):
+        out *= (1 << d) - (1 << i)
+    return out
+
+
+@pytest.fixture(scope="module")
+def counts4():
+    return {ch: scan.scan_stable_dimvectors(ch, 4, with_counts=True, backend="pure")
+            for ch in (1, -1)}
+
+
+@pytest.mark.parametrize("chamber", [1, -1])
+def test_pure_count_at_2_3(chamber):
+    # one iso class with a free orbit: |GL2(F2)| * |GL3(F2)| = 6 * 168
+    destab = scan.destabilizing_pairs(chamber, 2, 3)
+    assert scan_py.scan_dims(2, 3, destab, count_all=True) == 1008
+
+
+def test_chamber_duality(counts4):
+    # swapping x <-> y and z <-> w swaps the vertices and maps W to -W
+    swapped = {(d1, d0): n for (d0, d1), n in counts4[1].items()}
+    assert counts4[-1] == swapped
+
+
+def test_counts_divisible_by_group_order(counts4):
+    # End = F2 leaves a trivial stabilizer, so G = GL(d0) x GL(d1) acts freely
+    for counts in counts4.values():
+        for (d0, d1), n in counts.items():
+            assert n % (_gl_order(d0) * _gl_order(d1)) == 0
+
+
+@pytest.mark.parametrize("d0,d1", [(1, 1), (2, 3), (3, 2), (2, 2), (1, 4)])
+def test_rank_forms_partition_all_matrices(d0, d1):
+    forms = scan_py._rank_forms(d0, d1, ascending=True)
+    assert len(forms) == min(d0, d1) + 1
+    assert sum(size for _, size in forms) == 1 << (d0 * d1)
+    for r, (code, _) in enumerate(forms):
+        rows = scan_py._rows_of(code, d0, d1)
+        assert len(scan_py._reduce_basis(list(rows))) == r
+    assert scan_py._rank_forms(d0, d1, ascending=False) == forms[::-1]
