@@ -214,8 +214,10 @@ def build_extension(m: Representation, n: Representation, datum: ExtensionDatum)
               for i in range(m.dims[0])),
         tuple(tuple(Fraction(1) if j == n.dims[1] + i else Fraction(0) for j in range(e.dims[1]))
               for i in range(m.dims[1])))
-    assert is_module_map(n, e, incl.phi0, incl.phi1)
-    assert is_module_map(e, m, proj.phi0, proj.phi1)
+    if not is_module_map(n, e, incl.phi0, incl.phi1):
+        raise RuntimeError("extension inclusion is not a module map")
+    if not is_module_map(e, m, proj.phi0, proj.phi1):
+        raise RuntimeError("extension projection is not a module map")
     return e, incl, proj
 
 

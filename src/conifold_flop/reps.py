@@ -14,6 +14,7 @@ exhaustive finite-field subspace scans, escalating through the primes
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -270,20 +271,20 @@ def _all_words(max_len):
 def exact_subrep_candidates(r: Representation):
     """Proper nonzero subrepresentations found by exact seeds: kernels and
     images of all path actions up to length 4, radical and socle layers,
-    socle coordinate lines, and coordinate-line closures."""
+    socle coordinate lines, and coordinate-line closures.  Seeds are
+    deduplicated by vertex and canonical row space before any closure is
+    taken; many words share an image or a kernel."""
     d0, d1 = r.dims
     full = (linalg.identity(d0), linalg.identity(d1))
-    seeds = []  # (vertex, subspace rows)
+    seeds = set()  # (vertex, reduced row-echelon basis)
     for word in _all_words(4):
         m = r.word_action(word)
         src, tgt = SRC[word[-1]], TGT[word[0]]
-        seeds.append((tgt, [row for row in linalg.row_space(tuple(
-            linalg.mat_vec(m, v) for v in linalg.identity(r.dims[src])), r.dims[tgt])]))
-        seeds.append((src, [row for row in linalg.nullspace(m, r.dims[src])]))
+        seeds.add((tgt, linalg.row_space(tuple(
+            linalg.mat_vec(m, v) for v in linalg.identity(r.dims[src])), r.dims[tgt])))
+        seeds.add((src, linalg.row_space(linalg.nullspace(m, r.dims[src]), r.dims[src])))
     for v in (0, 1):
-        for i in range(r.dims[v]):
-            line = [tuple(Fraction(1) if j == i else Fraction(0) for j in range(r.dims[v]))]
-            seeds.append((v, line))
+        seeds.update((v, (row,)) for row in linalg.identity(r.dims[v]))
 
     pairs = []
     # radical chain
@@ -304,10 +305,10 @@ def exact_subrep_candidates(r: Representation):
             seed = [[vec], []] if v == 0 else [[], [vec]]
             pairs.append(_closure_up(r, seed[0], seed[1]))
     for v, seed in seeds:
-        s = [seed, []] if v == 0 else [[], seed]
+        s = [seed, ()] if v == 0 else [(), seed]
         pairs.append(_closure_up(r, s[0], s[1]))
         upper = [full[0], full[1]]
-        upper[v] = linalg.row_space(tuple(seed), r.dims[v])
+        upper[v] = seed
         pairs.append(_closure_down(r, upper[0], upper[1]))
 
     seen = {}
@@ -327,18 +328,8 @@ def _integerize(r: Representation) -> Representation:
     mats = {}
     for a in "xzyw":
         m = r.matrix(a)
-        den = 1
-        for row in m:
-            for c in row:
-                den = den * c.denominator // _gcd(den, c.denominator)
-        mats[a] = linalg.mat_scale(den, m)
+        mats[a] = linalg.mat_scale(math.lcm(*(c.denominator for row in m for c in row)), m)
     return Representation(r.dims, mats["x"], mats["z"], mats["y"], mats["w"])
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _mod_matrix(m, p):
@@ -365,34 +356,75 @@ def _subspaces_gfp(dim, p):
     return out
 
 
-def _gfp_in_span(basis, vec, p):
-    v = list(vec)
-    for row in basis:
-        lead = next(i for i, c in enumerate(row) if c)
-        if v[lead]:
-            f = v[lead] * pow(row[lead], p - 2, p) % p
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    return all(c == 0 for c in v)
+def _gfp_rank(rows, ncols, p):
+    """Rank over GF(p) by forward elimination."""
+    m = [list(row) for row in rows]
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        for i in range(r + 1, len(m)):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
 
 
-def _gfp_closed(mats_mod, pair, p, dims):
-    w0, w1 = pair
-    for m, src_basis, tgt_basis, tgt_dim in ((mats_mod["x"], w0, w1, dims[1]),
-                                             (mats_mod["z"], w0, w1, dims[1]),
-                                             (mats_mod["y"], w1, w0, dims[0]),
-                                             (mats_mod["w"], w1, w0, dims[0])):
-        for v in src_basis:
-            img = tuple(sum(m[i][j] * v[j] for j in range(len(v))) % p for i in range(tgt_dim))
-            if any(img) and not _gfp_in_span(tgt_basis, img, p):
-                return False
-    return True
+def _gaussian_binomial(n, k, p):
+    """Number of k-dimensional subspaces of GF(p)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _interval_counts(out_a, out_b, in_c, in_d, ds, dt, p):
+    """Closed pairs counted over the subspaces W of the source vertex s.
+
+    ``out_a``, ``out_b`` map V_s -> V_t and ``in_c``, ``in_d`` map
+    V_t -> V_s.  For fixed W the closed partners W' at t are exactly
+    the interval U <= W' <= P with U = a(W) + b(W) and P the common
+    preimage of W under c and d; P is the kernel of the functionals
+    f.c, f.d for f in the annihilator of W.  Yields ((dim W, dim W'),
+    count) for every nonempty interval level.
+    """
+    for w in _subspaces_gfp(ds, p):
+        pivots = [next(j for j, c in enumerate(row) if c) for row in w]
+        # annihilator of W: one functional per non-pivot column
+        ann = []
+        for j in range(ds):
+            if j not in pivots:
+                f = [0] * ds
+                f[j] = 1
+                for row, pc in zip(w, pivots):
+                    f[pc] = -row[j] % p
+                ann.append(f)
+        cond = [[sum(f[i] * m[i][j] for i in range(ds)) % p for j in range(dt)]
+                for m in (in_c, in_d) for f in ann]
+        images = [[sum(m[i][j] * v[j] for j in range(ds)) % p for i in range(dt)]
+                  for m in (out_a, out_b) for v in w]
+        if any(sum(g[j] * u[j] for j in range(dt)) % p for g in cond for u in images):
+            continue  # U is not inside P
+        lo = _gfp_rank(images, dt, p)
+        hi = dt - _gfp_rank(cond, dt, p)
+        for j in range(hi - lo + 1):
+            yield (len(w), lo + j), _gaussian_binomial(hi - lo, j, p)
 
 
 def subrep_scan_Fp(r: Representation, p: int):
-    """Exhaustive enumeration of arrow-closed subspace pairs over GF(p).
+    """Exhaustive count of arrow-closed subspace pairs over GF(p).
 
     Arrow rescaling clears denominators first (it preserves the
-    subrepresentation lattice).  Returns the sorted list of realized
+    subrepresentation lattice).  A pair (W0, W1) is closed exactly when
+    x(W0) + z(W0) <= W1 and W1 lies in the common preimage of W0 under y
+    and w, so the scan enumerates the subspaces of the smaller vertex only
+    and counts the closed partners at the other vertex by Gaussian
+    binomials over that interval.  Returns the sorted list of realized
     (dim vector, count) pairs, the zero and full pairs included.
     """
     if p not in SCAN_PRIMES:
@@ -401,13 +433,14 @@ def subrep_scan_Fp(r: Representation, p: int):
     if d0 > MAX_SCAN_DIM or d1 > MAX_SCAN_DIM:
         raise ValueError("vertex dimensions above %d are not scanned" % MAX_SCAN_DIM)
     ri = _integerize(r)
-    mats_mod = {a: _mod_matrix(ri.matrix(a), p) for a in "xzyw"}
+    mx, mz, my, mw = (_mod_matrix(ri.matrix(a), p) for a in "xzyw")
     counts = {}
-    for w0 in _subspaces_gfp(d0, p):
-        for w1 in _subspaces_gfp(d1, p):
-            if _gfp_closed(mats_mod, (w0, w1), p, (d0, d1)):
-                key = (len(w0), len(w1))
-                counts[key] = counts.get(key, 0) + 1
+    if d0 <= d1:
+        found = _interval_counts(mx, mz, my, mw, d0, d1, p)
+    else:
+        found = (((k0, k1), n) for (k1, k0), n in _interval_counts(my, mw, mx, mz, d1, d0, p))
+    for key, n in found:
+        counts[key] = counts.get(key, 0) + n
     return sorted(counts.items())
 
 
@@ -492,17 +525,23 @@ def is_stable(r: Representation, params: StabilityParams,
     return StabilityVerdict("undetermined", primes=tuple(used), flagged=(dims,))
 
 
-def verify_witness(r: Representation, witness, params: StabilityParams) -> bool:
-    """Check an unstable witness exactly: closed under all four arrows and
-    of phase >= the total phase."""
-    w0, w1 = witness
-    d0, d1 = r.dims
-    for m, src, tgt, td in ((r.mx, w0, w1, d1), (r.mz, w0, w1, d1),
-                            (r.my, w1, w0, d0), (r.mw, w1, w0, d0)):
+def arrow_closed(r: Representation, w0, w1) -> bool:
+    """Exact check that the row spans of w0 and w1 are carried into each
+    other by all four arrows, i.e. form a subrepresentation."""
+    for m, src, tgt in ((r.mx, w0, w1), (r.mz, w0, w1), (r.my, w1, w0), (r.mw, w1, w0)):
         for v in src:
             img = linalg.mat_vec(m, v)
             if any(img) and not linalg.in_span(tgt, img):
                 return False
+    return True
+
+
+def verify_witness(r: Representation, witness, params: StabilityParams) -> bool:
+    """Check an unstable witness exactly: closed under all four arrows and
+    of phase >= the total phase."""
+    w0, w1 = witness
+    if not arrow_closed(r, w0, w1):
+        return False
     sub = (len(w0), len(w1))
     if sub in ((0, 0), r.dims):
         return False

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conifold_flop import homalg
 from conifold_flop.homalg import (ExtensionDatum, build_extension, ext1, ext1_dim, ext_dims,
                                   flop_point_analysis, free_complex_cohomology, hom, hom_dim,
                                   is_module_map, iso_check, psi_sphere)
@@ -67,6 +68,14 @@ def test_build_extension_rejects_non_cocycle():
     })
     with pytest.raises(ValueError):
         build_extension(m, n, bad)
+
+
+def test_build_extension_raises_when_maps_fail(monkeypatch):
+    # the check must survive python -O, so it is a raise, not an assert
+    monkeypatch.setattr(homalg, "is_module_map", lambda *args: False)
+    xi = ExtensionDatum({"x": ((Fraction(1),),), "z": ((Fraction(1),),), "y": (), "w": ()})
+    with pytest.raises(RuntimeError, match="not a module map"):
+        build_extension(S0, S1, xi)
 
 
 def test_extension_of_point_by_chain_is_the_next_chain():

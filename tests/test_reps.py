@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conifold_flop import linalg, reps
 from conifold_flop.exactcx import QC, admissible, phase_lt
-from conifold_flop.reps import (StabilityParams, central_charge, check_rep, flop_K,
-                                is_stable, make_catalog_rep, rep, scale_arrow,
-                                stability_params, stable_families, subrep_scan_Fp,
-                                verify_witness)
+from conifold_flop.reps import (StabilityParams, arrow_closed, central_charge, check_rep,
+                                exact_subrep_candidates, flop_K, is_stable, make_catalog_rep,
+                                rep, scale_arrow, stability_params, stable_families,
+                                subrep_scan_Fp, verify_witness)
 
 CH1 = stability_params(-1, 2, 1, 1)
 CH2 = stability_params(1, 1, -1, 2)
@@ -142,6 +143,175 @@ def test_subrep_scan_rejects_large_dims():
         subrep_scan_Fp(make_catalog_rep("vplus", 6), 2)
     with pytest.raises(ValueError):
         subrep_scan_Fp(make_catalog_rep("vplus", 2), 7)
+
+
+# --- GF(p) scans against the pairwise oracle and invariants -----------------
+
+# the 19 catalog modules of the subrep-lattice benchmark workload
+CATALOG = ([("vplus", (m,)) for m in range(1, 5)] + [("vplus_dag", (m,)) for m in range(1, 5)]
+           + [("vminus", (n,)) for n in range(4)] + [("vminus_dag", (n,)) for n in range(4)]
+           + [("point", (1, 1)), ("point", (1, 2)), ("point_flopped", (1, 2))])
+
+
+def _gfp_in_span(basis, vec, p):
+    v = list(vec)
+    for row in basis:
+        lead = next(i for i, c in enumerate(row) if c)
+        if v[lead]:
+            f = v[lead] * pow(row[lead], p - 2, p) % p
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+    return all(c == 0 for c in v)
+
+
+def _gfp_closed(mats, w0, w1, p, dims):
+    for m, src, tgt, tgt_dim in ((mats["x"], w0, w1, dims[1]), (mats["z"], w0, w1, dims[1]),
+                                 (mats["y"], w1, w0, dims[0]), (mats["w"], w1, w0, dims[0])):
+        for v in src:
+            img = tuple(sum(m[i][j] * v[j] for j in range(len(v))) % p for i in range(tgt_dim))
+            if any(img) and not _gfp_in_span(tgt, img, p):
+                return False
+    return True
+
+
+def _oracle_scan(r, p):
+    """Brute force: test arrow closure on every pair of subspaces."""
+    ri = reps._integerize(r)
+    mats = {a: reps._mod_matrix(ri.matrix(a), p) for a in "xzyw"}
+    counts = {}
+    for w0 in reps._subspaces_gfp(r.dims[0], p):
+        for w1 in reps._subspaces_gfp(r.dims[1], p):
+            if _gfp_closed(mats, w0, w1, p, r.dims):
+                key = (len(w0), len(w1))
+                counts[key] = counts.get(key, 0) + 1
+    return sorted(counts.items())
+
+
+def _gauss(n, k, q):
+    """Gaussian binomial [n, k]_q."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _dual(r):
+    """The dual representation: x' = y^T, z' = w^T, y' = x^T, w' = z^T."""
+    d0, d1 = r.dims
+    t = linalg.transpose
+    return reps.Representation(r.dims, t(r.my, d1), t(r.mw, d1), t(r.mx, d0), t(r.mz, d0))
+
+
+@pytest.mark.parametrize("kind,args", CATALOG)
+def test_subrep_scan_matches_pairwise_oracle_on_catalog(kind, args):
+    r = make_catalog_rep(kind, *args)
+    for p in (2, 3, 5):
+        if p == 5 and sum(r.dims) > 5:
+            continue
+        assert subrep_scan_Fp(r, p) == _oracle_scan(r, p)
+
+
+@st.composite
+def _quadruples(draw):
+    d0, d1 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entries = st.integers(-4, 4)
+
+    def m(rows, cols):
+        return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+    return rep((d0, d1), m(d1, d0), m(d1, d0), m(d0, d1), m(d0, d1))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_quadruples(), st.sampled_from((2, 3, 5)))
+def test_subrep_scan_matches_pairwise_oracle_on_quadruples(r, p):
+    assert subrep_scan_Fp(r, p) == _oracle_scan(r, p)
+
+
+def test_subspace_enumeration_counts():
+    for p in (2, 3, 5):
+        for d in range(5):
+            spaces = reps._subspaces_gfp(d, p)
+            assert len(set(spaces)) == len(spaces)
+            for k in range(d + 1):
+                assert sum(len(w) == k for w in spaces) == _gauss(d, k, p)
+
+
+def test_subrep_scan_zero_arrows_is_product_of_gaussian_binomials():
+    for d0 in range(5):
+        for d1 in range(5):
+            r = rep((d0, d1), *reps.zero_rep_matrices(d0, d1))
+            for p in (2, 3, 5):
+                assert subrep_scan_Fp(r, p) == [((k0, k1), _gauss(d0, k0, p) * _gauss(d1, k1, p))
+                                                for k0 in range(d0 + 1) for k1 in range(d1 + 1)]
+
+
+def _assert_dual_counts(r, p):
+    d0, d1 = r.dims
+    dual = {(d0 - k0, d1 - k1): n for (k0, k1), n in subrep_scan_Fp(_dual(r), p)}
+    assert dict(subrep_scan_Fp(r, p)) == dual
+
+
+@pytest.mark.parametrize("kind,args", CATALOG)
+def test_subrep_scan_duality_on_catalog(kind, args):
+    r = make_catalog_rep(kind, *args)
+    for p in (2, 3, 5):
+        _assert_dual_counts(r, p)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_quadruples(), st.sampled_from((2, 3, 5)))
+def test_subrep_scan_duality_on_quadruples(r, p):
+    _assert_dual_counts(r, p)
+
+
+def _shear(d):
+    """Lower unitriangular all-ones d x d matrix and its inverse."""
+    g = linalg.mat([[int(i >= j) for j in range(d)] for i in range(d)])
+    gi = linalg.mat([[(i == j) - (i == j + 1) for j in range(d)] for i in range(d)])
+    return g, gi
+
+
+def _sheared(r):
+    """The same module in the basis change _shear at both vertices; the chain
+    modules lose their coordinate-aligned subspaces."""
+    d0, d1 = r.dims
+    (g0, g0i), (g1, g1i) = _shear(d0), _shear(d1)
+    mul = linalg.mat_mul
+
+    def conj(left, m, right, ncols):
+        return mul(mul(left, m, ncols), right, ncols)
+
+    return reps.Representation(r.dims, conj(g1, r.mx, g0i, d0), conj(g1, r.mz, g0i, d0),
+                               conj(g0, r.my, g1i, d1), conj(g0, r.mw, g1i, d1))
+
+
+# len(exact_subrep_candidates) of each catalog module as built and sheared;
+# deduplicating the seeds must not change what the closures find
+CANDIDATE_COUNTS = {
+    ("vplus", (1,)): (0, 0), ("vplus", (2,)): (3, 4), ("vplus", (3,)): (10, 11),
+    ("vplus", (4,)): (15, 15),
+    ("vplus_dag", (1,)): (0, 0), ("vplus_dag", (2,)): (3, 4), ("vplus_dag", (3,)): (10, 11),
+    ("vplus_dag", (4,)): (15, 15),
+    ("vminus", (0,)): (0, 0), ("vminus", (1,)): (3, 4), ("vminus", (2,)): (8, 10),
+    ("vminus", (3,)): (12, 14),
+    ("vminus_dag", (0,)): (0, 0), ("vminus_dag", (1,)): (3, 4), ("vminus_dag", (2,)): (8, 10),
+    ("vminus_dag", (3,)): (12, 14),
+    ("point", (1, 1)): (1, 1), ("point", (1, 2)): (1, 1), ("point_flopped", (1, 2)): (1, 1),
+}
+
+
+@pytest.mark.parametrize("kind,args", CATALOG)
+def test_exact_candidates_pinned_and_closed(kind, args):
+    r = make_catalog_rep(kind, *args)
+    for module, expected in zip((r, _sheared(r)), CANDIDATE_COUNTS[(kind, args)]):
+        assert check_rep(module) == {"relations_ok": True, "nilpotent": True}
+        cands = exact_subrep_candidates(module)
+        assert len(cands) == expected
+        assert len(set(cands)) == len(cands)
+        for w0, w1 in cands:
+            assert (len(w0), len(w1)) not in ((0, 0), r.dims)
+            assert arrow_closed(module, w0, w1)
 
 
 # --- verdicts -----------------------------------------------------------------
