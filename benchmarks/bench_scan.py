@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the GF(2) chamber scan: compiled core vs pure Python.
+"""Benchmark the GF(2) chamber scan.
 
 Usage: python benchmarks/bench_scan.py [--bound 5] [--chamber {1,-1}] [--counts]
 
-The compiled backend is the Cython module _scan_core; the pure backend is
-scan_py.  Every backend's result is checked against the pinned
-classification below, so a pure-only run checks its results too; a
+The result is checked against the pinned classification below; a
 mismatch is a bug, not a benchmark result.
 """
 
@@ -25,12 +23,6 @@ def expected(bound, with_counts):
             if sum(d) <= bound}
 
 
-def run(backend, chamber, bound, with_counts):
-    t0 = time.perf_counter()
-    result = scan.scan_stable_dimvectors(chamber, bound, with_counts=with_counts, backend=backend)
-    return time.perf_counter() - t0, result
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--bound", type=int, default=5)
@@ -39,18 +31,15 @@ def main():
                     help="full enumeration instead of stopping at the first stable")
     ns = ap.parse_args()
 
-    backends = scan.get_backends()
     print("chamber %+d scan of dimension vectors with d0 + d1 <= %d (%s mode)"
           % (ns.chamber, ns.bound, "count" if ns.counts else "exists"))
+    t0 = time.perf_counter()
+    result = scan.scan_stable_dimvectors(ns.chamber, ns.bound, with_counts=ns.counts)
+    elapsed = time.perf_counter() - t0
+    print("  %8.3f s   %s" % (elapsed, sorted(result.items())))
     want = expected(ns.bound, ns.counts)
-    for name, _ in backends:
-        elapsed, result = run(name, ns.chamber, ns.bound, ns.counts)
-        print("  %-9s %8.3f s   %s" % (name, elapsed, sorted(result.items())))
-        if result != want:
-            raise SystemExit("%s backend result differs from the expected %s"
-                             % (name, sorted(want.items())))
-    if len(backends) < 2:
-        print("  (compiled backend not built; run pip install -e . with cython)")
+    if result != want:
+        raise SystemExit("result differs from the expected %s" % sorted(want.items()))
 
 
 if __name__ == "__main__":

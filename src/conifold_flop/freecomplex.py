@@ -295,6 +295,25 @@ def _minimal_generators(slices, kernels):
     return mins
 
 
+def _syzygy_step(slices, mins, degree, prefix):
+    """One generator of homological ``degree`` per minimal kernel generator
+    (s, u, vec), named prefix{degree}_{index}, with its differential row
+    read off ``vec`` in the basis of ``slices``.  Returns (gens, diff)."""
+    gens, diff = [], {}
+    for idx, (s, u, vec) in enumerate(mins):
+        name = "%s%d_%d" % (prefix, degree, idx)
+        gens.append(FCGen(name, u, degree, s))
+        rows = {}
+        for c, (gi, word) in zip(vec, slices.basis[(s, u)]):
+            if c == 0:
+                continue
+            out_name = slices.gens[gi].name
+            acc = rows.get(out_name, FreePathElement())
+            rows[out_name] = acc + FreePathElement({word: c})
+        diff[name] = [(e, out_name) for out_name, e in sorted(rows.items())]
+    return gens, diff
+
+
 def extend_resolution(fc: FreeComplex, cutoff: int, s_cap: int, down_to: int = 0,
                       prefix: str = "syz") -> FreeComplex:
     """Complete a top-of-resolution complex downward by minimal syzygies.
@@ -314,19 +333,9 @@ def extend_resolution(fc: FreeComplex, cutoff: int, s_cap: int, down_to: int = 0
         mins = _minimal_generators(slices, kernels)
         if not mins:
             break
-        new_gens = []
-        for idx, (s, u, vec) in enumerate(mins):
-            name = "%s%d_%d" % (prefix, k - 1, idx)
-            new_gens.append(FCGen(name, u, k - 1, s))
-            rows = {}
-            for c, (gi, word) in zip(vec, slices.basis[(s, u)]):
-                if c == 0:
-                    continue
-                out_name = slices.gens[gi].name
-                acc = rows.get(out_name, FreePathElement())
-                rows[out_name] = acc + FreePathElement({word: c})
-            diff[name] = [(e, out_name) for out_name, e in sorted(rows.items())]
+        new_gens, new_diff = _syzygy_step(slices, mins, k - 1, prefix)
         gens.extend(new_gens)
+        diff.update(new_diff)
         current = FreeComplex(gens, diff)
         k -= 1
     # a complete resolution has no further syzygies in the window

@@ -306,8 +306,7 @@ def psi_sphere(k: int, seed: int = 0):
 def _resolve_simple(vertex: int, cutoff: int, s_cap: int) -> FreeComplex:
     """Minimal projective resolution of the vertex simple, to length 3,
     computed inside the truncation window."""
-    from .freecomplex import ModuleSlices, _minimal_generators
-    from .paths import FreePathElement
+    from .freecomplex import ModuleSlices, _minimal_generators, _syzygy_step
 
     A = truncated_algebra(cutoff)
     top = FCGen("g", vertex, 3, 0)
@@ -317,19 +316,8 @@ def _resolve_simple(vertex: int, cutoff: int, s_cap: int) -> FreeComplex:
         if s >= 1:
             kernels[(s, u)] = linalg.identity(len(basis))
     mins = _minimal_generators(slices, kernels)
-    gens = [top]
-    diff = {}
-    for idx, (s, u, vec) in enumerate(mins):
-        name = "syz2_%d" % idx
-        gens.append(FCGen(name, u, 2, s))
-        rows = {}
-        for c, (gi, word) in zip(vec, slices.basis[(s, u)]):
-            if c == 0:
-                continue
-            acc = rows.get("g", FreePathElement())
-            rows["g"] = acc + FreePathElement({word: c})
-        diff[name] = [(e, out) for out, e in sorted(rows.items())]
-    fc = FreeComplex(gens, diff)
+    gens, diff = _syzygy_step(slices, mins, 2, "syz")
+    fc = FreeComplex([top] + gens, diff)
     return extend_resolution(fc, cutoff, s_cap, down_to=0, prefix="syz")
 
 

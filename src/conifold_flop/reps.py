@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import linalg
 from .exactcx import QC, admissible, cross
 from .paths import SRC, TGT, relations
+from .truncated import _words_from
 
 SCAN_PRIMES = (2, 3, 5)
 MAX_SCAN_DIM = 4
@@ -256,18 +257,6 @@ def _closure_down(r, upper0, upper1):
         w0, w1 = n0, n1
 
 
-def _all_words(max_len):
-    words = []
-    for length in range(1, max_len + 1):
-        for start in (0, 1):
-            outs = {0: "xz", 1: "yw"}
-            layer = [a for a in outs[start]]
-            for _ in range(length - 1):
-                layer = [a + w for w in layer for a in outs[TGT[w[0]]]]
-            words.extend(layer)
-    return sorted(set(words), key=lambda w: (len(w), w))
-
-
 def exact_subrep_candidates(r: Representation):
     """Proper nonzero subrepresentations found by exact seeds: kernels and
     images of all path actions up to length 4, radical and socle layers,
@@ -277,12 +266,18 @@ def exact_subrep_candidates(r: Representation):
     d0, d1 = r.dims
     full = (linalg.identity(d0), linalg.identity(d1))
     seeds = set()  # (vertex, reduced row-echelon basis)
-    for word in _all_words(4):
-        m = r.word_action(word)
-        src, tgt = SRC[word[-1]], TGT[word[0]]
-        seeds.add((tgt, linalg.row_space(tuple(
-            linalg.mat_vec(m, v) for v in linalg.identity(r.dims[src])), r.dims[tgt])))
-        seeds.add((src, linalg.row_space(linalg.nullspace(m, r.dims[src]), r.dims[src])))
+    for src in (0, 1):
+        n = r.dims[src]
+        # each word acts through its suffix w[1:], one length shorter
+        action = {"": full[src]}
+        for length in range(1, 5):
+            for word in _words_from(src, length):
+                m = linalg.mat_mul(r.matrix(word[0]), action[word[1:]], bcols=n)
+                action[word] = m
+                tgt = TGT[word[0]]
+                seeds.add((tgt, linalg.row_space(tuple(
+                    linalg.mat_vec(m, v) for v in full[src]), r.dims[tgt])))
+                seeds.add((src, linalg.row_space(linalg.nullspace(m, n), n)))
     for v in (0, 1):
         seeds.update((v, (row,)) for row in linalg.identity(r.dims[v]))
 

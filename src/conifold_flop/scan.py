@@ -1,44 +1,26 @@
-"""Backend dispatch for the GF(2) chamber scan.
+"""The GF(2) chamber scan over all dimension vectors up to a bound.
 
-The compiled extension is preferred when it imports; the pure-Python
-twin is always available and selected either as a fallback or through
-the environment variable CONIFOLD_FLOP_PURE=1.  Both implement the same
-``scan_dims`` contract and are compared in tests and benchmarks.
+``scan_py.scan_dims`` is the kernel; this module supplies the
+destabilizing sub-dimension vectors of each chamber and collects the
+per-dimension-vector results.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import scan_py
-
-_backend = scan_py
-_backend_name = "pure"
-
-if os.environ.get("CONIFOLD_FLOP_PURE", "") != "1":
-    try:
-        from . import _scan_core
-
-        _backend = _scan_core
-        _backend_name = "compiled"
-    except ImportError:
-        pass
 
 
 def backend_name() -> str:
-    return _backend_name
+    """Always "pure": ``scan_py`` is the only kernel.  Kept because
+    ``perfbench/worker.py`` records it and the CLI and criterion 6 report
+    it."""
+    return "pure"
 
 
 def get_backends():
-    """(name, module) pairs of every importable backend."""
-    out = [("pure", scan_py)]
-    try:
-        from . import _scan_core
-
-        out.append(("compiled", _scan_core))
-    except ImportError:
-        pass
-    return out
+    """Always [("pure", scan_py)].  Kept because ``perfbench/tracing.py``
+    looks the kernel up here to trace it."""
+    return [("pure", scan_py)]
 
 
 def destabilizing_pairs(chamber: int, d0: int, d1: int):
@@ -59,7 +41,7 @@ def destabilizing_pairs(chamber: int, d0: int, d1: int):
     return sorted(out, key=lambda p: (p[0] + p[1], p))
 
 
-def scan_stable_dimvectors(chamber: int, bound: int, with_counts=False, backend=None):
+def scan_stable_dimvectors(chamber: int, bound: int, with_counts=False):
     """Exhaustive GF(2) scan over all dimension vectors d0 + d1 <= bound.
 
     Returns {dims: number of stable representations} (dims with at least
@@ -70,13 +52,12 @@ def scan_stable_dimvectors(chamber: int, bound: int, with_counts=False, backend=
         raise ValueError("chamber must be +1 or -1")
     if not 1 <= bound <= 5:
         raise ValueError("bound must be in 1..5")
-    mod = _backend if backend is None else dict(get_backends())[backend]
     results = {}
     for total in range(1, bound + 1):
         for d0 in range(total + 1):
             d1 = total - d0
             destab = destabilizing_pairs(chamber, d0, d1)
-            n = mod.scan_dims(d0, d1, destab, count_all=with_counts)
+            n = scan_py.scan_dims(d0, d1, destab, count_all=with_counts)
             if n:
                 results[(d0, d1)] = n
     return results

@@ -1,4 +1,4 @@
-"""Pure-Python backend for the exhaustive GF(2) representation scan.
+"""The exhaustive GF(2) representation scan.
 
 Matrices over GF(2) are packed into integers (row-major bit layout) and
 multiplied through small precomputed composition tables.  For each
@@ -18,8 +18,6 @@ Exists mode visits the ranks in the order where witnesses sit: ascending
 when the vertex-0 simple destabilizes (chamber +1, where x and z carry the
 module and y is small), descending otherwise (chamber -1, where y and w
 carry it).  The order changes how soon a witness is found, never a result.
-The compiled core still enumerates every ``y`` and returns the same
-numbers.
 
 The loop order prunes aggressively: the relation xyz = zyx constrains
 (x, z) given y alone, so its solution table is reused across all w.
@@ -27,7 +25,7 @@ The loop order prunes aggressively: the relation xyz = zyx constrains
 
 from __future__ import annotations
 
-from itertools import product
+from .reps import _subspaces_gfp
 
 
 def _rows_of(code, r, c):
@@ -94,31 +92,14 @@ class _Tables:
 
 def _subspaces(dim):
     """All subspaces of GF(2)^dim: (dim, membership mask over vectors, basis),
-    enumerated through reduced echelon bases."""
-    from itertools import combinations
-
-    seen = set()
-    subs = [(0, 1, ())]  # zero subspace: only the zero vector
-    for k in range(1, dim + 1):
-        for pivots in combinations(range(dim), k):
-            free_pos = [(i, j) for i, p in enumerate(pivots)
-                        for j in range(p + 1, dim) if j not in pivots]
-            for fill in product([0, 1], repeat=len(free_pos)):
-                basis = [1 << p for p in pivots]
-                for (i, j), bit in zip(free_pos, fill):
-                    if bit:
-                        basis[i] |= 1 << j
-                span = {0}
-                for b in basis:
-                    span |= {s ^ b for s in span}
-                mask = 0
-                for v in span:
-                    mask |= 1 << v
-                key = mask
-                if key in seen:
-                    continue
-                seen.add(key)
-                subs.append((k, mask, tuple(basis)))
+    the reduced-echelon bases of ``reps._subspaces_gfp`` packed into bits."""
+    subs = []
+    for rows in _subspaces_gfp(dim, 2):
+        basis = tuple(sum(c << j for j, c in enumerate(row)) for row in rows)
+        span = {0}
+        for b in basis:
+            span |= {s ^ b for s in span}
+        subs.append((len(basis), sum(1 << v for v in span), basis))
     return subs
 
 

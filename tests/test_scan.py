@@ -16,27 +16,8 @@ def test_destabilizing_pairs():
 
 
 def test_scan_bound_4_pure():
-    got = scan.scan_stable_dimvectors(1, 4, with_counts=True, backend="pure")
+    got = scan.scan_stable_dimvectors(1, 4, with_counts=True)
     assert got == {(0, 1): 1, (1, 0): 1, (1, 1): 3, (1, 2): 6, (2, 1): 6}
-
-
-def test_backends_agree_on_counts():
-    backends = dict(scan.get_backends())
-    if "compiled" not in backends:
-        pytest.skip("compiled backend not built")
-    for chamber in (1, -1):
-        pure = scan.scan_stable_dimvectors(chamber, 4, with_counts=True, backend="pure")
-        fast = scan.scan_stable_dimvectors(chamber, 4, with_counts=True, backend="compiled")
-        assert pure == fast
-
-
-def test_backends_agree_on_the_big_cell():
-    backends = dict(scan.get_backends())
-    if "compiled" not in backends:
-        pytest.skip("compiled backend not built")
-    destab = scan.destabilizing_pairs(1, 2, 3)
-    assert scan_py.scan_dims(2, 3, destab, count_all=False) == \
-        backends["compiled"].scan_dims(2, 3, destab, count_all=False)
 
 
 def test_scan_bound_5_exists_mode():
@@ -52,7 +33,7 @@ def test_degenerate_dims():
 
 def test_counts_are_group_orbit_sizes():
     # |GL(1)| * |GL(2)| = 6 over GF(2): the chain module has a free orbit
-    got = scan.scan_stable_dimvectors(1, 3, with_counts=True, backend="pure")
+    got = scan.scan_stable_dimvectors(1, 3, with_counts=True)
     assert got[(1, 2)] == 6 and got[(2, 1)] == 6
     assert got[(1, 1)] == 3  # the three point modules
 
@@ -82,8 +63,18 @@ def _gl_order(d):
 
 @pytest.fixture(scope="module")
 def counts4():
-    return {ch: scan.scan_stable_dimvectors(ch, 4, with_counts=True, backend="pure")
+    return {ch: scan.scan_stable_dimvectors(ch, 4, with_counts=True)
             for ch in (1, -1)}
+
+
+@pytest.mark.parametrize("chamber", [1, -1])
+def test_orbit_reduction_matches_full_enumeration(chamber, counts4, monkeypatch):
+    # every y code as its own form with weight 1 is the unreduced scan
+    def every_y(d0, d1, ascending):
+        return [(y, 1) for y in range(1 << (d0 * d1))]
+
+    monkeypatch.setattr(scan_py, "_rank_forms", every_y)
+    assert scan.scan_stable_dimvectors(chamber, 4, with_counts=True) == counts4[chamber]
 
 
 @pytest.mark.parametrize("chamber", [1, -1])
