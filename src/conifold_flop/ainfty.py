@@ -225,7 +225,7 @@ def mc_expand(table: AInftyTable = TABLE):
     total = {g: c for g, c in total.items() if not c.is_zero()}
     bad = [g for g in total if DEGREE[g] != 2]
     if bad:
-        raise AssertionError("Maurer-Cartan expansion leaked onto %r" % bad)
+        raise RuntimeError("Maurer-Cartan expansion leaked onto %r" % bad)
     for bar in ("Xbar", "Ybar", "Zbar", "Wbar"):
         total.setdefault(bar, FreePathElement())
     return total

@@ -156,10 +156,6 @@ def validate_arc(arc: PLArc, cfg: SceneConfig):
                         and min(p1[1], q1[1]) <= q2[1] <= max(p1[1], q1[1]) and q2 != shared:
                     raise ValueError("consecutive segments fold back")
                 continue
-            if i == 0 and j == len(segs) - 1 and len(segs) > 2:
-                # closed arcs are not allowed; endpoints are distinct marked
-                # points, so a crossing here is a genuine self-intersection
-                pass
             if _segments_cross(*segs[i], *segs[j]):
                 raise ValueError("arc is not simple")
     return True

@@ -4,7 +4,8 @@ Every verification scenario is reachable as one invocation; output is an
 aligned text table by default and canonical JSON with --json.  Identical
 invocations with identical seeds print byte-identical JSON.
 
-Exit codes: 0 on success, 1 when a verification-style check fails, 2 on
+Exit codes: 0 on success, 1 when a verification-style check fails or a
+computation raises a RuntimeError (a StabilizationError included), 2 on
 bad input.
 """
 
@@ -63,7 +64,7 @@ def _parse_kind(text) -> Representation:
         raise CliError(str(exc))
 
 
-def _load_rep(ns, config) -> Representation:
+def _load_rep(ns) -> Representation:
     if getattr(ns, "rep", None):
         with open(ns.rep) as fh:
             return jsonio.rep_from_json(json.load(fh))
@@ -171,7 +172,7 @@ def cmd_rep(ns, config):
                                 "y %s" % (jsonio.matrix_to_json(r.my),),
                                 "w %s" % (jsonio.matrix_to_json(r.mw),)])
         return 0
-    r = _load_rep(ns, config)
+    r = _load_rep(ns)
     chk = check_rep(r)
     _emit(ns, {"dims": list(r.dims), **chk},
           ["dims %s relations_ok %s nilpotent %s" % (list(r.dims), chk["relations_ok"], chk["nilpotent"])])
@@ -179,7 +180,7 @@ def cmd_rep(ns, config):
 
 
 def cmd_stable(ns, config):
-    r = _load_rep(ns, config)
+    r = _load_rep(ns)
     params = _load_params(ns, config)
     v = is_stable(r, params)
     payload = {"dims": list(r.dims), **jsonio.verdict_to_json(v)}
@@ -248,7 +249,7 @@ def cmd_flop(ns, config):
     if ns.point:
         mx, mz = (Fraction(t) for t in ns.point.split(","))
         params = _load_params(ns, config)
-        report = flop_point_analysis(make_catalog_rep("point", mx, mz), params, seed=ns.seed)
+        report = flop_point_analysis(make_catalog_rep("point", mx, mz), params)
         payload = {
             "triangle": {k: jsonio.rep_to_json(v) for k, v in report["triangle"].items()},
             "k_image": list(report["k_image"]),
@@ -411,9 +412,9 @@ def main(argv=None):
             return 2
     try:
         return COMMANDS[ns.command](ns, config)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, RuntimeError) else 2
 
 
 if __name__ == "__main__":

@@ -84,6 +84,10 @@ def d_squared_ideal_check(fc: FreeComplex, cutoff: int) -> bool:
 # slice linear algebra
 
 
+class StabilizationError(RuntimeError):
+    pass
+
+
 class ModuleSlices:
     """Slices of the free module on ``gens`` over a truncated algebra.
 
@@ -128,7 +132,7 @@ class ModuleSlices:
                     combined = word + w2  # w2 acts first; empty word is the idempotent
                     rep = target.A.class_of(combined) if combined else ""
                     if rep is None:
-                        raise AssertionError("slice product overflowed the cutoff")
+                        raise StabilizationError("slice product overflowed the cutoff")
                     vec[tindex[(oi, rep)]] += c2
             rows.append(tuple(vec))
         return tuple(rows), src, tgt
@@ -148,7 +152,7 @@ class ModuleSlices:
                 continue
             rep = self.A.class_of(arrow + word)
             if rep is None:
-                raise AssertionError("arrow action left the window")
+                raise StabilizationError("arrow action left the window")
             out[tindex[(gi, rep)]] += c
         return s + 1, u2, tuple(out)
 
@@ -157,40 +161,24 @@ class ModuleSlices:
 # cohomology
 
 
-class StabilizationError(RuntimeError):
-    pass
-
-
 class _DegreeCohomology:
     """Cycle/boundary data of one homological degree, all slices."""
 
     def __init__(self, fc, A, k, s_max):
         self.k = k
-        self.slices = ModuleSlices(A, fc.gens_of_degree(k), s_max)
+        self.slices, cycles = _kernel_slices(fc, A, k, s_max)
         below = fc.gens_of_degree(k - 1)
-        above = fc.gens_of_degree(k + 1)
         self.slices_below = ModuleSlices(A, below, s_max) if below else None
-        self.slices_above = ModuleSlices(A, above, s_max) if above else None
         self.data = {}
-        for (s, u), basis in sorted(self.slices.basis.items()):
-            n = len(basis)
-            if self.slices_above is not None:
-                m, _, _ = self.slices.differential_matrix(fc, self.slices_above, s, u)
-                cycles = linalg.nullspace(linalg.transpose(m, n and len(m[0])), n)
-            else:
-                cycles = linalg.identity(n)
+        for (s, u), zs in cycles.items():
+            n = self.slices.slice_dim(s, u)
             if self.slices_below is not None and self.slices_below.slice_dim(s, u):
                 mb, _, _ = self.slices_below.differential_matrix(fc, self.slices, s, u)
                 boundaries = linalg.row_space(mb, n)
             else:
                 boundaries = ()
-            reps = []
-            span = list(boundaries)
-            for zv in cycles:
-                if not linalg.in_span(tuple(span), zv):
-                    reps.append(zv)
-                    span.append(zv)
-            self.data[(s, u)] = {"boundaries": boundaries, "reps": tuple(reps)}
+            self.data[(s, u)] = {"boundaries": boundaries,
+                                 "reps": linalg.independent(boundaries, zs, n)}
 
     def h_dim(self, s, u):
         d = self.data.get((s, u))
@@ -278,30 +266,25 @@ def _minimal_generators(slices, kernels):
     slices; returned as (s, u, vector), smallest internal degree first."""
     mins = []
     for (s, u) in sorted(kernels):
-        span = []
+        images = []
         for arrow in "xzyw":
             if TGT[arrow] != u:
                 continue
             u_src = SRC[arrow]
             for kv in kernels.get((s - 1, u_src), ()):
-                _, _, img = slices.arrow_image(arrow, s - 1, u_src, kv)
-                if any(c != 0 for c in img):
-                    span.append(img)
-        span = list(linalg.row_space(tuple(span), slices.slice_dim(s, u)))
-        for kv in kernels[(s, u)]:
-            if not linalg.in_span(tuple(span), kv):
-                mins.append((s, u, kv))
-                span.append(kv)
+                images.append(slices.arrow_image(arrow, s - 1, u_src, kv)[2])
+        new = linalg.independent(images, kernels[(s, u)], slices.slice_dim(s, u))
+        mins.extend((s, u, kv) for kv in new)
     return mins
 
 
-def _syzygy_step(slices, mins, degree, prefix):
+def _syzygy_step(slices, mins, degree):
     """One generator of homological ``degree`` per minimal kernel generator
-    (s, u, vec), named prefix{degree}_{index}, with its differential row
+    (s, u, vec), named syz{degree}_{index}, with its differential row
     read off ``vec`` in the basis of ``slices``.  Returns (gens, diff)."""
     gens, diff = [], {}
     for idx, (s, u, vec) in enumerate(mins):
-        name = "%s%d_%d" % (prefix, degree, idx)
+        name = "syz%d_%d" % (degree, idx)
         gens.append(FCGen(name, u, degree, s))
         rows = {}
         for c, (gi, word) in zip(vec, slices.basis[(s, u)]):
@@ -314,12 +297,11 @@ def _syzygy_step(slices, mins, degree, prefix):
     return gens, diff
 
 
-def extend_resolution(fc: FreeComplex, cutoff: int, s_cap: int, down_to: int = 0,
-                      prefix: str = "syz") -> FreeComplex:
+def extend_resolution(fc: FreeComplex, cutoff: int, s_cap: int) -> FreeComplex:
     """Complete a top-of-resolution complex downward by minimal syzygies.
 
-    The lowest existing homological degree is resolved repeatedly until
-    ``down_to``; new generators are named prefix{degree}_{index}.  The
+    The lowest existing homological degree is resolved repeatedly down to
+    degree 0; new generators are named syz{degree}_{index}.  The
     window must stay below the truncation boundary, which it does for the
     small internal degrees that occur here.
     """
@@ -328,12 +310,12 @@ def extend_resolution(fc: FreeComplex, cutoff: int, s_cap: int, down_to: int = 0
     diff = {g.name: list(fc.diff[g.name]) for g in fc.gens}
     current = FreeComplex(gens, diff)
     k = min(current.degrees())
-    while k > down_to:
+    while k > 0:
         slices, kernels = _kernel_slices(current, A, k, s_cap)
         mins = _minimal_generators(slices, kernels)
         if not mins:
             break
-        new_gens, new_diff = _syzygy_step(slices, mins, k - 1, prefix)
+        new_gens, new_diff = _syzygy_step(slices, mins, k - 1)
         gens.extend(new_gens)
         diff.update(new_diff)
         current = FreeComplex(gens, diff)
@@ -342,5 +324,5 @@ def extend_resolution(fc: FreeComplex, cutoff: int, s_cap: int, down_to: int = 0
     slices, kernels = _kernel_slices(current, A, min(current.degrees()), s_cap - 2)
     leftover = _minimal_generators(slices, kernels)
     if leftover:
-        raise AssertionError("resolution does not terminate: %r" % [(s, u) for s, u, _ in leftover])
+        raise StabilizationError("resolution does not terminate: %r" % [(s, u) for s, u, _ in leftover])
     return current

@@ -70,7 +70,7 @@ def hom(r: Representation, s: Representation):
     for a in "xzyw":
         src, tgt = ARROW_SPACES[a]
         add_rows(r.matrix(a), s.matrix(a), src, tgt)
-    sols = linalg.nullspace(tuple(rows), n0 + n1) if rows else linalg.identity(n0 + n1)
+    sols = linalg.nullspace(tuple(rows), n0 + n1)
     out = []
     for v in sols:
         phi0 = tuple(tuple(v[i * d0 + j] for j in range(d0)) for i in range(e0))
@@ -147,7 +147,7 @@ def ext1(m: Representation, n: Representation):
                                 row[off + p * xc + q] += c * n_pre[i][p] * m_suf[q][j]
                 if any(x != 0 for x in row):
                     rows.append(tuple(row))
-    cocycles = linalg.nullspace(tuple(rows), total) if rows else linalg.identity(total)
+    cocycles = linalg.nullspace(tuple(rows), total)
 
     # coboundaries: xi_a = eta_tgt . M_a - N_a . eta_src
     cob = []
@@ -172,15 +172,8 @@ def ext1(m: Representation, n: Representation):
                 for j in range(xc):
                     vec[off + i * xc + j] = xa[i][j]
         cob.append(tuple(vec))
-    cob_span = linalg.row_space(tuple(cob), total)
-
-    basis = []
-    span = list(cob_span)
-    for v in cocycles:
-        if not linalg.in_span(tuple(span), v):
-            basis.append(ExtensionDatum(_xi_from_vector(m, n, layout, v)))
-            span.append(v)
-    return basis
+    return [ExtensionDatum(_xi_from_vector(m, n, layout, v))
+            for v in linalg.independent(cob, cocycles, total)]
 
 
 def ext1_dim(m, n):
@@ -316,9 +309,9 @@ def _resolve_simple(vertex: int, cutoff: int, s_cap: int) -> FreeComplex:
         if s >= 1:
             kernels[(s, u)] = linalg.identity(len(basis))
     mins = _minimal_generators(slices, kernels)
-    gens, diff = _syzygy_step(slices, mins, 2, "syz")
+    gens, diff = _syzygy_step(slices, mins, 2)
     fc = FreeComplex([top] + gens, diff)
-    return extend_resolution(fc, cutoff, s_cap, down_to=0, prefix="syz")
+    return extend_resolution(fc, cutoff, s_cap)
 
 
 def _hom_complex_dims(res: FreeComplex, m: Representation):
@@ -391,7 +384,7 @@ def free_complex_cohomology(fc: FreeComplex, cutoff: int):
 # flop analysis of point modules
 
 
-def flop_point_analysis(pt: Representation, params: StabilityParams, seed: int = 0):
+def flop_point_analysis(pt: Representation, params: StabilityParams):
     """Behaviour of an (x, z)-type point module in the flopped chamber:
     the two-term triangle record, the K-class image, and the instability
     witness given by the vertex-1 simple."""

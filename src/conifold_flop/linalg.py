@@ -112,14 +112,37 @@ def nullspace(m, ncols=None):
     return tuple(basis)
 
 
+def independent(basis, vectors, ncols):
+    """The members of ``vectors``, in input order and as given, that lie
+    outside the row span of ``basis`` and of the members kept before them.
+
+    One echelon form grows as rows are accepted: each stored row is 1 at
+    its pivot and 0 at the pivots of the rows stored before it, so every
+    query is a single reduction.
+    """
+    echelon = []  # (pivot column, row)
+
+    def absorb(vec):
+        v = list(vec)
+        for p, row in echelon:
+            f = v[p]
+            if f != 0:
+                v = [x - f * y for x, y in zip(v, row)]
+        p = next((j for j in range(ncols) if v[j] != 0), None)
+        if p is None:
+            return False
+        inv = ONE / v[p]
+        echelon.append((p, [inv * x for x in v]))
+        return True
+
+    for vec in basis:
+        absorb(vec)
+    return tuple(vec for vec in vectors if absorb(vec))
+
+
 def in_span(basis, vec):
     """Membership of ``vec`` in the row span of ``basis``."""
-    if all(x == 0 for x in vec):
-        return True
-    if not basis:
-        return False
-    before = rank(basis, len(vec))
-    return rank(tuple(basis) + (tuple(vec),), len(vec)) == before
+    return not independent(basis, (vec,), len(vec))
 
 
 def span_intersect(a, b, ncols):

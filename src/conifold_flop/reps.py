@@ -152,19 +152,24 @@ def relations_hold(r: Representation) -> bool:
     return True
 
 
-def is_nilpotent(r: Representation) -> bool:
-    """Descending image chain V >= sum_a im(a) >= ... reaches zero."""
+def _radical_chain(r: Representation):
+    """The descending layers V > sum_a im(a) > ... as canonical (basis at
+    v0, basis at v1) pairs, from V itself to the first layer that no
+    longer shrinks."""
     d0, d1 = r.dims
-    u0 = linalg.identity(d0)
-    u1 = linalg.identity(d1)
-    for _ in range(d0 + d1 + 1):
-        if not u0 and not u1:
-            return True
-        n0 = [linalg.mat_vec(m, v) for m in (r.my, r.mw) for v in u1] if d0 else []
-        n1 = [linalg.mat_vec(m, v) for m in (r.mx, r.mz) for v in u0] if d1 else []
-        u0 = linalg.row_space(tuple(n0), d0)
-        u1 = linalg.row_space(tuple(n1), d1)
-    return not u0 and not u1
+    chain = [(linalg.identity(d0), linalg.identity(d1))]
+    while True:
+        u0, u1 = chain[-1]
+        n0 = linalg.row_space(tuple(linalg.mat_vec(m, v) for m in (r.my, r.mw) for v in u1), d0)
+        n1 = linalg.row_space(tuple(linalg.mat_vec(m, v) for m in (r.mx, r.mz) for v in u0), d1)
+        if (n0, n1) == (u0, u1):
+            return chain
+        chain.append((n0, n1))
+
+
+def is_nilpotent(r: Representation) -> bool:
+    """The radical chain ends at zero."""
+    return _radical_chain(r)[-1] == ((), ())
 
 
 def check_rep(r: Representation) -> dict:
@@ -281,16 +286,7 @@ def exact_subrep_candidates(r: Representation):
     for v in (0, 1):
         seeds.update((v, (row,)) for row in linalg.identity(r.dims[v]))
 
-    pairs = []
-    # radical chain
-    u0, u1 = full
-    for _ in range(d0 + d1):
-        n0 = linalg.row_space(tuple(linalg.mat_vec(m, v) for m in (r.my, r.mw) for v in u1), d0)
-        n1 = linalg.row_space(tuple(linalg.mat_vec(m, v) for m in (r.mx, r.mz) for v in u0), d1)
-        if (n0, n1) == (u0, u1):
-            break
-        u0, u1 = n0, n1
-        pairs.append((u0, u1))
+    pairs = _radical_chain(r)  # V itself is dropped with the trivial pairs below
     # socle chain
     s0 = linalg.span_intersect(linalg.nullspace(r.mx, d0), linalg.nullspace(r.mz, d0), d0)
     s1 = linalg.span_intersect(linalg.nullspace(r.my, d1), linalg.nullspace(r.mw, d1), d1)
@@ -461,8 +457,7 @@ def _destab_sign(sub_dims, dims, params):
     return (c > 0) - (c < 0)
 
 
-def is_stable(r: Representation, params: StabilityParams,
-              primes=SCAN_PRIMES) -> StabilityVerdict:
+def is_stable(r: Representation, params: StabilityParams) -> StabilityVerdict:
     """Stability verdict with certificates.
 
     Exact rational candidate subrepresentations are tested first; a strict
@@ -489,7 +484,7 @@ def is_stable(r: Representation, params: StabilityParams,
 
     flagged = None
     used = []
-    for p in primes:
+    for p in SCAN_PRIMES:
         realized = {d for d, _ in subrep_scan_Fp(r, p)}
         bad = {d for d in realized
                if d not in ((0, 0), dims) and _destab_sign(d, dims, params) <= 0}

@@ -120,7 +120,7 @@ def table_sphere_m(m: int) -> FreeComplex:
         raise ValueError("sphere index must be in 2..%d" % SM_MAX)
     gens, diff = _sphere_m_top(m)
     top = FreeComplex(gens, diff)
-    return extend_resolution(top, cutoff=10, s_cap=7, down_to=0)
+    return extend_resolution(top, cutoff=10, s_cap=7)
 
 
 def m1b_table(target: str, rho=None, m=None) -> FreeComplex:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from conifold_flop import jsonio
+from conifold_flop import cli, jsonio
 from conifold_flop.cli import main
+from conifold_flop.freecomplex import StabilizationError
 
 
 def run(capsys, *argv):
@@ -158,3 +159,14 @@ def test_malformed_json_files_exit_two(tmp_path, capsys, argv, payload):
     path.write_text(json.dumps(payload))
     assert main(argv + [str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [RuntimeError, StabilizationError])
+def test_runtime_errors_exit_one_without_traceback(monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error("did not stabilize")
+
+    monkeypatch.setattr(cli, "psi_sphere", fail)
+    assert main(["psi", "--object", "sphere:2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: did not stabilize\n"

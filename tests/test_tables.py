@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from conifold_flop.freecomplex import FreeComplex, d_squared_ideal_check
+from conifold_flop.freecomplex import (FCGen, FreeComplex, ModuleSlices, StabilizationError,
+                                       d_squared_ideal_check)
 from conifold_flop.paths import FreePathElement, fpe
 from conifold_flop.tables import (catalog_tables, m1b_table, table_sphere0,
                                   table_sphere_m, table_torus)
+from conifold_flop.truncated import truncated_algebra
 
 
 def _row(fc, name):
@@ -105,11 +107,18 @@ def test_sphere_m_larger_indices_cohere():
 
 
 def test_internal_grading_is_validated():
-    from conifold_flop.freecomplex import FCGen
-
     # coefficient x needs internal(a) = internal(b) + 1
     with pytest.raises(ValueError):
         FreeComplex([FCGen("a", 1, 0, 0), FCGen("b", 0, 1, 0)],
                     {"a": [(fpe("x"), "b")]})
     FreeComplex([FCGen("a", 1, 0, 1), FCGen("b", 0, 1, 0)],
                 {"a": [(fpe("x"), "b")]})
+
+
+def test_arrow_image_past_the_window_raises():
+    slices = ModuleSlices(truncated_algebra(2), [FCGen("g", 0, 0, 0)], 2)
+    n = slices.slice_dim(2, 0)  # paths of length 2 from vertex 0 back to 0
+    assert n > 0
+    vec = (Fraction(1),) + (Fraction(0),) * (n - 1)
+    with pytest.raises(StabilizationError, match="left the window"):
+        slices.arrow_image("x", 2, 0, vec)
