@@ -10,14 +10,21 @@ transverse crossings with the open interval (a, b).
 The half-rotation surgery rotates the disk of radius R1 about the
 midpoint (a + b)/2 by pi exactly, fixes everything outside radius R2,
 and interpolates across the annulus by a staircase of exact rational
-rotations (Pythagorean approximations).  The positive axis stays outside
-the R2-disk and the interval (a, b) inside the R1-disk, so both
-invariants transform predictably: the surgery exchanges the endpoints
-and preserves the crossing data, as does the full-turn twist.
+rotations (Pythagorean approximations).  The staircase splits the
+annulus by `rings` equally spaced radii from R1 to R2; a point with l of
+these radii strictly inside it (l capped at `rings`) turns by about
+pi * total_turns * (rings - l) / rings, where total_turns is 1 for the
+surgery and +-2 for the twist: exactly at l = 0, the identity at
+l = rings.  The positive axis stays outside the R2-disk and the interval
+(a, b) inside the R1-disk, so both invariants transform predictably: the
+surgery exchanges the endpoints and preserves the crossing data, as does
+the full-turn twist.  Both maps reject an input arc that fails
+`validate_arc` with a ValueError.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,10 +110,7 @@ def _sq_dist(p, q=(0, 0)):
 def _segment_clearance_ok(p, q, eps):
     """Minimal distance of segment pq to the origin is at least eps."""
     dx, dy = q[0] - p[0], q[1] - p[1]
-    den = dx * dx + dy * dy
-    if den == 0:
-        return _sq_dist(p) >= eps * eps
-    t = -(p[0] * dx + p[1] * dy) / den
+    t = -(p[0] * dx + p[1] * dy) / (dx * dx + dy * dy)
     t = max(F(0), min(F(1), t))
     closest = (p[0] + t * dx, p[1] + t * dy)
     return _sq_dist(closest) >= eps * eps
@@ -118,18 +122,24 @@ def _orient(p, q, r):
     return (v > 0) - (v < 0)
 
 
+def _boxes_meet(p1, q1, p2, q2):
+    """The bounding boxes of the segments p1q1 and p2q2 intersect."""
+    return all(min(p1[i], q1[i]) <= max(p2[i], q2[i]) and min(p2[i], q2[i]) <= max(p1[i], q1[i])
+               for i in (0, 1))
+
+
 def _segments_cross(p1, q1, p2, q2):
-    """Proper or improper intersection of closed segments, exact."""
+    """Proper or improper intersection of closed segments, exact: the
+    orientation straddle test.  Segments that pass the two straddle tests
+    either cross or are collinear, and collinear segments meet exactly
+    when their bounding boxes do."""
     o1, o2 = _orient(p1, q1, p2), _orient(p1, q1, q2)
+    if o1 == o2 != 0:
+        return False
     o3, o4 = _orient(p2, q2, p1), _orient(p2, q2, q1)
-    if o1 != o2 and o3 != o4:
-        return True
-
-    def on_seg(p, q, r):
-        return (_orient(p, q, r) == 0 and min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-                and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
-
-    return on_seg(p1, q1, p2) or on_seg(p1, q1, q2) or on_seg(p2, q2, p1) or on_seg(p2, q2, q1)
+    if o3 == o4 != 0:
+        return False
+    return o1 != o2 or _boxes_meet(p1, q1, p2, q2)
 
 
 def validate_arc(arc: PLArc, cfg: SceneConfig):
@@ -139,24 +149,20 @@ def validate_arc(arc: PLArc, cfg: SceneConfig):
     marked = {(cfg.a, F(0)), (cfg.b, F(0))}
     if ends != marked:
         raise ValueError("arc endpoints must be the two marked points")
-    for p, q in arc.segments():
+    segs = arc.segments()
+    for p, q in segs:
         if p == q:
             raise ValueError("degenerate segment")
         if not _segment_clearance_ok(p, q, cfg.eps):
             raise ValueError("arc passes within eps of the origin")
-    segs = arc.segments()
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            if j == i + 1:
-                # consecutive segments share exactly their joint vertex
-                shared = segs[i][1]
-                p1, q1 = segs[i]
-                p2, q2 = segs[j]
-                if _orient(p1, q1, q2) == 0 and min(p1[0], q1[0]) <= q2[0] <= max(p1[0], q1[0]) \
-                        and min(p1[1], q1[1]) <= q2[1] <= max(p1[1], q1[1]) and q2 != shared:
-                    raise ValueError("consecutive segments fold back")
-                continue
-            if _segments_cross(*segs[i], *segs[j]):
+    for i, (p1, q1) in enumerate(segs):
+        # consecutive segments share exactly their joint vertex
+        if i + 1 < len(segs):
+            q2 = segs[i + 1][1]
+            if _orient(p1, q1, q2) == 0 and _boxes_meet(p1, q1, q2, q2):
+                raise ValueError("consecutive segments fold back")
+        for p2, q2 in segs[i + 2:]:
+            if _segments_cross(p1, q1, p2, q2):
                 raise ValueError("arc is not simple")
     return True
 
@@ -274,14 +280,10 @@ def catalog_arc(label: str, k: int, cfg: SceneConfig = DEFAULT_SCENE) -> PLArc:
 
 
 def _pythagorean_rotation(t: Fraction):
-    """Exact rational rotation by an angle close to pi * t, via the
-    half-angle parametrization (cos, sin) = ((1-u^2), 2u)/(1+u^2)."""
+    """Exact rational rotation by an angle close to pi * t for t in [0, 1),
+    exactly the identity at t = 0, via the half-angle parametrization
+    (cos, sin) = ((1-u^2), 2u)/(1+u^2)."""
     # u = tan(theta / 2) for theta = pi t; rational approximation of
-    # tan(pi t / 2) good enough for a monotone staircase
-    if t <= 0:
-        return (F(1), F(0))
-    if t >= 1:
-        return (F(-1), F(0))
     # tan(pi t / 2) ~ t/(1 - t) rescaled; monotonicity is all that matters
     u = F(4) * t / (3 * (1 - t) + 1)
     den = 1 + u * u
@@ -294,28 +296,27 @@ def _rotate_about(center, p, cs):
     return (center + c * dx - s * dy, s * dx + c * dy)
 
 
-def _subdivide_for_zones(arc: PLArc, cfg: SceneConfig, rings: int) -> PLArc:
-    """Refine until every segment has both ends in the same ring of the
-    staircase (or shares one boundary ring), bounded effort."""
-    radii2 = [cfg.r1 ** 2]
-    for i in range(1, rings):
-        r = cfg.r1 + (cfg.r2 - cfg.r1) * F(i, rings)
-        radii2.append(r * r)
-    radii2.append(cfg.r2 ** 2)
+def _ring_radii2(cfg: SceneConfig, rings: int):
+    """Squared radii r1 = rho_0 < rho_1 < ... < rho_rings = r2 of the
+    staircase rings, equally spaced across the annulus."""
+    return [(cfg.r1 + (cfg.r2 - cfg.r1) * F(i, rings)) ** 2 for i in range(rings + 1)]
 
-    def ring(p):
-        d2 = (p[0] - cfg.center) ** 2 + p[1] ** 2
-        for i, rr in enumerate(radii2):
-            if d2 <= rr:
-                return i
-        return len(radii2)
 
+def _ring_level(p, cfg: SceneConfig, radii2):
+    """Number of ring radii strictly inside p: 0 in the inner disk,
+    len(radii2) outside the outer one."""
+    return bisect_left(radii2, _sq_dist(p, (cfg.center, 0)))
+
+
+def _subdivide_for_zones(arc: PLArc, cfg: SceneConfig, radii2) -> PLArc:
+    """Refine until the ring levels of the two ends of every segment differ
+    by at most one, bounded effort."""
     pts = list(arc.points)
     for _ in range(24):
         out = [pts[0]]
         changed = False
         for p, q in zip(pts[:-1], pts[1:]):
-            if abs(ring(p) - ring(q)) > 1:
+            if abs(_ring_level(p, cfg, radii2) - _ring_level(q, cfg, radii2)) > 1:
                 out.append(((p[0] + q[0]) / 2, (p[1] + q[1]) / 2))
                 changed = True
             out.append(q)
@@ -326,35 +327,22 @@ def _subdivide_for_zones(arc: PLArc, cfg: SceneConfig, rings: int) -> PLArc:
 
 
 def _staircase_once(arc: PLArc, cfg: SceneConfig, total_turns: Fraction, rings: int) -> PLArc:
-    arc = _subdivide_for_zones(arc, cfg, rings)
-    inner_cs = {F(1): (F(-1), F(0)), F(2): (F(1), F(0)), F(-2): (F(1), F(0))}[total_turns]
-    radii2 = [cfg.r1 ** 2]
-    for i in range(1, rings):
-        r = cfg.r1 + (cfg.r2 - cfg.r1) * F(i, rings)
-        radii2.append(r * r)
-
-    sign = 1 if total_turns > 0 else -1
-    steps = abs(total_turns)
+    radii2 = _ring_radii2(cfg, rings)
+    arc = _subdivide_for_zones(arc, cfg, radii2)
 
     def image(p):
-        d2 = (p[0] - cfg.center) ** 2 + p[1] ** 2
-        if d2 >= cfg.r2 ** 2:
-            return p
-        if d2 <= cfg.r1 ** 2:
-            return _rotate_about(cfg.center, p, inner_cs)
-        level = sum(1 for rr in radii2 if d2 > rr)  # 1..rings-1 within annulus
-        t = steps * F(rings - level, rings)
+        # level l (capped at rings) turns by pi * total_turns * (rings - l) / rings:
+        # exactly in the inner disk, not at all from the outer radius on
+        t = abs(total_turns) * F(rings - min(_ring_level(p, cfg, radii2), rings), rings)
         whole = int(t)  # full pi-turns rotate exactly
-        frac = t - whole
-        cs = _pythagorean_rotation(frac)
+        c, s = _pythagorean_rotation(t - whole)
         if whole % 2 == 1:
-            cs = (-cs[0], -cs[1])
-        if sign < 0:
-            cs = (cs[0], -cs[1])
-        return _rotate_about(cfg.center, p, cs)
+            c, s = -c, -s
+        if total_turns < 0:
+            s = -s
+        return _rotate_about(cfg.center, p, (c, s))
 
-    pts = [image(p) for p in arc.points]
-    out = PLArc(tuple(pts), arc.orientation)
+    out = PLArc(tuple(image(p) for p in arc.points), arc.orientation)
     validate_arc(out, cfg)
     return out
 
@@ -362,7 +350,9 @@ def _staircase_once(arc: PLArc, cfg: SceneConfig, total_turns: Fraction, rings: 
 def _staircase_map(arc: PLArc, cfg: SceneConfig, total_turns: Fraction) -> PLArc:
     """Map rotating the inner disk by pi * total_turns exactly, fixing the
     outside, with a monotone staircase of rational rotations between; the
-    staircase is refined until the image validates."""
+    staircase is refined until the image validates.  A bad input arc
+    raises ValueError at once."""
+    validate_arc(arc, cfg)
     last = None
     for rings in (8, 16, 32, 64, 128):
         try:

@@ -180,10 +180,6 @@ class _DegreeCohomology:
             self.data[(s, u)] = {"boundaries": boundaries,
                                  "reps": linalg.independent(boundaries, zs, n)}
 
-    def h_dim(self, s, u):
-        d = self.data.get((s, u))
-        return len(d["reps"]) if d else 0
-
     def coordinates(self, s, u, vec):
         """Coordinates of a cycle in the chosen representatives mod boundaries."""
         if all(c == 0 for c in vec):

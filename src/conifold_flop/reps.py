@@ -48,9 +48,6 @@ class Representation:
     def matrix(self, arrow):
         return {"x": self.mx, "z": self.mz, "y": self.my, "w": self.mw}[arrow]
 
-    def vertex_dim(self, v):
-        return self.dims[v]
-
     def word_action(self, word):
         """Matrix of a composable word (rightmost arrow acts first)."""
         d = {0: self.dims[0], 1: self.dims[1]}

@@ -1,14 +1,42 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conifold_flop import jsonio
 from conifold_flop.arcs import (CATALOG_RANGE, DEFAULT_SCENE, DegenerateArc, PLArc,
-                                SceneConfig, SPHERE_INVARIANTS, catalog_arc, dehn_twist_map,
-                                flop_map, invariants, make_arc, phase_order, refine)
+                                SceneConfig, SPHERE_INVARIANTS, _orient, _segments_cross,
+                                catalog_arc, dehn_twist_map, flop_map, invariants, make_arc,
+                                phase_order, refine)
 
 F = Fraction
 CFG = DEFAULT_SCENE
+
+
+def _segments_cross_by_on_seg(p1, q1, p2, q2):
+    """Crossing test with an on-segment check for every endpoint: the
+    definition the straddle test with a bounding box replaces."""
+    o1, o2 = _orient(p1, q1, p2), _orient(p1, q1, q2)
+    o3, o4 = _orient(p2, q2, p1), _orient(p2, q2, q1)
+    if o1 != o2 and o3 != o4:
+        return True
+
+    def on_seg(p, q, r):
+        return (_orient(p, q, r) == 0 and min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+                and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+
+    return on_seg(p1, q1, p2) or on_seg(p1, q1, q2) or on_seg(p2, q2, p1) or on_seg(p2, q2, q1)
+
+
+# coordinates in -2..2 make collinear, touching and overlapping segments common
+_POINT = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(_POINT, _POINT, _POINT, _POINT)
+def test_segments_cross_agrees_with_the_on_segment_test(p1, q1, p2, q2):
+    assert _segments_cross(p1, q1, p2, q2) == _segments_cross_by_on_seg(p1, q1, p2, q2)
 
 
 def test_scene_validation():
@@ -66,10 +94,27 @@ def test_validation_rejects_bad_arcs():
                       (CFG.b, F(0))))
     with pytest.raises(ValueError):
         invariants(crossing, CFG)
+    # the first and the last segment run along the axis and overlap on [a, b];
+    # no other pair of segments meets
+    overlap = PLArc(((CFG.a, F(0)), (F(-1), F(0)), (F(-1), F(1)), (F(-5), F(1)),
+                     (F(-5), F(0)), (CFG.b, F(0))))
+    with pytest.raises(ValueError, match="arc is not simple"):
+        invariants(overlap, CFG)
+    # the fourth segment ends at the end of the first
+    touching = PLArc(((CFG.a, F(0)), (F(-3), F(1)), (F(-3), F(2)), (F(-4), F(2)),
+                      (F(-3), F(1)), (CFG.b, F(0))))
+    with pytest.raises(ValueError, match="arc is not simple"):
+        invariants(touching, CFG)
+    fold_back = PLArc(((CFG.a, F(0)), (F(-3), F(1)), (F(-7, 2), F(1, 2)), (CFG.b, F(0))))
+    with pytest.raises(ValueError, match="consecutive segments fold back"):
+        invariants(fold_back, CFG)
+    repeated = PLArc(((CFG.a, F(0)), (F(-3), F(1)), (F(-3), F(1)), (CFG.b, F(0))))
+    with pytest.raises(ValueError, match="degenerate segment"):
+        invariants(repeated, CFG)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(st.sampled_from([3, 5, 7]), st.sampled_from(sorted(CATALOG_RANGE)))
+@pytest.mark.parametrize("pieces", [3, 5, 7])
+@pytest.mark.parametrize("k", list(CATALOG_RANGE))
 def test_refinement_preserves_invariants(pieces, k):
     # odd counts keep subdivision vertices off the reference sets; an even
     # count can land a vertex exactly on the axis, which is the degenerate
@@ -98,6 +143,19 @@ def test_flop_squared_is_inverse_twist(k):
     inv_tw = invariants(dehn_twist_map(s, CFG, inverse=True), CFG)
     assert twice.tuple() == inv_tw.tuple()
     assert twice.start == inv_tw.start == "a"
+
+
+def test_staircase_images_are_pinned():
+    # flop, twist and inverse twist of both catalog families; the inverse
+    # twist of S:-2 needs the second staircase (16 rings)
+    digest = hashlib.sha256()
+    for label in ("S", "Sp"):
+        for k in CATALOG_RANGE:
+            arc = catalog_arc(label, k, CFG)
+            for img in (flop_map(arc, CFG), dehn_twist_map(arc, CFG),
+                        dehn_twist_map(arc, CFG, inverse=True)):
+                digest.update(jsonio.dumps(jsonio.arc_to_json(img)).encode())
+    assert digest.hexdigest() == "18e6db28ba0e58dace08ce267fc723ab8c25f8ffda823571a3d00262b61589b3"
 
 
 def test_twist_fixes_inner_arc():

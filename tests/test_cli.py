@@ -148,11 +148,19 @@ def test_malformed_json_raises_value_error(loader, data):
         getattr(jsonio, loader)(data)
 
 
+_WRONG_ENDPOINT = {"points": [["-4", "0"], ["-3", "1"], ["-1", "0"]]}
+_SELF_CROSSING = {"points": [["-4", "0"], ["-3", "2"], ["-2", "-2"], ["-4", "1"], ["-2", "0"]]}
+
+
 @pytest.mark.parametrize("argv,payload", [
     (["rep", "check", "--rep"], {"dims": [1, 1]}),
     (["stable", "--z0", "-1,2", "--z1", "1,1", "--rep"], {"dims": [1, 1], "x": [["1"]]}),
     (["arc", "--op", "invariants", "--arc"], {"points": [["-3", "0"], [None, "0"]]}),
     (["arc", "--op", "invariants", "--catalog", "S:1", "--scene"], {"a": "-3"}),
+    (["arc", "--op", "flop", "--arc"], _WRONG_ENDPOINT),
+    (["arc", "--op", "flop", "--arc"], _SELF_CROSSING),
+    (["arc", "--op", "twist", "--arc"], _WRONG_ENDPOINT),
+    (["arc", "--op", "twist", "--arc"], _SELF_CROSSING),
 ])
 def test_malformed_json_files_exit_two(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
