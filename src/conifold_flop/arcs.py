@@ -156,10 +156,12 @@ def validate_arc(arc: PLArc, cfg: SceneConfig):
         if not _segment_clearance_ok(p, q, cfg.eps):
             raise ValueError("arc passes within eps of the origin")
     for i, (p1, q1) in enumerate(segs):
-        # consecutive segments share exactly their joint vertex
+        # consecutive segments share exactly their joint vertex: collinear
+        # ones must not turn back, whichever of them runs further
         if i + 1 < len(segs):
             q2 = segs[i + 1][1]
-            if _orient(p1, q1, q2) == 0 and _boxes_meet(p1, q1, q2, q2):
+            if _orient(p1, q1, q2) == 0 and ((q1[0] - p1[0]) * (q2[0] - q1[0])
+                                             + (q1[1] - p1[1]) * (q2[1] - q1[1])) < 0:
                 raise ValueError("consecutive segments fold back")
         for p2, q2 in segs[i + 2:]:
             if _segments_cross(p1, q1, p2, q2):

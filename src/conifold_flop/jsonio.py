@@ -23,7 +23,7 @@ def frac_str(x) -> str:
 def parse_frac(s) -> Fraction:
     try:
         return Fraction(s)
-    except (TypeError, ZeroDivisionError):
+    except (TypeError, ZeroDivisionError, OverflowError):  # OverflowError: an infinite float
         raise ValueError("expected a rational p/q, got %r" % (s,)) from None
 
 

@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .exactcx import QC, admissible, cross
@@ -25,6 +26,9 @@ from .truncated import _words_from
 
 SCAN_PRIMES = (2, 3, 5)
 MAX_SCAN_DIM = 4
+# modules whose chamber-free facts (validity, exact candidates, End
+# dimension) are kept, keyed by the frozen Representation value
+MODULE_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,12 @@ def check_rep(r: Representation) -> dict:
     return {"relations_ok": relations_hold(r), "nilpotent": is_nilpotent(r)}
 
 
+@lru_cache(maxsize=MODULE_CACHE_SIZE)
+def _valid(r: Representation) -> bool:
+    """The relations hold and the module is nilpotent."""
+    return relations_hold(r) and is_nilpotent(r)
+
+
 def scale_arrow(r: Representation, arrow: str, scalar) -> Representation:
     """Rescaling one arrow by a nonzero rational; preserves relations,
     nilpotency and the subrepresentation lattice."""
@@ -245,26 +255,33 @@ def _closure_up(r, seed0, seed1):
 
 
 def _closure_down(r, upper0, upper1):
+    """The largest subrepresentation inside (upper0, upper1), both given in
+    reduced row-echelon form.  A side facing the whole space at the other
+    vertex is kept as it is: its preimage is everything."""
     d0, d1 = r.dims
     w0, w1 = upper0, upper1
     while True:
         n0 = w0
-        for m in (r.mx, r.mz):
-            n0 = linalg.span_intersect(n0, linalg.preimage(m, w1, d0), d0)
+        if len(w1) < d1:
+            for m in (r.mx, r.mz):
+                n0 = linalg.span_intersect(n0, linalg.preimage(m, w1, d0), d0)
         n1 = w1
-        for m in (r.my, r.mw):
-            n1 = linalg.span_intersect(n1, linalg.preimage(m, n0, d1), d1)
+        if len(n0) < d0:
+            for m in (r.my, r.mw):
+                n1 = linalg.span_intersect(n1, linalg.preimage(m, n0, d1), d1)
         if len(n0) == len(w0) and len(n1) == len(w1):
             return n0, n1
         w0, w1 = n0, n1
 
 
-def exact_subrep_candidates(r: Representation):
+@lru_cache(maxsize=MODULE_CACHE_SIZE)
+def exact_subrep_candidates(r: Representation) -> tuple:
     """Proper nonzero subrepresentations found by exact seeds: kernels and
     images of all path actions up to length 4, radical and socle layers,
     socle coordinate lines, and coordinate-line closures.  Seeds are
     deduplicated by vertex and canonical row space before any closure is
-    taken; many words share an image or a kernel."""
+    taken; many words share an image or a kernel.  Cached per module
+    value, so the result is a tuple."""
     d0, d1 = r.dims
     full = (linalg.identity(d0), linalg.identity(d1))
     seeds = set()  # (vertex, reduced row-echelon basis)
@@ -305,7 +322,7 @@ def exact_subrep_candidates(r: Representation):
         if (e0, e1) in ((0, 0), (d0, d1)):
             continue
         seen[(e0, e1, w0, w1)] = (w0, w1)
-    return sorted(seen.values(), key=lambda p: (len(p[0]) + len(p[1]), len(p[0]), p))
+    return tuple(sorted(seen.values(), key=lambda p: (len(p[0]) + len(p[1]), len(p[0]), p)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +483,7 @@ def is_stable(r: Representation, params: StabilityParams) -> StabilityVerdict:
     params.require_off_wall()
     if r.is_zero():
         raise ValueError("stability of the zero representation is undefined")
-    chk = check_rep(r)
-    if not chk["relations_ok"] or not chk["nilpotent"]:
+    if not _valid(r):
         raise ValueError("representation must satisfy the relations and be nilpotent")
     dims = r.dims
     equal_phase_dims = set()
@@ -501,15 +517,21 @@ def is_stable(r: Representation, params: StabilityParams) -> StabilityVerdict:
     # no rational destabilizer; a stable verdict still requires scalar
     # endomorphisms, otherwise the module is a twisted form of equal-phase
     # pieces that splits after a field extension
-    from .homalg import hom_dim
-
-    e = hom_dim(r, r)
+    e = _end_dim(r)
     if e == 1:
         return StabilityVerdict("stable", primes=tuple(used))
     if dims[0] % e == 0 and dims[1] % e == 0:
         return StabilityVerdict("semistable_only", primes=tuple(used),
                                 witness_dims=(dims[0] // e, dims[1] // e))
     return StabilityVerdict("undetermined", primes=tuple(used), flagged=(dims,))
+
+
+@lru_cache(maxsize=MODULE_CACHE_SIZE)
+def _end_dim(r: Representation) -> int:
+    """dim End(r), the Schur test of a stable verdict."""
+    from .homalg import hom_dim
+
+    return hom_dim(r, r)
 
 
 def arrow_closed(r: Representation, w0, w1) -> bool:

@@ -108,6 +108,13 @@ def test_validation_rejects_bad_arcs():
     fold_back = PLArc(((CFG.a, F(0)), (F(-3), F(1)), (F(-7, 2), F(1, 2)), (CFG.b, F(0))))
     with pytest.raises(ValueError, match="consecutive segments fold back"):
         invariants(fold_back, CFG)
+    # the second segment covers the first and runs on past its start; then
+    # the same fold-back reflected in the vertical line through (a + b) / 2
+    for pts in (((-4, 0), (-3, 0), (-5, 0), (-5, 1), (-2, 1), (-2, 0)),
+                ((-2, 0), (-3, 0), (-1, 0), (-1, 1), (-4, 1), (-4, 0))):
+        past_start = PLArc(tuple((F(x), F(y)) for x, y in pts))
+        with pytest.raises(ValueError, match="consecutive segments fold back"):
+            invariants(past_start, CFG)
     repeated = PLArc(((CFG.a, F(0)), (F(-3), F(1)), (F(-3), F(1)), (CFG.b, F(0))))
     with pytest.raises(ValueError, match="degenerate segment"):
         invariants(repeated, CFG)

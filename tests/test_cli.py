@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conifold_flop import cli, jsonio
 from conifold_flop.cli import main
@@ -178,3 +183,74 @@ def test_runtime_errors_exit_one_without_traceback(monkeypatch, capsys, error):
     assert main(["psi", "--object", "sphere:2"]) == 1
     err = capsys.readouterr().err
     assert err == "error: did not stabilize\n"
+
+
+# --- stable --rep FILE against fuzzed JSON files -----------------------------
+
+_NON_RATIONALS = st.one_of(
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), "1/0", "x", "1/2/3", "", "--1"]),
+    st.floats(), st.booleans(), st.none(), st.text(max_size=6),
+    st.lists(st.integers(-2, 2), max_size=2), st.dictionaries(st.just("p"), st.integers()))
+_JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                            lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                            max_leaves=8)
+
+
+@st.composite
+def _rep_payload(draw):
+    """A JSON value for a representation file: a module with small dims and
+    integer entries, which mostly breaks the relations or is not nilpotent,
+    or such a module with one entry that is not a rational, one matrix of
+    the wrong shape, bad dims or a missing key; or any JSON value."""
+    fault = draw(st.sampled_from(["none", "entry", "shape", "dims", "key", "any"]))
+    if fault == "any":
+        return draw(_JSON_VALUES)
+    d0, d1 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entries = draw(st.sampled_from([st.integers(-2, 2), st.sampled_from([0, 1])]))
+    shapes = {"x": (d1, d0), "z": (d1, d0), "y": (d0, d1), "w": (d0, d1)}
+    if fault == "shape":
+        arrow = draw(st.sampled_from("xzyw"))
+        rows, cols = shapes[arrow]
+        shapes[arrow] = (max(rows + draw(st.integers(-1, 1)), 0), cols + 1)
+    payload = {"dims": [d0, d1]}
+    for arrow, (rows, cols) in shapes.items():
+        payload[arrow] = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    cells = [(a, i, j) for a in "xzyw" for i, row in enumerate(payload[a]) for j in range(len(row))]
+    if fault == "entry" and cells:
+        a, i, j = draw(st.sampled_from(cells))
+        payload[a][i][j] = draw(_NON_RATIONALS)
+    elif fault == "dims":
+        payload["dims"] = draw(st.one_of(
+            st.lists(st.integers(-1, 4), max_size=3), st.lists(_NON_RATIONALS, max_size=2),
+            _NON_RATIONALS))
+    elif fault == "key":
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    return payload
+
+
+def _point(x):
+    return {"dims": [1, 1], "x": [[x]], "z": [["0"]], "y": [["0"]], "w": [["0"]]}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_rep_payload(), st.sampled_from([("-1,2", "1,1"), ("1,1", "-1,2")]))
+@example(_point(float("inf")), ("-1,2", "1,1"))
+@example(_point(float("nan")), ("-1,2", "1,1"))
+@example(_point("1/0"), ("-1,2", "1,1"))
+@example({"dims": [1, 1], "x": [["1"]], "z": [["1"]], "y": [["1"]], "w": [["1"]]}, ("-1,2", "1,1"))
+def test_stable_rep_file_keeps_exit_code_contract(payload, chamber):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rep.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)  # NaN and Infinity are written as JSON reads them
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["stable", "--rep", path, "--json", "--z0", chamber[0], "--z1", chamber[1]])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["verdict"] in (
+            "stable", "semistable_only", "unstable", "undetermined")
+    else:
+        assert err.getvalue().startswith("error: ")

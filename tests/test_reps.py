@@ -314,6 +314,101 @@ def test_exact_candidates_pinned_and_closed(kind, args):
             assert arrow_closed(module, w0, w1)
 
 
+def _closure_down_oracle(r, upper0, upper1):
+    """_closure_down without the whole-space shortcut: both preimage and
+    intersection steps on every pass."""
+    d0, d1 = r.dims
+    w0, w1 = upper0, upper1
+    while True:
+        n0 = w0
+        for m in (r.mx, r.mz):
+            n0 = linalg.span_intersect(n0, linalg.preimage(m, w1, d0), d0)
+        n1 = w1
+        for m in (r.my, r.mw):
+            n1 = linalg.span_intersect(n1, linalg.preimage(m, n0, d1), d1)
+        if len(n0) == len(w0) and len(n1) == len(w1):
+            return n0, n1
+        w0, w1 = n0, n1
+
+
+def _closure_down_seeds(r):
+    """The (upper0, upper1) pairs that exact_subrep_candidates closes
+    downwards, recorded on an uncached run."""
+    seeds = []
+    real = reps._closure_down
+
+    def record(module, upper0, upper1):
+        seeds.append((upper0, upper1))
+        return real(module, upper0, upper1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reps, "_closure_down", record)
+        exact_subrep_candidates.__wrapped__(r)
+    return seeds
+
+
+def _assert_closure_down_matches_oracle(r):
+    seeds = _closure_down_seeds(r)
+    d0, d1 = r.dims
+    seeds.append((linalg.identity(d0), linalg.identity(d1)))
+    for upper0, upper1 in seeds:
+        assert reps._closure_down(r, upper0, upper1) == _closure_down_oracle(r, upper0, upper1)
+
+
+@pytest.mark.parametrize("kind,args", CATALOG)
+def test_closure_down_matches_oracle_on_catalog(kind, args):
+    r = make_catalog_rep(kind, *args)
+    for module in (r, _sheared(r)):
+        _assert_closure_down_matches_oracle(module)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_quadruples())
+def test_closure_down_matches_oracle_on_quadruples(r):
+    _assert_closure_down_matches_oracle(r)
+
+
+# --- per-module caches ----------------------------------------------------------
+
+
+def _clear_module_caches():
+    for cached in (reps._valid, exact_subrep_candidates, reps._end_dim):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("kind,args", CATALOG)
+def test_module_caches_change_no_verdict(kind, args):
+    r = make_catalog_rep(kind, *args)
+    for module in (r, _sheared(r)):
+        # each order starts from cleared caches, so its first verdict is the
+        # cold one and its second reuses what the other chamber cached
+        _clear_module_caches()
+        plus_first = is_stable(module, CH1), is_stable(module, CH2)
+        _clear_module_caches()
+        minus_first = is_stable(module, CH2), is_stable(module, CH1)
+        # StabilityVerdict equality compares the witness bases too
+        assert plus_first == minus_first[::-1]
+
+
+def test_equal_modules_share_cached_candidates():
+    _clear_module_caches()
+    a, b = make_catalog_rep("vplus", 3), make_catalog_rep("vplus", 3)
+    assert a is not b and a == b
+    first = exact_subrep_candidates(a)
+    assert isinstance(first, tuple)
+    assert exact_subrep_candidates(b) is first
+    assert exact_subrep_candidates.cache_info().hits == 1
+
+
+def test_invalid_module_raises_on_every_call():
+    _clear_module_caches()
+    broken = rep((2, 2), [[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 0]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must satisfy the relations"):
+            is_stable(broken, CH1)
+    assert reps._valid.cache_info().hits == 1
+
+
 # --- verdicts -----------------------------------------------------------------
 
 
