@@ -6,8 +6,8 @@ flop / Dehn-twist comparison."""
 
 __version__ = "0.1.0"
 
-from .paths import (CONIFOLD, POTENTIAL, FreePathElement, Path, Potential,
-                    cyclic_derivative, relations)
+from .paths import (POTENTIAL, FreePathElement, Path, Potential, cyclic_derivative,
+                    relations)
 from .truncated import TruncatedAlgebra, truncated_algebra
 from .exactcx import QC, phase_lt
 from .ainfty import AInftyTable, mc_expand, mk_eval, stasheff_check

@@ -19,12 +19,9 @@ from . import linalg
 from .exactcx import cross
 from .freecomplex import FCGen, FreeComplex, extend_resolution, graded_cohomology
 from .paths import SRC, TGT, relations
-from .reps import (Representation, StabilityParams, central_charge, check_rep, flop_K,
-                   is_stable, make_catalog_rep, rep)
+from .reps import (Representation, StabilityParams, arrow_layout, central_charge, check_rep,
+                   flop_K, intertwiner_matrix, is_stable, make_catalog_rep)
 from .truncated import truncated_algebra
-
-ARROW_SPACES = {"x": (0, 1), "z": (0, 1), "y": (1, 0), "w": (1, 0)}
-
 
 @dataclass(frozen=True)
 class ModuleMap:
@@ -36,7 +33,7 @@ class ModuleMap:
 
 def is_module_map(r: Representation, s: Representation, phi0, phi1) -> bool:
     for a in "xzyw":
-        sa, ta = ARROW_SPACES[a]
+        sa, ta = SRC[a], TGT[a]
         phis = (phi0, phi1)
         lhs = linalg.mat_mul(phis[ta], r.matrix(a), bcols=r.dims[sa])
         rhs = linalg.mat_mul(s.matrix(a), phis[sa], bcols=r.dims[sa])
@@ -46,31 +43,13 @@ def is_module_map(r: Representation, s: Representation, phi0, phi1) -> bool:
 
 
 def hom(r: Representation, s: Representation):
-    """Basis of the space of module maps r -> s."""
+    """Basis of the space of module maps r -> s: the kernel of the
+    intertwiner map, whose equations are the columns of its matrix."""
     d0, d1 = r.dims
     e0, e1 = s.dims
-    n0, n1 = e0 * d0, e1 * d1
-    rows = []
-
-    def add_rows(m_r, m_s, src, tgt):
-        # phi_tgt . m_r = m_s . phi_src, entry (i, j)
-        dims_r = (d0, d1)
-        dims_s = (e0, e1)
-        offs = (0, n0)
-        for i in range(dims_s[tgt]):
-            for j in range(dims_r[src]):
-                row = [Fraction(0)] * (n0 + n1)
-                for k in range(dims_r[tgt]):
-                    row[offs[tgt] + i * dims_r[tgt] + k] += m_r[k][j]
-                for k in range(dims_s[src]):
-                    row[offs[src] + k * dims_r[src] + j] -= m_s[i][k]
-                if any(c != 0 for c in row):
-                    rows.append(tuple(row))
-
-    for a in "xzyw":
-        src, tgt = ARROW_SPACES[a]
-        add_rows(r.matrix(a), s.matrix(a), src, tgt)
-    sols = linalg.nullspace(tuple(rows), n0 + n1)
+    n0 = e0 * d0
+    rows = tuple(row for row in zip(*intertwiner_matrix(r, s)) if any(row))
+    sols = linalg.nullspace(rows, n0 + e1 * d1)
     out = []
     for v in sols:
         phi0 = tuple(tuple(v[i * d0 + j] for j in range(d0)) for i in range(e0))
@@ -98,18 +77,7 @@ class ExtensionDatum:
         return self.xi[a]
 
 
-def _xi_unknown_layout(m: Representation, n: Representation):
-    layout = {}
-    off = 0
-    for a in "xzyw":
-        src, tgt = ARROW_SPACES[a]
-        size = n.dims[tgt] * m.dims[src]
-        layout[a] = (off, n.dims[tgt], m.dims[src])
-        off += size
-    return layout, off
-
-
-def _xi_from_vector(m, n, layout, vec):
+def _xi_from_vector(layout, vec):
     xi = {}
     for a in "xzyw":
         off, rows, cols = layout[a]
@@ -118,62 +86,40 @@ def _xi_from_vector(m, n, layout, vec):
 
 
 def ext1(m: Representation, n: Representation):
-    """Basis of Ext^1(m, n): cocycles of the relation system modulo
-    coboundaries eta o M - N o eta.  Returns a list of ExtensionDatum."""
-    layout, total = _xi_unknown_layout(m, n)
+    """Basis of Ext^1(m, n): cocycles of the relation system modulo the
+    coboundaries, the rows of the intertwiner matrix.  Returns a list of
+    ExtensionDatum."""
+    layout, total = arrow_layout(m, n)
     rows = []
     for rel in relations():
         (w1, c1), (w2, c2) = sorted(rel.coeffs.items())
         src, tgt = SRC[w1[-1]], TGT[w1[0]]
-        nrows, ncols = n.dims[tgt], m.dims[src]
-        for i in range(nrows):
-            for j in range(ncols):
+        # entry (i, j) of the off-diagonal block is linear in xi, one term
+        # per arrow position in each relation word
+        terms = []
+        for word, c in ((w1, c1), (w2, c2)):
+            for pos, a in enumerate(word):
+                pre = word[:pos]
+                suf = word[pos + 1:]
+                n_pre = n.word_action(pre) if pre else linalg.identity(n.dims[TGT[a]])
+                m_suf = m.word_action(suf) if suf else linalg.identity(m.dims[SRC[a]])
+                terms.append((c, n_pre, m_suf, layout[a]))
+        for i in range(n.dims[tgt]):
+            for j in range(m.dims[src]):
                 row = [Fraction(0)] * total
-                for word, c in ((w1, c1), (w2, c2)):
-                    # entry (i, j) of the off-diagonal block, linear in xi
-                    for pos in range(len(word)):
-                        a = word[pos]
-                        pre = word[:pos]
-                        suf = word[pos + 1:]
-                        n_pre = n.word_action(pre) if pre else linalg.identity(n.dims[TGT[a]])
-                        m_suf = m.word_action(suf) if suf else linalg.identity(m.dims[SRC[a]])
-                        off, xr, xc = layout[a]
-                        for p in range(xr):
-                            if n_pre[i][p] == 0:
+                for c, n_pre, m_suf, (off, xr, xc) in terms:
+                    for p in range(xr):
+                        if n_pre[i][p] == 0:
+                            continue
+                        for q in range(xc):
+                            if m_suf[q][j] == 0:
                                 continue
-                            for q in range(xc):
-                                if m_suf[q][j] == 0:
-                                    continue
-                                row[off + p * xc + q] += c * n_pre[i][p] * m_suf[q][j]
+                            row[off + p * xc + q] += c * n_pre[i][p] * m_suf[q][j]
                 if any(x != 0 for x in row):
                     rows.append(tuple(row))
     cocycles = linalg.nullspace(tuple(rows), total)
-
-    # coboundaries: xi_a = eta_tgt . M_a - N_a . eta_src
-    cob = []
-    h0, h1 = n.dims[0] * m.dims[0], n.dims[1] * m.dims[1]
-    for t in range(h0 + h1):
-        eta0 = [[Fraction(0)] * m.dims[0] for _ in range(n.dims[0])]
-        eta1 = [[Fraction(0)] * m.dims[1] for _ in range(n.dims[1])]
-        if t < h0:
-            eta0[t // m.dims[0]][t % m.dims[0]] = Fraction(1)
-        else:
-            tt = t - h0
-            eta1[tt // m.dims[1]][tt % m.dims[1]] = Fraction(1)
-        etas = (tuple(map(tuple, eta0)), tuple(map(tuple, eta1)))
-        vec = [Fraction(0)] * total
-        for a in "xzyw":
-            src, tgt = ARROW_SPACES[a]
-            xa = linalg.mat_add(
-                linalg.mat_mul(etas[tgt], m.matrix(a), bcols=m.dims[src]),
-                linalg.mat_scale(-1, linalg.mat_mul(n.matrix(a), etas[src], bcols=m.dims[src])))
-            off, xr, xc = layout[a]
-            for i in range(xr):
-                for j in range(xc):
-                    vec[off + i * xc + j] = xa[i][j]
-        cob.append(tuple(vec))
-    return [ExtensionDatum(_xi_from_vector(m, n, layout, v))
-            for v in linalg.independent(cob, cocycles, total)]
+    return [ExtensionDatum(_xi_from_vector(layout, v))
+            for v in linalg.independent(intertwiner_matrix(m, n), cocycles, total)]
 
 
 def ext1_dim(m, n):
@@ -185,7 +131,7 @@ def build_extension(m: Representation, n: Representation, datum: ExtensionDatum)
     [[N_a, xi_a], [0, M_a]].  Returns (rep, inclusion, projection)."""
     mats = {}
     for a in "xzyw":
-        src, tgt = ARROW_SPACES[a]
+        src, tgt = SRC[a], TGT[a]
         na, ma, xa = n.matrix(a), m.matrix(a), datum.matrix(a)
         rows = []
         for i in range(n.dims[tgt]):

@@ -21,6 +21,10 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
+    # Fraction expands a decimal exponent into all of its digits, so a short
+    # entry such as "1e10000000" would stall the decoder
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        raise ValueError("expected a rational p/q without an exponent, got %r" % (s,))
     try:
         return Fraction(s)
     except (TypeError, ZeroDivisionError, OverflowError):  # OverflowError: an infinite float

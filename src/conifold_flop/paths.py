@@ -26,23 +26,6 @@ SRC = {"x": 0, "z": 0, "y": 1, "w": 1}
 TGT = {"x": 1, "z": 1, "y": 0, "w": 0}
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """The fixed conifold quiver: two vertices, four arrows."""
-
-    vertices: tuple = (0, 1)
-    arrows: tuple = (("x", 0, 1), ("z", 0, 1), ("y", 1, 0), ("w", 1, 0))
-
-    def source(self, a):
-        return SRC[a]
-
-    def target(self, a):
-        return TGT[a]
-
-
-CONIFOLD = Quiver()
-
-
 def is_composable(word: str) -> bool:
     """True iff adjacent arrows compose (right-to-left application)."""
     if not word or any(c not in SRC for c in word):

@@ -25,7 +25,7 @@ The loop order prunes aggressively: the relation xyz = zyx constrains
 
 from __future__ import annotations
 
-from .reps import _subspaces_gfp
+from .reps import Representation, _gfp_rank, _subspaces_gfp, intertwiner_matrix
 
 
 def _rows_of(code, r, c):
@@ -160,40 +160,15 @@ def _stable(ax, az, ay, aw, pairs_by_dims, destab):
 
 
 def _end_dim(rx, rz, ry, rw, d0, d1):
-    """dim over GF(2) of the endomorphism algebra of the representation.
+    """dim over GF(2) of the endomorphism algebra of the representation:
+    the packed rows unpacked into 0/1 matrices, and the nullity mod 2 of
+    their ``reps.intertwiner_matrix``."""
+    def unpack(rows, ncols):
+        return tuple(tuple((row >> j) & 1 for j in range(ncols)) for row in rows)
 
-    Unknowns are the entries of p0 (d0 x d0) and p1 (d1 x d1); the
-    intertwining equations p1.M = M.p0 (x, z) and p0.M = M.p1 (y, w) are
-    assembled as GF(2) rows over the packed unknown vector.
-    """
-    n0, n1 = d0 * d0, d1 * d1
-    rows = []
-
-    def eq_rows(m_rows, mr, mc, left_off, left_n, right_off):
-        # p_left . M - M . p_right = 0, with M an (mr x mc) matrix
-        for i in range(mr):
-            for j in range(mc):
-                row = 0
-                # (p_left . M)[i, j] = sum_k p_left[i, k] M[k, j]
-                for k in range(mr):
-                    if (m_rows[k] >> j) & 1:
-                        row ^= 1 << (left_off + i * left_n + k)
-                # (M . p_right)[i, j] = sum_k M[i, k] p_right[k, j]
-                kk = m_rows[i]
-                k = 0
-                while kk:
-                    if kk & 1:
-                        row ^= 1 << (right_off + k * mc + j)
-                    kk >>= 1
-                    k += 1
-                if row:
-                    rows.append(row)
-
-    eq_rows(rx, d1, d0, n0, d1, 0)
-    eq_rows(rz, d1, d0, n0, d1, 0)
-    eq_rows(ry, d0, d1, 0, d0, n0)
-    eq_rows(rw, d0, d1, 0, d0, n0)
-    return (n0 + n1) - len(_reduce_basis(rows))
+    r = Representation((d0, d1), unpack(rx, d0), unpack(rz, d0), unpack(ry, d1), unpack(rw, d1))
+    rows = [row for row in intertwiner_matrix(r, r) if any(row)]
+    return d0 * d0 + d1 * d1 - _gfp_rank(rows, 4 * d0 * d1, 2)
 
 
 def _rank_forms(d0, d1, ascending):

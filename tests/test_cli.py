@@ -238,6 +238,7 @@ def _point(x):
 @example(_point(float("inf")), ("-1,2", "1,1"))
 @example(_point(float("nan")), ("-1,2", "1,1"))
 @example(_point("1/0"), ("-1,2", "1,1"))
+@example(_point("1e10000000"), ("-1,2", "1,1"))
 @example({"dims": [1, 1], "x": [["1"]], "z": [["1"]], "y": [["1"]], "w": [["1"]]}, ("-1,2", "1,1"))
 def test_stable_rep_file_keeps_exit_code_contract(payload, chamber):
     out, err = io.StringIO(), io.StringIO()

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conifold_flop import homalg
+from conifold_flop import homalg, linalg, reps
 from conifold_flop.homalg import (ExtensionDatum, build_extension, ext1, ext1_dim, ext_dims,
                                   flop_point_analysis, free_complex_cohomology, hom, hom_dim,
                                   is_module_map, iso_check, psi_sphere)
-from conifold_flop.reps import is_stable, make_catalog_rep, scale_arrow, stability_params
+from conifold_flop.paths import SRC, TGT, relations
+from conifold_flop.reps import is_stable, make_catalog_rep, rep, scale_arrow, stability_params
 from conifold_flop.tables import table_sphere0, table_sphere1, table_sphere_m, table_torus
 
 CH1 = stability_params(-1, 2, 1, 1)
@@ -179,3 +181,121 @@ def test_flop_point_analysis_rejects_wrong_chamber():
 
 def test_new_points_stable_after_flop():
     assert is_stable(make_catalog_rep("point_flopped", 1, 1), CH2).is_stable()
+
+
+# --- oracles: the hom equations and Ext^1 coboundaries built one by one -------
+
+CATALOG_KINDS = [("simple", 0), ("simple", 1), ("point", 1, 1), ("point", 1, -1), ("point", 2, 3),
+                 ("point_flopped", 1, 2), ("vplus", 1), ("vplus", 2), ("vplus", 3),
+                 ("vminus", 0), ("vminus", 1), ("vminus", 2), ("vplus_dag", 2), ("vminus_dag", 1)]
+
+
+def _oracle_hom(r, s):
+    """Hom(r, s) from one equation phi_tgt . R_a = S_a . phi_src per arrow
+    and entry, assembled directly."""
+    d0, d1 = r.dims
+    e0, e1 = s.dims
+    n0, n1 = e0 * d0, e1 * d1
+    rows = []
+    for a in "xzyw":
+        src, tgt = SRC[a], TGT[a]
+        m_r, m_s = r.matrix(a), s.matrix(a)
+        dims_r, dims_s, offs = (d0, d1), (e0, e1), (0, n0)
+        for i in range(dims_s[tgt]):
+            for j in range(dims_r[src]):
+                row = [Fraction(0)] * (n0 + n1)
+                for k in range(dims_r[tgt]):
+                    row[offs[tgt] + i * dims_r[tgt] + k] += m_r[k][j]
+                for k in range(dims_s[src]):
+                    row[offs[src] + k * dims_r[src] + j] -= m_s[i][k]
+                if any(c != 0 for c in row):
+                    rows.append(tuple(row))
+    out = []
+    for v in linalg.nullspace(tuple(rows), n0 + n1):
+        phi0 = tuple(tuple(v[i * d0 + j] for j in range(d0)) for i in range(e0))
+        phi1 = tuple(tuple(v[n0 + i * d1 + j] for j in range(d1)) for i in range(e1))
+        out.append(homalg.ModuleMap(phi0, phi1))
+    return out
+
+
+def _oracle_ext1(m, n):
+    """Ext^1(m, n) with the word actions rebuilt for every cocycle entry and
+    one coboundary eta_tgt . M_a - N_a . eta_src per unit eta, by matrix
+    products."""
+    layout, off = {}, 0
+    for a in "xzyw":
+        layout[a] = (off, n.dims[TGT[a]], m.dims[SRC[a]])
+        off += n.dims[TGT[a]] * m.dims[SRC[a]]
+    total = off
+    rows = []
+    for rel in relations():
+        (w1, c1), (w2, c2) = sorted(rel.coeffs.items())
+        src, tgt = SRC[w1[-1]], TGT[w1[0]]
+        for i in range(n.dims[tgt]):
+            for j in range(m.dims[src]):
+                row = [Fraction(0)] * total
+                for word, c in ((w1, c1), (w2, c2)):
+                    for pos, a in enumerate(word):
+                        pre, suf = word[:pos], word[pos + 1:]
+                        n_pre = n.word_action(pre) if pre else linalg.identity(n.dims[TGT[a]])
+                        m_suf = m.word_action(suf) if suf else linalg.identity(m.dims[SRC[a]])
+                        o, xr, xc = layout[a]
+                        for p in range(xr):
+                            for q in range(xc):
+                                row[o + p * xc + q] += c * n_pre[i][p] * m_suf[q][j]
+                if any(x != 0 for x in row):
+                    rows.append(tuple(row))
+    cocycles = linalg.nullspace(tuple(rows), total)
+    cob = []
+    h0 = n.dims[0] * m.dims[0]
+    for t in range(h0 + n.dims[1] * m.dims[1]):
+        eta = [[[Fraction(0)] * m.dims[v] for _ in range(n.dims[v])] for v in (0, 1)]
+        v, tt = (0, t) if t < h0 else (1, t - h0)
+        eta[v][tt // m.dims[v]][tt % m.dims[v]] = Fraction(1)
+        etas = tuple(tuple(map(tuple, e)) for e in eta)
+        vec = [Fraction(0)] * total
+        for a in "xzyw":
+            src, tgt = SRC[a], TGT[a]
+            xa = linalg.mat_add(
+                linalg.mat_mul(etas[tgt], m.matrix(a), bcols=m.dims[src]),
+                linalg.mat_scale(-1, linalg.mat_mul(n.matrix(a), etas[src], bcols=m.dims[src])))
+            o, xr, xc = layout[a]
+            for i in range(xr):
+                for j in range(xc):
+                    vec[o + i * xc + j] = xa[i][j]
+        cob.append(tuple(vec))
+    classes = linalg.independent(cob, cocycles, total)
+    return [ExtensionDatum({a: tuple(tuple(v[o + i * xc + j] for j in range(xc)) for i in range(xr))
+                            for a, (o, xr, xc) in layout.items()}) for v in classes]
+
+
+def _assert_matches_oracles(m, n):
+    assert hom(m, n) == _oracle_hom(m, n)
+    assert ext1(m, n) == _oracle_ext1(m, n)
+
+
+@pytest.mark.parametrize("kind", CATALOG_KINDS)
+def test_hom_and_ext1_match_oracles_on_catalog(kind):
+    m = make_catalog_rep(*kind)
+    for other in CATALOG_KINDS:
+        _assert_matches_oracles(m, make_catalog_rep(*other))
+    assert reps._end_dim(m) == len(_oracle_hom(m, m))
+
+
+@st.composite
+def _quadruple(draw):
+    """Four integer matrices of matching shapes; most are not modules."""
+    d0, d1 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entries = st.integers(-2, 2)
+
+    def mat(rows, cols):
+        return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+    return rep((d0, d1), mat(d1, d0), mat(d1, d0), mat(d0, d1), mat(d0, d1))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_quadruple(), _quadruple())
+def test_hom_and_ext1_match_oracles_on_quadruples(m, n):
+    _assert_matches_oracles(m, n)
+    assert reps._end_dim(m) == len(_oracle_hom(m, m))

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from conifold_flop import jsonio
 from conifold_flop.arcs import DEFAULT_SCENE, catalog_arc
 from conifold_flop.paths import FreePathElement
@@ -54,3 +56,16 @@ def test_arc_and_scene_roundtrip():
 def test_dumps_is_canonical():
     payload = {"b": 1, "a": [2, 3]}
     assert jsonio.dumps(payload) == jsonio.dumps({"a": [2, 3], "b": 1})
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1E5", "2.5e-3", "1/1e3"])
+def test_parse_frac_rejects_exponents(text):
+    # Fraction would expand the exponent into all of its digits
+    with pytest.raises(ValueError):
+        jsonio.parse_frac(text)
+
+
+def test_parse_frac_accepts_rationals():
+    assert jsonio.parse_frac("-3/4") == Fraction(-3, 4)
+    assert jsonio.parse_frac("2.5") == Fraction(5, 2)
+    assert jsonio.parse_frac(7) == 7

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conifold_flop import scan, scan_py
 from conifold_flop.reps import stability_params, stable_dimvector_scan
@@ -43,7 +46,7 @@ def test_bad_arguments():
         scan.scan_stable_dimvectors(0, 4)
     with pytest.raises(ValueError):
         scan.scan_stable_dimvectors(1, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bound must be in 1\.\.5"):
         stable_dimvector_scan(CH1, 6)
 
 
@@ -106,3 +109,59 @@ def test_rank_forms_partition_all_matrices(d0, d1):
         rows = scan_py._rows_of(code, d0, d1)
         assert len(scan_py._reduce_basis(list(rows))) == r
     assert scan_py._rank_forms(d0, d1, ascending=False) == forms[::-1]
+
+
+# --- oracle: the GF(2) End dimension from packed intertwining equations --------
+
+
+def _oracle_end_dim(rx, rz, ry, rw, d0, d1):
+    """dim End over GF(2) from the equations p1.M = M.p0 (x, z) and
+    p0.M = M.p1 (y, w), assembled as packed bit rows over the entries of
+    p0 (d0 x d0) and p1 (d1 x d1)."""
+    n0, n1 = d0 * d0, d1 * d1
+    rows = []
+
+    def eq_rows(m_rows, mr, mc, left_off, left_n, right_off):
+        # p_left . M - M . p_right = 0, with M an (mr x mc) matrix
+        for i in range(mr):
+            for j in range(mc):
+                row = 0
+                for k in range(mr):
+                    if (m_rows[k] >> j) & 1:
+                        row ^= 1 << (left_off + i * left_n + k)
+                kk, k = m_rows[i], 0
+                while kk:
+                    if kk & 1:
+                        row ^= 1 << (right_off + k * mc + j)
+                    kk >>= 1
+                    k += 1
+                if row:
+                    rows.append(row)
+
+    eq_rows(rx, d1, d0, n0, d1, 0)
+    eq_rows(rz, d1, d0, n0, d1, 0)
+    eq_rows(ry, d0, d1, 0, d0, n0)
+    eq_rows(rw, d0, d1, 0, d0, n0)
+    return (n0 + n1) - len(scan_py._reduce_basis(rows))
+
+
+@pytest.mark.parametrize("d0,d1", [(1, 1), (1, 2), (2, 1)])
+def test_end_dim_matches_oracle_exhaustively(d0, d1):
+    rows_a = list(itertools.product(range(1 << d0), repeat=d1))  # x, z : V0 -> V1
+    rows_b = list(itertools.product(range(1 << d1), repeat=d0))  # y, w : V1 -> V0
+    for rx, rz, ry, rw in itertools.product(rows_a, rows_a, rows_b, rows_b):
+        assert scan_py._end_dim(rx, rz, ry, rw, d0, d1) == _oracle_end_dim(rx, rz, ry, rw, d0, d1)
+
+
+@st.composite
+def _packed_quadruple(draw):
+    d0, d1 = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    a, b = st.integers(0, (1 << d0) - 1), st.integers(0, (1 << d1) - 1)
+    return (tuple(draw(a) for _ in range(d1)), tuple(draw(a) for _ in range(d1)),
+            tuple(draw(b) for _ in range(d0)), tuple(draw(b) for _ in range(d0)), d0, d1)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_packed_quadruple())
+def test_end_dim_matches_oracle_on_quadruples(args):
+    assert scan_py._end_dim(*args) == _oracle_end_dim(*args)
