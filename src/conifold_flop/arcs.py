@@ -27,8 +27,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 F = Fraction
+# arcs whose validation is kept, keyed by the frozen (PLArc, SceneConfig)
+# values: a surgery image is validated again as the input of the next map
+# and by ``invariants``
+ARC_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -142,8 +147,11 @@ def _segments_cross(p1, q1, p2, q2):
     return o1 != o2 or _boxes_meet(p1, q1, p2, q2)
 
 
+@lru_cache(maxsize=ARC_CACHE_SIZE)
 def validate_arc(arc: PLArc, cfg: SceneConfig):
-    """Simplicity, endpoint placement and origin clearance, all exact."""
+    """Simplicity, endpoint placement and origin clearance, all exact.
+    Returns True or raises ValueError; an invalid arc is not cached, so it
+    raises on every call."""
     pts = arc.points
     ends = {pts[0], pts[-1]}
     marked = {(cfg.a, F(0)), (cfg.b, F(0))}

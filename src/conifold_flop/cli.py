@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import jsonio, scan, verify
 from .ainfty import mc_expand, stasheff_check
@@ -33,12 +32,13 @@ class CliError(ValueError):
     pass
 
 
-def _parse_complex(text) -> QC:
-    try:
-        re_s, im_s = text.split(",")
-        return QC(Fraction(re_s), Fraction(im_s))
-    except (ValueError, ZeroDivisionError):
-        raise CliError("expected RE,IM with rational entries, got %r" % text)
+def _parse_fracs(value, count):
+    """``count`` rationals: comma-separated text from the command line, or a
+    JSON list from a config file."""
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, list) or len(parts) != count:
+        raise CliError("expected %d comma-separated rationals, got %r" % (count, value))
+    return [jsonio.parse_frac(t) for t in parts]
 
 
 def _parse_kind(text) -> Representation:
@@ -46,8 +46,8 @@ def _parse_kind(text) -> Representation:
     name, args = parts[0], parts[1:]
     table = {
         "simple": ("simple", 1, int),
-        "point": ("point", 2, Fraction),
-        "point-flopped": ("point_flopped", 2, Fraction),
+        "point": ("point", 2, jsonio.parse_frac),
+        "point-flopped": ("point_flopped", 2, jsonio.parse_frac),
         "vplus": ("vplus", 1, int),
         "vminus": ("vminus", 1, int),
         "vplus-dag": ("vplus_dag", 1, int),
@@ -78,11 +78,20 @@ def _load_params(ns, config) -> StabilityParams:
     z1 = ns.z1 or config.get("z1")
     if z0 is None or z1 is None:
         raise CliError("provide --z0 RE,IM and --z1 RE,IM (or a config file)")
-    if isinstance(z0, list):
-        z0 = ",".join(z0)
-    if isinstance(z1, list):
-        z1 = ",".join(z1)
-    return StabilityParams(_parse_complex(z0), _parse_complex(z1))
+    return StabilityParams(QC(*_parse_fracs(z0, 2)), QC(*_parse_fracs(z1, 2)))
+
+
+def _load_config(path) -> dict:
+    if not path:
+        return {}
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad text encoding
+        raise CliError("bad config file: %s" % exc) from None
+    if not isinstance(config, dict):
+        raise CliError("bad config file: expected a JSON object, got a %s" % type(config).__name__)
+    return config
 
 
 def _load_scene(ns, config):
@@ -100,7 +109,7 @@ def _table_by_name(name):
     if name in ("sphere1", "L1"):
         return m1b_table("sphere1")
     if name.startswith("torus"):
-        rho = Fraction(name.split(":")[1]) if ":" in name else Fraction(1)
+        rho = jsonio.parse_frac(name.split(":")[1]) if ":" in name else 1
         return m1b_table("torus", rho=rho)
     if name.startswith("sphere:"):
         return m1b_table("sphere_m", m=int(name.split(":")[1]))
@@ -208,7 +217,7 @@ def cmd_psi(ns, config):
     if obj.startswith("sphere:"):
         r = psi_sphere(int(obj.split(":")[1]), seed=ns.seed)
     elif obj.startswith("cone:"):
-        mx, mz = (Fraction(t) for t in obj.split(":")[1].split(","))
+        mx, mz = _parse_fracs(obj.split(":")[1], 2)
         cls = ExtensionDatum({"x": ((mx,),), "z": ((mz,),), "y": (), "w": ()})
         r, _, _ = build_extension(make_catalog_rep("simple", 0), make_catalog_rep("simple", 1), cls)
     elif obj.startswith("table:"):
@@ -247,7 +256,7 @@ def cmd_flop(ns, config):
         _emit(ns, payload, ["%s -> %s" % (list(d), list(flop_K(d)))])
         return 0
     if ns.point:
-        mx, mz = (Fraction(t) for t in ns.point.split(","))
+        mx, mz = _parse_fracs(ns.point, 2)
         params = _load_params(ns, config)
         report = flop_point_analysis(make_catalog_rep("point", mx, mz), params)
         payload = {
@@ -402,16 +411,8 @@ COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     ns = parser.parse_args(argv)
-    config = {}
-    if ns.config:
-        try:
-            with open(ns.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print("bad config file: %s" % exc, file=sys.stderr)
-            return 2
     try:
-        return COMMANDS[ns.command](ns, config)
+        return COMMANDS[ns.command](ns, _load_config(ns.config))
     except (CliError, ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1 if isinstance(exc, RuntimeError) else 2

@@ -1,10 +1,11 @@
+import collections
 import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conifold_flop import jsonio
+from conifold_flop import arcs, jsonio, verify
 from conifold_flop.arcs import (CATALOG_RANGE, DEFAULT_SCENE, DegenerateArc, PLArc,
                                 SceneConfig, SPHERE_INVARIANTS, _orient, _segments_cross,
                                 catalog_arc, dehn_twist_map, flop_map, invariants, make_arc,
@@ -92,8 +93,9 @@ def test_validation_rejects_bad_arcs():
         invariants(near_origin, CFG)
     crossing = PLArc(((CFG.a, F(0)), (F(-3), F(2)), (F(-2), F(-2)), (F(-4), F(1)),
                       (CFG.b, F(0))))
-    with pytest.raises(ValueError):
-        invariants(crossing, CFG)
+    for _ in range(2):  # an invalid arc is not cached: it raises on every call
+        with pytest.raises(ValueError, match="arc is not simple"):
+            invariants(crossing, CFG)
     # the first and the last segment run along the axis and overlap on [a, b];
     # no other pair of segments meets
     overlap = PLArc(((CFG.a, F(0)), (F(-1), F(0)), (F(-1), F(1)), (F(-5), F(1)),
@@ -118,6 +120,20 @@ def test_validation_rejects_bad_arcs():
     repeated = PLArc(((CFG.a, F(0)), (F(-3), F(1)), (F(-3), F(1)), (CFG.b, F(0))))
     with pytest.raises(ValueError, match="degenerate segment"):
         invariants(repeated, CFG)
+
+
+def test_check_arcs_validates_each_arc_once(monkeypatch):
+    cached = arcs.validate_arc
+    cached.cache_clear()
+    calls = collections.Counter()
+
+    def spy(arc, cfg):
+        calls[arc, cfg] += 1
+        return cached(arc, cfg)
+
+    monkeypatch.setattr(arcs, "validate_arc", spy)
+    assert verify.check_arcs()[0]
+    assert cached.cache_info().misses == len(calls) < sum(calls.values())
 
 
 @pytest.mark.parametrize("pieces", [3, 5, 7])

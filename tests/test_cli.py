@@ -117,9 +117,10 @@ def test_arc_commands(tmp_path, capsys):
 
 def test_config_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"z0": ["-1", "2"], "z1": ["1", "1"]}))
-    code, out = run(capsys, "stable", "--kind", "point:1:1", "--config", str(cfg), "--json")
-    assert code == 0 and json.loads(out)["verdict"] == "stable"
+    for z0, z1 in ((["-1", "2"], ["1", "1"]), ([-1, 2], [1, 1])):
+        cfg.write_text(json.dumps({"z0": z0, "z1": z1}))
+        code, out = run(capsys, "stable", "--kind", "point:1:1", "--config", str(cfg), "--json")
+        assert code == 0 and json.loads(out)["verdict"] == "stable"
 
 
 def test_bad_inputs_exit_two(capsys):
@@ -127,6 +128,12 @@ def test_bad_inputs_exit_two(capsys):
     assert main(["stable", "--kind", "vplus:2", "--z0", "1,1", "--z1", "2,2"]) == 2
     assert main(["rep", "make", "--kind", "mystery:1"]) == 2
     assert main(["psi", "--object", "sphere:9"]) == 2
+    # rationals that Fraction divides by zero or expands from an exponent
+    assert main(["psi", "--object", "cone:1/0,1"]) == 2
+    assert main(["psi", "--object", "table:torus:1/0"]) == 2
+    assert main(["flop", "--point", "1/0,1", "--z0", "1,1", "--z1", "-1,2"]) == 2
+    assert main(["stable", "--kind", "point:1:1", "--z0", "1e3,1", "--z1", "-1,2"]) == 2
+    assert capsys.readouterr().err.count("error: ") == 8
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
     assert exc.value.code == 2
@@ -233,6 +240,20 @@ def _point(x):
     return {"dims": [1, 1], "x": [[x]], "z": [["0"]], "y": [["0"]], "w": [["0"]]}
 
 
+def _run_keeping_contract(argv):
+    """Run the CLI in process and check the exit-code contract: 0, 1 or 2,
+    no traceback, and an ``error:`` line on stderr for a nonzero code.
+    Returns the code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert err.getvalue().startswith("error: ")
+    return code, out.getvalue()
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_rep_payload(), st.sampled_from([("-1,2", "1,1"), ("1,1", "-1,2")]))
 @example(_point(float("inf")), ("-1,2", "1,1"))
@@ -241,17 +262,72 @@ def _point(x):
 @example(_point("1e10000000"), ("-1,2", "1,1"))
 @example({"dims": [1, 1], "x": [["1"]], "z": [["1"]], "y": [["1"]], "w": [["1"]]}, ("-1,2", "1,1"))
 def test_stable_rep_file_keeps_exit_code_contract(payload, chamber):
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rep.json")
         with open(path, "w") as fh:
             json.dump(payload, fh)  # NaN and Infinity are written as JSON reads them
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["stable", "--rep", path, "--json", "--z0", chamber[0], "--z1", chamber[1]])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+        code, out = _run_keeping_contract(
+            ["stable", "--rep", path, "--json", "--z0", chamber[0], "--z1", chamber[1]])
     if code == 0:
-        assert json.loads(out.getvalue())["verdict"] in (
+        assert json.loads(out)["verdict"] in (
             "stable", "semistable_only", "unstable", "undetermined")
-    else:
-        assert err.getvalue().startswith("error: ")
+
+
+# --- rational CLI arguments and config files against fuzzed input ------------
+
+_RATIONAL_TEXT = st.one_of(
+    st.sampled_from(["1/0", "1e3", "1E-2", "inf", "nan", "", "1/2/3", "x", "--1", "0", "-3/4"]),
+    st.text(alphabet="0123456789/-+.eE,:", max_size=6))
+# every command-line argument that carries rationals, {a} and {b} its entries
+_RATIONAL_ARGV = [
+    "stable --kind=point:1:1 --z0={a},{b} --z1=-1,2",
+    "stable --kind=point:1:1 --z0=-1,2 --z1={a},{b}",
+    "stable --kind=point:{a}:{b} --z0=1,1 --z1=-1,2",
+    "stable --kind=point-flopped:{a}:{b} --z0=-1,2 --z1=1,1",
+    "psi --object=cone:{a},{b}",
+    "psi --object=table:torus:{a}",
+    "flop --point={a},{b} --z0=1,1 --z1=-1,2",
+]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(_RATIONAL_ARGV), _RATIONAL_TEXT, _RATIONAL_TEXT)
+@example("psi --object=cone:{a},{b}", "1/0", "1")
+@example("psi --object=table:torus:{a}", "1/0", "")
+@example("flop --point={a},{b} --z0=1,1 --z1=-1,2", "1/0", "1")
+@example("stable --kind=point:1:1 --z0={a},{b} --z1=-1,2", "1e3", "1")
+def test_rational_arguments_keep_exit_code_contract(template, a, b):
+    _run_keeping_contract(template.format(a=a, b=b).split(" "))
+
+
+_PAIR_VALUES = st.one_of(
+    st.lists(st.one_of(_NON_RATIONALS, st.integers(-3, 3), _RATIONAL_TEXT), max_size=3),
+    st.builds("{},{}".format, _RATIONAL_TEXT, _RATIONAL_TEXT), _JSON_VALUES)
+
+
+@st.composite
+def _config_payload(draw):
+    """A JSON value for a config file: an object with some of z0, z1 and
+    scene, each a pair, a string or any JSON value; or any JSON value."""
+    if draw(st.booleans()):
+        return draw(_JSON_VALUES)
+    payload = {}
+    for key in draw(st.sets(st.sampled_from(["z0", "z1", "scene"]))):
+        payload[key] = draw(_PAIR_VALUES if key != "scene" else _JSON_VALUES)
+    return payload
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_config_payload(), st.sampled_from([
+    ["stable", "--kind", "point:1:1", "--json"],
+    ["scan", "--bound", "2", "--json"],
+    ["flop", "--point", "1,1", "--json"],
+    ["arc", "--op", "invariants", "--catalog", "S:1", "--json"]]))
+@example([1, 2], ["stable", "--kind", "point:1:1", "--json"])
+@example({"z0": [1, 1], "z1": [-1, 2]}, ["stable", "--kind", "point:1:1", "--json"])
+def test_config_file_keeps_exit_code_contract(payload, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        _run_keeping_contract(argv + ["--config", path])

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conifold_flop import scan, scan_py
+from conifold_flop import scan
 from conifold_flop.reps import stability_params, stable_dimvector_scan
 
 CH1 = stability_params(-1, 2, 1, 1)
@@ -29,9 +29,14 @@ def test_scan_bound_5_exists_mode():
 
 
 def test_degenerate_dims():
-    # a zero vertex space leaves only the zero-matrix tuple
-    assert scan_py.scan_dims(0, 1, []) == 1
-    assert scan_py.scan_dims(0, 2, [(0, 1)]) == 0
+    # a zero vertex space leaves only the zero-matrix tuple: nilpotent,
+    # satisfying the relations, and stable iff nothing destabilizes
+    assert scan.scan_dims(0, 1, []) == 1
+    assert scan.scan_dims(0, 2, [(0, 1)]) == 0
+    for k, chamber, count_all in itertools.product(range(1, 6), (1, -1), (True, False)):
+        for d0, d1 in ((0, k), (k, 0)):
+            destab = scan.destabilizing_pairs(chamber, d0, d1)
+            assert scan.scan_dims(d0, d1, destab, count_all=count_all) == (0 if destab else 1)
 
 
 def test_counts_are_group_orbit_sizes():
@@ -53,7 +58,7 @@ def test_bad_arguments():
 def test_schur_filter_blocks_twisted_forms():
     # without the endomorphism filter the twisted (2, 2) forms would count
     destab = scan.destabilizing_pairs(1, 2, 2)
-    assert scan_py.scan_dims(2, 2, destab) == 0
+    assert scan.scan_dims(2, 2, destab) == 0
 
 
 def _gl_order(d):
@@ -76,7 +81,7 @@ def test_orbit_reduction_matches_full_enumeration(chamber, counts4, monkeypatch)
     def every_y(d0, d1, ascending):
         return [(y, 1) for y in range(1 << (d0 * d1))]
 
-    monkeypatch.setattr(scan_py, "_rank_forms", every_y)
+    monkeypatch.setattr(scan, "_rank_forms", every_y)
     assert scan.scan_stable_dimvectors(chamber, 4, with_counts=True) == counts4[chamber]
 
 
@@ -84,7 +89,7 @@ def test_orbit_reduction_matches_full_enumeration(chamber, counts4, monkeypatch)
 def test_pure_count_at_2_3(chamber):
     # one iso class with a free orbit: |GL2(F2)| * |GL3(F2)| = 6 * 168
     destab = scan.destabilizing_pairs(chamber, 2, 3)
-    assert scan_py.scan_dims(2, 3, destab, count_all=True) == 1008
+    assert scan.scan_dims(2, 3, destab, count_all=True) == 1008
 
 
 def test_chamber_duality(counts4):
@@ -102,13 +107,87 @@ def test_counts_divisible_by_group_order(counts4):
 
 @pytest.mark.parametrize("d0,d1", [(1, 1), (2, 3), (3, 2), (2, 2), (1, 4)])
 def test_rank_forms_partition_all_matrices(d0, d1):
-    forms = scan_py._rank_forms(d0, d1, ascending=True)
+    forms = scan._rank_forms(d0, d1, ascending=True)
     assert len(forms) == min(d0, d1) + 1
     assert sum(size for _, size in forms) == 1 << (d0 * d1)
     for r, (code, _) in enumerate(forms):
-        rows = scan_py._rows_of(code, d0, d1)
-        assert len(scan_py._reduce_basis(list(rows))) == r
-    assert scan_py._rank_forms(d0, d1, ascending=False) == forms[::-1]
+        rows = scan._rows_of(code, d0, d1)
+        assert len(_reduce_basis(list(rows))) == r
+    assert scan._rank_forms(d0, d1, ascending=False) == forms[::-1]
+
+
+# --- oracle: nilpotency by the radical chain on packed vectors ---------------
+
+
+def _nilpotent(ax, az, ay, aw, d0, d1):
+    """Image chain on basis bitsets; GF(2) Gaussian on packed vectors."""
+    u0 = [1 << i for i in range(d0)]
+    u1 = [1 << i for i in range(d1)]
+    for _ in range(d0 + d1 + 1):
+        if not u0 and not u1:
+            return True
+        n0 = _reduce_basis([ay[v] for v in u1] + [aw[v] for v in u1])
+        n1 = _reduce_basis([ax[v] for v in u0] + [az[v] for v in u0])
+        u0, u1 = n0, n1
+    return not u0 and not u1
+
+
+def _reduce_basis(vectors):
+    basis = []
+    for v in vectors:
+        for b in basis:
+            low = b & -b
+            if v & low:
+                v ^= b
+        if v:
+            basis.append(v)
+            basis.sort(key=lambda t: t & -t)
+    return basis
+
+
+def _relations_hold(rx, rz, ry, rw):
+    """yzw = wzy, zwx = xwz, wxy = yxw and xyz = zyx on packed rows."""
+    def word(*rows):
+        out = rows[0]
+        for r in rows[1:]:
+            out = scan._mul_rows(out, r)
+        return out
+
+    return (word(ry, rz, rw) == word(rw, rz, ry) and word(rz, rw, rx) == word(rx, rw, rz)
+            and word(rw, rx, ry) == word(ry, rx, rw) and word(rx, ry, rz) == word(rz, ry, rx))
+
+
+@pytest.mark.parametrize("chamber", [1, -1])
+def test_loop_rule_matches_radical_chain(chamber, monkeypatch):
+    # the kernel hands every tuple passing its relation and loop filters to
+    # _stable; those must be exactly the relation-satisfying tuples (y in
+    # its rank forms) that the radical chain finds nilpotent
+    seen = set()
+
+    def record(ax, az, ay, aw, pairs_by_dims, destab):
+        seen.add((tuple(ax), tuple(az), tuple(ay), tuple(aw)))
+        return False
+
+    monkeypatch.setattr(scan, "_stable", record)
+    assert scan.scan_stable_dimvectors(chamber, 4, with_counts=True) == {}
+    expected, satisfying = set(), 0
+    for total in range(1, 5):
+        for d0 in range(total + 1):
+            d1 = total - d0
+            rows_a = [scan._rows_of(c, d1, d0) for c in range(1 << (d0 * d1))]
+            rows_b = [scan._rows_of(c, d0, d1) for c in range(1 << (d0 * d1))]
+            for y, _ in scan._rank_forms(d0, d1, ascending=True):
+                ry = rows_b[y]
+                for rx, rz, rw in itertools.product(rows_a, rows_a, rows_b):
+                    if not _relations_hold(rx, rz, ry, rw):
+                        continue
+                    satisfying += 1
+                    images = (scan._apply_tables(rx, d0, d1), scan._apply_tables(rz, d0, d1),
+                              scan._apply_tables(ry, d1, d0), scan._apply_tables(rw, d1, d0))
+                    if _nilpotent(*images, d0, d1):
+                        expected.add(tuple(map(tuple, images)))
+    assert len(expected) < satisfying  # the rule has tuples to reject
+    assert seen == expected
 
 
 # --- oracle: the GF(2) End dimension from packed intertwining equations --------
@@ -142,7 +221,7 @@ def _oracle_end_dim(rx, rz, ry, rw, d0, d1):
     eq_rows(rz, d1, d0, n0, d1, 0)
     eq_rows(ry, d0, d1, 0, d0, n0)
     eq_rows(rw, d0, d1, 0, d0, n0)
-    return (n0 + n1) - len(scan_py._reduce_basis(rows))
+    return (n0 + n1) - len(_reduce_basis(rows))
 
 
 @pytest.mark.parametrize("d0,d1", [(1, 1), (1, 2), (2, 1)])
@@ -150,7 +229,7 @@ def test_end_dim_matches_oracle_exhaustively(d0, d1):
     rows_a = list(itertools.product(range(1 << d0), repeat=d1))  # x, z : V0 -> V1
     rows_b = list(itertools.product(range(1 << d1), repeat=d0))  # y, w : V1 -> V0
     for rx, rz, ry, rw in itertools.product(rows_a, rows_a, rows_b, rows_b):
-        assert scan_py._end_dim(rx, rz, ry, rw, d0, d1) == _oracle_end_dim(rx, rz, ry, rw, d0, d1)
+        assert scan._end_dim(rx, rz, ry, rw, d0, d1) == _oracle_end_dim(rx, rz, ry, rw, d0, d1)
 
 
 @st.composite
@@ -164,4 +243,4 @@ def _packed_quadruple(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_packed_quadruple())
 def test_end_dim_matches_oracle_on_quadruples(args):
-    assert scan_py._end_dim(*args) == _oracle_end_dim(*args)
+    assert scan._end_dim(*args) == _oracle_end_dim(*args)
