@@ -41,6 +41,19 @@ def _parse_fracs(value, count):
     return [jsonio.parse_frac(t) for t in parts]
 
 
+# largest chain length N accepted by --kind vplus:N (and vminus, vplus-dag,
+# vminus-dag): the modules are built as dense matrices of about N x N, so
+# an unbounded N could exhaust memory before any check runs
+MAX_CHAIN_LENGTH = 64
+
+
+def _chain_length(text):
+    n = int(text)
+    if n > MAX_CHAIN_LENGTH:
+        raise CliError("chain length %d is above the limit of %d" % (n, MAX_CHAIN_LENGTH))
+    return n
+
+
 def _parse_kind(text) -> Representation:
     parts = text.split(":")
     name, args = parts[0], parts[1:]
@@ -48,10 +61,10 @@ def _parse_kind(text) -> Representation:
         "simple": ("simple", 1, int),
         "point": ("point", 2, jsonio.parse_frac),
         "point-flopped": ("point_flopped", 2, jsonio.parse_frac),
-        "vplus": ("vplus", 1, int),
-        "vminus": ("vminus", 1, int),
-        "vplus-dag": ("vplus_dag", 1, int),
-        "vminus-dag": ("vminus_dag", 1, int),
+        "vplus": ("vplus", 1, _chain_length),
+        "vminus": ("vminus", 1, _chain_length),
+        "vplus-dag": ("vplus_dag", 1, _chain_length),
+        "vminus-dag": ("vminus_dag", 1, _chain_length),
     }
     if name not in table:
         raise CliError("unknown kind %r (try simple:0, point:1:2, vplus:3, ...)" % name)
@@ -323,7 +336,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized internals")
-    common.add_argument("--config", help="JSON file with defaults (z0, z1, n, scene)")
+    common.add_argument("--config", help="JSON file with defaults (z0, z1, scene)")
 
     p = argparse.ArgumentParser(prog="conifold-flop",
                                 description="Exact computations for the conifold quiver, "

@@ -1,14 +1,21 @@
 """Small dense exact linear algebra over Fraction.
 
 Matrices are tuples of row tuples; the empty matrix keeps its shape
-through explicit (rows, cols) arguments where it matters.  Everything is
-plain Gaussian elimination -- sizes in this package stay far below the
-point where that is a concern.
+through explicit (rows, cols) arguments where it matters.  Values come in
+and go out as Fractions, but the eliminations of `rref` and `independent`
+run on Python integers: each row is first scaled to the primitive integer
+row on the same ray (`_primitive`), and a row is cleared against a pivot
+row by cross-multiplication, ``a * row - f * pivot_row``, followed by
+division by the content, as in fraction-free elimination (Bareiss,
+Math. Comp. 22, 1968).  A reduced row echelon form is unique, so `rref`
+divides each surviving row by its pivot once at the end and returns the
+same Fractions as elimination over Fraction would.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -63,30 +70,50 @@ def mat_scale(s, m):
     return tuple(tuple(s * x for x in row) for row in m)
 
 
+def _primitive(row):
+    """The integer row with coprime entries on the same ray as ``row`` (a
+    positive multiple of it); a zero row stays zero.  Entries are ints or
+    Fractions."""
+    den = lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return ints if g < 2 else [x // g for x in ints]
+
+
+def _clear(row, pivot_row, c):
+    """``a * row - f * pivot_row`` divided by its content, where ``a`` and
+    ``f`` are the entries of ``pivot_row`` and ``row`` in column ``c``: the
+    entry of ``row`` in the pivot column cleared.  Both must be nonzero."""
+    a, f = pivot_row[c], row[c]
+    out = [a * x - f * y for x, y in zip(row, pivot_row)]
+    g = gcd(*out)
+    return out if g < 2 else [x // g for x in out]
+
+
 def rref(rows, ncols=None):
-    """Reduced row echelon form; returns (rows_without_zero_rows, pivot_cols)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form; returns (rows_without_zero_rows, pivot_cols),
+    the rows as tuples of Fractions."""
+    m = [_primitive(r) for r in rows]
     if not m:
         return (), ()
     cols = len(m[0]) if ncols is None else ncols
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [inv * x for x in m[r]]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            if i != r and m[i][c]:
+                m[i] = _clear(m[i], m[r], c)
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+    out = tuple(tuple(Fraction(x, row[p]) if x else ZERO for x in row)
+                for row, p in zip(m, pivots))
+    return out, tuple(pivots)
 
 
 def rank(rows, ncols=None):
@@ -116,23 +143,21 @@ def independent(basis, vectors, ncols):
     """The members of ``vectors``, in input order and as given, that lie
     outside the row span of ``basis`` and of the members kept before them.
 
-    One echelon form grows as rows are accepted: each stored row is 1 at
-    its pivot and 0 at the pivots of the rows stored before it, so every
-    query is a single reduction.
+    One echelon form of primitive integer rows grows as rows are accepted:
+    each stored row is 0 at the pivots of the rows stored before it, so
+    every query is a single reduction.
     """
     echelon = []  # (pivot column, row)
 
     def absorb(vec):
-        v = list(vec)
+        v = _primitive(vec)
         for p, row in echelon:
-            f = v[p]
-            if f != 0:
-                v = [x - f * y for x, y in zip(v, row)]
-        p = next((j for j in range(ncols) if v[j] != 0), None)
+            if v[p]:
+                v = _clear(v, row, p)
+        p = next((j for j in range(ncols) if v[j]), None)
         if p is None:
             return False
-        inv = ONE / v[p]
-        echelon.append((p, [inv * x for x in v]))
+        echelon.append((p, v))
         return True
 
     for vec in basis:

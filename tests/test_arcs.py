@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,95 @@ _POINT = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 @given(_POINT, _POINT, _POINT, _POINT)
 def test_segments_cross_agrees_with_the_on_segment_test(p1, q1, p2, q2):
     assert _segments_cross(p1, q1, p2, q2) == _segments_cross_by_on_seg(p1, q1, p2, q2)
+
+
+def _validate_by_fractions(arc, cfg):
+    """The body ``validate_arc`` had before its pair loop ran on integer
+    vertices: every test on the Fraction vertices."""
+    pts = arc.points
+    if {pts[0], pts[-1]} != {(cfg.a, F(0)), (cfg.b, F(0))}:
+        raise ValueError("arc endpoints must be the two marked points")
+    segs = arc.segments()
+    for p, q in segs:
+        if p == q:
+            raise ValueError("degenerate segment")
+        if not arcs._segment_clearance_ok(p, q, cfg.eps):
+            raise ValueError("arc passes within eps of the origin")
+    for i, (p1, q1) in enumerate(segs):
+        if i + 1 < len(segs):
+            q2 = segs[i + 1][1]
+            if _orient(p1, q1, q2) == 0 and ((q1[0] - p1[0]) * (q2[0] - q1[0])
+                                             + (q1[1] - p1[1]) * (q2[1] - q1[1])) < 0:
+                raise ValueError("consecutive segments fold back")
+        for p2, q2 in segs[i + 2:]:
+            if _segments_cross(p1, q1, p2, q2):
+                raise ValueError("arc is not simple")
+    return True
+
+
+def _verdict(validate, arc, cfg):
+    try:
+        return validate(arc, cfg)
+    except ValueError as exc:
+        return str(exc)
+
+
+# the default scene and one whose marked points have denominators 2 and 3
+_SCENES = (CFG, SceneConfig(F(-7, 2), F(-4, 3), F(7, 6), F(2), F(1, 8)))
+
+
+def _random_arc(rng, cfg):
+    """An arc between the marked points (rarely a wrong endpoint) whose
+    interior vertices have denominators 1 to 6, built to make collinear
+    overlaps, touches and fold-backs common: a vertex is a fresh grid
+    point, an earlier vertex again, a point on an earlier segment, a point
+    back on the last segment (a fold-back) or the last segment prolonged."""
+    ends = [(cfg.a, F(0)), (cfg.b, F(0))]
+    rng.shuffle(ends)
+    pts = [ends[0]]
+    for _ in range(rng.randint(0, 7)):
+        moves = ("fresh", "fresh", "repeat", "on-earlier", "fold-back", "prolong")
+        move = rng.choice(moves if len(pts) > 1 else ("fresh",))
+        if move == "fresh":
+            den = rng.choice((1, 2, 3, 6))
+            pts.append((F(rng.randint(-6 * den, -den), den), F(rng.randint(-2 * den, 2 * den), den)))
+            continue
+        if move == "repeat":
+            pts.append(rng.choice(pts[:-1]))
+            continue
+        j, ts = {"on-earlier": (rng.randrange(len(pts) - 1), (0, F(1, 3), F(1, 2), F(2, 3), 1)),
+                 "fold-back": (len(pts) - 2, (F(-1, 3), F(1, 3), F(1, 2), F(2, 3))),
+                 "prolong": (len(pts) - 2, (F(4, 3), F(3, 2), 2))}[move]
+        p, q, t = pts[j], pts[j + 1], rng.choice(ts)
+        pts.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    pts.append(ends[1] if rng.random() > 0.05 else (cfg.b - 1, F(0)))
+    return PLArc(tuple(pts))
+
+
+def test_integer_pair_loop_matches_the_fraction_pair_loop():
+    rng = random.Random(20171)
+    seen = collections.Counter()
+    for _ in range(3000):
+        cfg = rng.choice(_SCENES)
+        arc = _random_arc(rng, cfg)
+        want = _verdict(_validate_by_fractions, arc, cfg)
+        assert _verdict(arcs.validate_arc.__wrapped__, arc, cfg) == want, arc
+        seen[want] += 1
+    # the flop images of S:k for k != 0 have 31 to 39 vertices with large
+    # denominators; one vertex moved onto another one, or a fold-back
+    # inserted, spoils them
+    for k in (-3, -2, -1, 1, 2, 3):
+        pts = flop_map(catalog_arc("S", k, CFG), CFG).points
+        i, j = sorted(rng.sample(range(1, len(pts) - 1), 2))
+        mid = ((pts[i - 1][0] + pts[i][0]) / 2, (pts[i - 1][1] + pts[i][1]) / 2)
+        for variant in (pts, pts[:i] + (pts[j],) + pts[i + 1:], pts[:i + 1] + (mid,) + pts[i + 1:]):
+            arc = PLArc(variant)
+            want = _verdict(_validate_by_fractions, arc, CFG)
+            assert _verdict(arcs.validate_arc.__wrapped__, arc, CFG) == want, arc
+    # every verdict of the pair loop, and of the checks before it, is met
+    for verdict in (True, "arc is not simple", "consecutive segments fold back",
+                    "degenerate segment", "arc endpoints must be the two marked points"):
+        assert seen[verdict] >= 30, seen
 
 
 def test_scene_validation():

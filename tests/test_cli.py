@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from conifold_flop import cli, jsonio
 from conifold_flop.cli import main
 from conifold_flop.freecomplex import StabilizationError
+from conifold_flop.reps import make_catalog_rep
 
 
 def run(capsys, *argv):
@@ -298,6 +299,49 @@ _RATIONAL_ARGV = [
 @example("stable --kind=point:1:1 --z0={a},{b} --z1=-1,2", "1e3", "1")
 def test_rational_arguments_keep_exit_code_contract(template, a, b):
     _run_keeping_contract(template.format(a=a, b=b).split(" "))
+
+
+_CHAIN_KINDS = ["vplus", "vminus", "vplus-dag", "vminus-dag"]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(_CHAIN_KINDS),
+       st.one_of(st.integers(-2, 2 * cli.MAX_CHAIN_LENGTH).map(str), _RATIONAL_TEXT))
+@example("vplus", "1000000")
+@example("vminus-dag", str(cli.MAX_CHAIN_LENGTH + 1))
+def test_chain_lengths_keep_exit_code_contract(kind, length):
+    # a length above the cap is refused before any matrix is built
+    code, _ = _run_keeping_contract(["rep", "make", "--kind=%s:%s" % (kind, length), "--json"])
+    try:
+        n = int(length)
+    except ValueError:
+        return
+    if n > cli.MAX_CHAIN_LENGTH:
+        assert code == 2
+
+
+def test_chain_length_cap_holds_for_every_command(capsys):
+    too_long = "vplus:%d" % (cli.MAX_CHAIN_LENGTH + 1)
+    assert main(["rep", "make", "--kind", "vplus:%d" % cli.MAX_CHAIN_LENGTH, "--json"]) == 0
+    assert main(["rep", "check", "--kind", too_long]) == 2
+    assert main(["stable", "--kind", too_long, "--z0", "-1,2", "--z1", "1,1"]) == 2
+    assert main(["ext", "--from", "simple:0", "--to", too_long]) == 2
+    assert capsys.readouterr().err.count("above the limit") == 3
+    # library callers keep the full range
+    assert make_catalog_rep("vplus", cli.MAX_CHAIN_LENGTH + 1).dims == (
+        cli.MAX_CHAIN_LENGTH, cli.MAX_CHAIN_LENGTH + 1)
+
+
+def test_config_n_key_changes_nothing(tmp_path, capsys):
+    # --n has one source, the command line; a config file never supplies it
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n": 4}))
+    for argv in (["psi", "--object", "table:sphere0", "--json"],
+                 ["truncate", "--n", "3", "--json"]):
+        assert run(capsys, *argv, "--config", str(cfg)) == run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["truncate", "--config", str(cfg)])
+    assert exc.value.code == 2
 
 
 _PAIR_VALUES = st.one_of(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -72,3 +73,155 @@ def test_independent_edge_cases():
     assert linalg.independent((), (twice, (Fraction(1), Fraction(2))), 2)[0] is twice
     assert linalg.in_span((), zero) and not linalg.in_span((), e1)
     assert linalg.in_span((e1, e2), (Fraction(3), Fraction(-1)))
+
+
+# --- integer-row elimination against the Fraction elimination it replaced ---
+
+def _rref_by_fractions(rows, ncols=None):
+    """Gauss-Jordan elimination over Fraction: the body ``rref`` had before
+    it ran on integer rows."""
+    m = [list(r) for r in rows]
+    if not m:
+        return (), ()
+    cols = len(m[0]) if ncols is None else ncols
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
+def _nullspace_by_fractions(m, ncols):
+    red, pivots = _rref_by_fractions(m, ncols)
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][j]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _independent_by_fractions(basis, vectors, ncols):
+    """The Fraction echelon form ``independent`` grew before it ran on
+    integer rows: each stored row 1 at its pivot."""
+    echelon = []
+
+    def absorb(vec):
+        v = list(vec)
+        for p, row in echelon:
+            f = v[p]
+            if f != 0:
+                v = [x - f * y for x, y in zip(v, row)]
+        p = next((j for j in range(ncols) if v[j] != 0), None)
+        if p is None:
+            return False
+        inv = Fraction(1) / v[p]
+        echelon.append((p, [inv * x for x in v]))
+        return True
+
+    for vec in basis:
+        absorb(vec)
+    return tuple(vec for vec in vectors if absorb(vec))
+
+
+# plain ints and Fractions with mixed denominators, side by side in one row
+_ENTRY = st.one_of(st.integers(-3, 3),
+                   st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6, 9])))
+
+
+@st.composite
+def _mixed_matrices(draw):
+    """(rows, ncols) with ncols 0..5: rows of ints and Fractions, zero rows
+    of either type, repeated rows (the same tuple object again) and
+    rational combinations of two earlier rows."""
+    ncols = draw(st.integers(0, 5))
+    row = st.tuples(*[_ENTRY] * ncols)
+    pool = draw(st.lists(row, max_size=4))
+    picks = [row, st.just((0,) * ncols), st.just((Fraction(0),) * ncols)]
+    if pool:
+        picks.append(st.sampled_from(pool))
+        picks.append(st.tuples(st.sampled_from(pool), st.sampled_from(pool), _ENTRY).map(
+            lambda t: tuple(x + t[2] * y for x, y in zip(t[0], t[1]))))
+    pick = st.one_of(*picks)
+    return draw(st.lists(pick, max_size=6)), draw(st.lists(pick, max_size=5)), ncols
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mixed_matrices())
+def test_integer_elimination_matches_the_fraction_elimination(problem):
+    rows, vectors, ncols = problem
+    rows = tuple(rows)
+    want = _rref_by_fractions(rows, ncols)
+    got = linalg.rref(rows, ncols)
+    assert got == want and _all_fractions(got[0])
+    if rows:
+        assert linalg.rref(rows) == _rref_by_fractions(rows)
+    assert linalg.rank(rows, ncols) == len(want[0])
+    null = linalg.nullspace(rows, ncols)
+    assert null == _nullspace_by_fractions(rows, ncols) and _all_fractions(null)
+    kept = linalg.independent(rows, vectors, ncols)
+    oracle = _independent_by_fractions(rows, vectors, ncols)
+    assert len(kept) == len(oracle)
+    assert all(k is o for k, o in zip(kept, oracle))
+
+
+def _positive_multiple(ints, row):
+    """``ints`` is c * ``row`` for one rational c > 0 (any c for a zero row)."""
+    nz = [j for j, x in enumerate(row) if x != 0]
+    if not nz:
+        return all(x == 0 for x in ints)
+    c = Fraction(ints[nz[0]]) / row[nz[0]]
+    return c > 0 and all(Fraction(x) == c * y for x, y in zip(ints, row))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mixed_matrices())
+def test_integer_rows_are_primitive_positive_multiples(problem):
+    rows, _, ncols = problem
+    for row in rows:
+        ints = linalg._primitive(row)
+        assert all(type(x) is int for x in ints)
+        assert gcd(*ints) in (0, 1) and _positive_multiple(ints, row)
+    # clearing one primitive row against another keeps the result primitive
+    # and a positive multiple of a * row - f * pivot_row
+    prim = [linalg._primitive(row) for row in rows]
+    for row, prow in zip(prim, prim[1:]):
+        c = next((j for j in range(ncols) if prow[j] and row[j]), None)
+        if c is None:
+            continue
+        a, f = prow[c], row[c]
+        out = linalg._clear(row, prow, c)
+        assert out[c] == 0 and all(type(x) is int for x in out)
+        assert gcd(*out) in (0, 1)
+        assert _positive_multiple(out, [a * x - f * y for x, y in zip(row, prow)])
+
+
+def test_integer_elimination_edge_cases():
+    assert linalg.rref(()) == ((), ())
+    assert linalg.rref(((), ()), 0) == ((), ())
+    assert linalg.rref(((0, 0), (Fraction(0), 0)), 2) == ((), ())
+    # a row with large coprime denominators and a negative pivot
+    row = (Fraction(-2, 7), Fraction(3, 11), 5)
+    red, pivots = linalg.rref((row,), 3)
+    assert pivots == (0,) and red == ((1, Fraction(-21, 22), Fraction(-35, 2)),)
+    assert _all_fractions(red)
+    assert linalg.nullspace((), 2) == linalg.identity(2)
