@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark the acceptance criteria one by one, cold.
 
-Usage: python benchmarks/bench_layers.py [--label NAME] [--out FILE] [--repeat 3]
+Usage: python benchmarks/bench_layers.py [--label NAME] [--out FILE]
 
 Each sample runs in a fresh interpreter: it imports the package, so every
 cache starts empty, and times one criterion of `verify-all` in process.
-A criterion's time is the median of its `--repeat` samples.  One more
+A criterion's time is the median of its REPEAT samples.  One more
 fresh interpreter runs `verify-all --json` in process and times it.
 Every criterion must pass, and the sha256 of the `verify-all --json`
 output must equal VERIFY_ALL_SHA256; either failure is a bug, not a
@@ -30,6 +30,8 @@ import time
 
 # sha256 of the stdout of `conifold-flop verify-all --json`
 VERIFY_ALL_SHA256 = "7c5b84040e7b8ceb67430e6daf025775d1a6a4a71bb1a13326f71e84a34a3100"
+# cold samples per criterion
+REPEAT = 3
 
 
 def _cores():
@@ -72,7 +74,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--label", default="current")
     ap.add_argument("--out", help="JSON file to store the run in (printed only without it)")
-    ap.add_argument("--repeat", type=int, default=3, help="cold samples per criterion")
     ap.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     ns = ap.parse_args()
     if ns.child:
@@ -80,14 +81,12 @@ def main():
         result = _one_criterion(int(rest[0])) if kind == "criterion" else _verify_all()
         json.dump(result, sys.stdout)
         return
-    if ns.repeat < 1:
-        ap.error("--repeat must be at least 1")
 
     from conifold_flop import verify
 
     criteria = {}
     for index, (name, _) in enumerate(verify.CRITERIA):
-        samples = [_child("criterion", str(index)) for _ in range(ns.repeat)]
+        samples = [_child("criterion", str(index)) for _ in range(REPEAT)]
         failed = [s["detail"] for s in samples if not s["ok"]]
         if failed:
             raise SystemExit("criterion %s failed: %s" % (name, failed[0]))
@@ -102,7 +101,7 @@ def main():
     total = sum(c["median_s"] for c in criteria.values())
     print("  %-40s %7.3f s" % ("criteria, medians summed", total))
     print("  %-40s %7.3f s" % ("verify-all --json, in process", whole["s"]))
-    run = {"python": platform.python_version(), "cores": _cores(), "repeat": ns.repeat,
+    run = {"python": platform.python_version(), "cores": _cores(), "repeat": REPEAT,
            "criteria": criteria, "criteria_sum_s": round(total, 4),
            "verify_all_s": round(whole["s"], 4), "verify_all_sha256": whole["sha256"]}
     if not ns.out:

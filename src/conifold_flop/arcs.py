@@ -28,7 +28,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+
+from .linalg import integer_row
 
 F = Fraction
 # arcs whose validation is kept, keyed by the frozen (PLArc, SceneConfig)
@@ -154,8 +155,9 @@ def validate_arc(arc: PLArc, cfg: SceneConfig):
     Returns True or raises ValueError; an invalid arc is not cached, so it
     raises on every call.  Endpoints and clearance are checked on the
     Fraction vertices; the fold-back test and the all-pairs crossing test
-    then run on integer vertices, the Fraction ones scaled by the lcm of
-    all their denominators, which keeps every sign and so every verdict."""
+    then run on integer vertices, the Fraction ones times one positive
+    scale (`linalg.integer_row` of all coordinates), which keeps every
+    sign and so every verdict."""
     pts = arc.points
     ends = {pts[0], pts[-1]}
     marked = {(cfg.a, F(0)), (cfg.b, F(0))}
@@ -169,10 +171,9 @@ def validate_arc(arc: PLArc, cfg: SceneConfig):
             raise ValueError("arc passes within eps of the origin")
     # the fold-back and crossing tests below are signs of homogeneous
     # polynomials of degree 1 or 2 in the coordinates, so they run on the
-    # vertices times one positive common denominator, as integers
-    den = lcm(*[c.denominator for p in pts for c in p])
-    ipts = [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-            for x, y in pts]
+    # vertices times one positive scale, as integers
+    flat = integer_row([c for p in pts for c in p])
+    ipts = list(zip(flat[0::2], flat[1::2]))
     segs = list(zip(ipts[:-1], ipts[1:]))
     for i, (p1, q1) in enumerate(segs):
         # consecutive segments share exactly their joint vertex: collinear

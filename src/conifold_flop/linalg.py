@@ -3,13 +3,13 @@
 Matrices are tuples of row tuples; the empty matrix keeps its shape
 through explicit (rows, cols) arguments where it matters.  Values come in
 and go out as Fractions, but the eliminations of `rref` and `independent`
-run on Python integers: each row is first scaled to the primitive integer
-row on the same ray (`_primitive`), and a row is cleared against a pivot
-row by cross-multiplication, ``a * row - f * pivot_row``, followed by
-division by the content, as in fraction-free elimination (Bareiss,
-Math. Comp. 22, 1968).  A reduced row echelon form is unique, so `rref`
-divides each surviving row by its pivot once at the end and returns the
-same Fractions as elimination over Fraction would.
+run on primitive integer rows: each row is first scaled to the integer
+row with coprime entries on the same ray (`integer_row`), and a row is
+cleared against a pivot row by cross-multiplication, ``a * row - f *
+pivot_row``, followed by division by its content (the gcd of its
+entries).  A reduced row echelon form is unique, so `rref` divides each
+surviving row by its pivot once at the end and returns the same
+Fractions as elimination over Fraction would.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def mat_scale(s, m):
     return tuple(tuple(s * x for x in row) for row in m)
 
 
-def _primitive(row):
+def integer_row(row):
     """The integer row with coprime entries on the same ray as ``row`` (a
     positive multiple of it); a zero row stays zero.  Entries are ints or
     Fractions."""
@@ -93,7 +93,7 @@ def _clear(row, pivot_row, c):
 def rref(rows, ncols=None):
     """Reduced row echelon form; returns (rows_without_zero_rows, pivot_cols),
     the rows as tuples of Fractions."""
-    m = [_primitive(r) for r in rows]
+    m = [integer_row(r) for r in rows]
     if not m:
         return (), ()
     cols = len(m[0]) if ncols is None else ncols
@@ -150,7 +150,7 @@ def independent(basis, vectors, ncols):
     echelon = []  # (pivot column, row)
 
     def absorb(vec):
-        v = _primitive(vec)
+        v = integer_row(vec)
         for p, row in echelon:
             if v[p]:
                 v = _clear(v, row, p)

@@ -198,12 +198,12 @@ def _positive_multiple(ints, row):
 def test_integer_rows_are_primitive_positive_multiples(problem):
     rows, _, ncols = problem
     for row in rows:
-        ints = linalg._primitive(row)
+        ints = linalg.integer_row(row)
         assert all(type(x) is int for x in ints)
         assert gcd(*ints) in (0, 1) and _positive_multiple(ints, row)
     # clearing one primitive row against another keeps the result primitive
     # and a positive multiple of a * row - f * pivot_row
-    prim = [linalg._primitive(row) for row in rows]
+    prim = [linalg.integer_row(row) for row in rows]
     for row, prow in zip(prim, prim[1:]):
         c = next((j for j in range(ncols) if prow[j] and row[j]), None)
         if c is None:
