@@ -167,44 +167,79 @@ class StasheffReport:
         return self.ok
 
 
+def _tuple_counts(max_arity):
+    """Number of brane-composable generator tuples of each arity 1..max_arity,
+    by a transfer count over the target sphere of the last generator."""
+    ends = [sum(1 for g in GENERATORS if BRANES[g][1] == t) for t in (0, 1)]
+    counts = [sum(ends)]
+    for _ in range(max_arity - 1):
+        ends = [sum(ends[BRANES[g][0]] for g in GENERATORS if BRANES[g][1] == t) for t in (0, 1)]
+        counts.append(sum(ends))
+    return counts
+
+
+def _terms(max_arity, table):
+    """The nonzero terms of the A-infinity identities up to ``max_arity``:
+    {arity: {tuple: {(s, r): (gen_out, term)}}}, one term m_k(..., m_s(gens[r:r+s]), ...)
+    per outer entry, slot r and inner entry whose output fills that slot."""
+    entries = {k: [] for k in (2, 3)}  # (gens, (sign, output)) of each nonzero m_k entry
+    by_output = {k: {} for k in (2, 3)}  # output -> [(gens, sign)]
+    for k in (2, 3):
+        for gens in _tuples(k):
+            hit = table.apply(gens)
+            if hit is not None:
+                entries[k].append((gens, hit))
+                by_output[k].setdefault(hit[1], []).append((gens, hit[0]))
+    terms = {}
+    for k in (2, 3):
+        for outer, (sign_out, gen_out) in entries[k]:
+            for r in range(k):
+                koszul = sum(DEGREE[g] - 1 for g in outer[:r])
+                for s in (2, 3):
+                    arity = k + s - 1
+                    if arity > max_arity:
+                        continue
+                    for inner, sign_in in by_output[s].get(outer[r], ()):
+                        gens = outer[:r] + inner + outer[r + 1:]
+                        if not table.composable(gens):
+                            continue
+                        term = sign_in * sign_out * (-1) ** (koszul % 2)
+                        terms.setdefault(arity, {}).setdefault(gens, {})[(s, r)] = (gen_out, term)
+    return terms
+
+
 def stasheff_check(max_arity: int = 6, table: AInftyTable = TABLE) -> StasheffReport:
-    """Exhaustively evaluate the A-infinity identities up to ``max_arity``.
+    """Decide every A-infinity identity up to ``max_arity``.
 
     With m1 = 0 and nothing above m3, every identity of arity > 6 vanishes
-    termwise, so arities 2..6 decide the structure.
+    termwise, so arities 2..6 decide the structure.  The same argument
+    leaves only the terms m_k(..., m_s(...), ...) with k and s in {2, 3}:
+    the residuals are assembled from the nonzero m2 and m3 entries alone,
+    and every composable tuple that no such term reaches satisfies its
+    identity trivially (arities 2 and 6 have no terms at all).  ``checked``
+    counts the composable tuples of arity 2..max_arity, or those up to and
+    including the first violating one in the order of ``_tuples``.
     """
     if not 2 <= max_arity <= 6:
         raise ValueError("max_arity must be in 2..6")
-    checked = 0
+    counts = _tuple_counts(max_arity)
+    terms = _terms(max_arity, table)
     for arity in range(2, max_arity + 1):
-        for gens in _tuples(arity):
+        residuals = {}
+        for gens, parts in terms.get(arity, {}).items():
             residual = {}
-            for s in (2, 3):
-                outer_arity = arity - s + 1
-                if outer_arity < 1 or outer_arity > 3:
-                    continue
-                for r in range(0, arity - s + 1):
-                    inner = table.apply(gens[r:r + s])
-                    if inner is None:
-                        continue
-                    sign_in, gen_in = inner
-                    spliced = gens[:r] + (gen_in,) + gens[r + s:]
-                    if len(spliced) == 1:
-                        continue  # m1 = 0
-                    if not table.composable(spliced):
-                        continue
-                    outer = table.apply(spliced)
-                    if outer is None:
-                        continue
-                    sign_out, gen_out = outer
-                    koszul = sum(DEGREE[g] - 1 for g in gens[:r])
-                    term = sign_in * sign_out * (-1) ** (koszul % 2)
-                    residual[gen_out] = residual.get(gen_out, 0) + term
-            checked += 1
+            for key in sorted(parts):
+                gen_out, term = parts[key]
+                residual[gen_out] = residual.get(gen_out, 0) + term
             residual = {g: c for g, c in residual.items() if c != 0}
             if residual:
-                return StasheffReport(False, checked, (arity, gens, residual))
-    return StasheffReport(True, checked)
+                residuals[gens] = residual
+        if residuals:
+            # report the first violation in the order of _tuples, counting the tuples up to it
+            index, gens = next((i, g) for i, g in enumerate(_tuples(arity), 1) if g in residuals)
+            return StasheffReport(False, sum(counts[1:arity - 1]) + index,
+                                  (arity, gens, residuals[gens]))
+    return StasheffReport(True, sum(counts[1:]))
 
 
 def mc_expand(table: AInftyTable = TABLE):

@@ -324,47 +324,54 @@ def _ring_radii2(cfg: SceneConfig, rings: int):
     return [(cfg.r1 + (cfg.r2 - cfg.r1) * F(i, rings)) ** 2 for i in range(rings + 1)]
 
 
-def _ring_level(p, cfg: SceneConfig, radii2):
-    """Number of ring radii strictly inside p: 0 in the inner disk,
-    len(radii2) outside the outer one."""
-    return bisect_left(radii2, _sq_dist(p, (cfg.center, 0)))
-
-
-def _subdivide_for_zones(arc: PLArc, cfg: SceneConfig, radii2) -> PLArc:
+def _subdivide_for_zones(points, center, radii2):
     """Refine until the ring levels of the two ends of every segment differ
-    by at most one, bounded effort."""
-    pts = list(arc.points)
+    by at most one, bounded effort.  The ring level of a point is the
+    number of ring radii strictly inside it: 0 in the inner disk,
+    len(radii2) outside the outer one.  Returns the refined points and the
+    level of each; a level is computed once, when its point is made."""
+    def level(p):
+        return bisect_left(radii2, (p[0] - center) ** 2 + p[1] ** 2)
+
+    pts = list(points)
+    levels = [level(p) for p in pts]
     for _ in range(24):
-        out = [pts[0]]
+        out, out_levels = [pts[0]], [levels[0]]
         changed = False
-        for p, q in zip(pts[:-1], pts[1:]):
-            if abs(_ring_level(p, cfg, radii2) - _ring_level(q, cfg, radii2)) > 1:
-                out.append(((p[0] + q[0]) / 2, (p[1] + q[1]) / 2))
+        for i in range(1, len(pts)):
+            if abs(levels[i - 1] - levels[i]) > 1:
+                p, q = pts[i - 1], pts[i]
+                mid = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+                out.append(mid)
+                out_levels.append(level(mid))
                 changed = True
-            out.append(q)
-        pts = out
+            out.append(pts[i])
+            out_levels.append(levels[i])
+        pts, levels = out, out_levels
         if not changed:
-            return PLArc(tuple(pts), arc.orientation)
+            return pts, levels
     raise RuntimeError("could not refine the arc across the annulus")
 
 
 def _staircase_once(arc: PLArc, cfg: SceneConfig, total_turns: Fraction, rings: int) -> PLArc:
-    radii2 = _ring_radii2(cfg, rings)
-    arc = _subdivide_for_zones(arc, cfg, radii2)
+    center = cfg.center
+    pts, levels = _subdivide_for_zones(arc.points, center, _ring_radii2(cfg, rings))
 
-    def image(p):
+    def turn(level):
         # level l (capped at rings) turns by pi * total_turns * (rings - l) / rings:
         # exactly in the inner disk, not at all from the outer radius on
-        t = abs(total_turns) * F(rings - min(_ring_level(p, cfg, radii2), rings), rings)
+        t = abs(total_turns) * F(rings - min(level, rings), rings)
         whole = int(t)  # full pi-turns rotate exactly
         c, s = _pythagorean_rotation(t - whole)
         if whole % 2 == 1:
             c, s = -c, -s
         if total_turns < 0:
             s = -s
-        return _rotate_about(cfg.center, p, (c, s))
+        return c, s
 
-    out = PLArc(tuple(image(p) for p in arc.points), arc.orientation)
+    turns = {level: turn(level) for level in set(levels)}
+    out = PLArc(tuple(_rotate_about(center, p, turns[level]) for p, level in zip(pts, levels)),
+                arc.orientation)
     validate_arc(out, cfg)
     return out
 

@@ -12,6 +12,11 @@ they do not witness a stable dimension vector of the classification the
 scan reproduces.  ``scan_stable_dimvectors`` runs the kernel over every
 dimension vector up to a bound.
 
+The stability test needs each arrow as a map on vectors: ``_Tables``
+builds, once per code, the image of every source vector under that
+matrix (``imgA`` for x and z, ``imgB`` for y and w), and the kernel
+looks the images of each tuple it tests up there.
+
 Nilpotency is read off the four loops yx, yz, wx and wz at vertex 0,
 entries of the composition table ``pba``: a tuple satisfying the
 relations is nilpotent exactly when these four d0 x d0 matrices are.
@@ -97,6 +102,8 @@ class _Tables:
         rowsA = [_rows_of(a, d1, d0) for a in self.codesA]
         rowsB = [_rows_of(b, d0, d1) for b in self.codesB]
         self.rowsA, self.rowsB = rowsA, rowsB
+        self.imgA = [_apply_tables(rows, d0, d1) for rows in rowsA]
+        self.imgB = [_apply_tables(rows, d1, d0) for rows in rowsB]
         # a.b lands in End(V1), b.a in End(V0); only reachable products matter
         self.pab = [[_pack(_mul_rows(rowsA[a], rowsB[b]), d1) for b in self.codesB]
                     for a in self.codesA]
@@ -224,10 +231,11 @@ def scan_dims(d0, d1, destab, count_all=True):
     count = 0
     codesA, codesB = t.codesA, t.codesB
     pab, pba, nil = t.pab, t.pba, t.nil
+    imgA, imgB = t.imgA, t.imgB
     # witnesses sit at low rank of y when the vertex-0 simple destabilizes
     for y, orbit in _rank_forms(d0, d1, ascending=(1, 0) in destab):
         pba_y = pba[y]
-        ay = _apply_tables(t.rowsB[y], d1, d0)
+        ay = imgB[y]
         fibre = 0
         # rel xyz = zyx depends on (x, y, z) only; index solutions by z
         s1 = {}
@@ -238,7 +246,7 @@ def scan_dims(d0, d1, destab, count_all=True):
                     s1.setdefault(z, []).append(x)
         for w in codesB:
             pba_w = pba[w]
-            aw = _apply_tables(t.rowsB[w], d1, d0)
+            aw = imgB[w]
             # rel wxy = yxw and the loops yx, wx: prune x given (y, w)
             x4 = [t.qb(pba_w[x])[y] == t.qb(pba_y[x])[w] and nil(pba_y[x]) and nil(pba_w[x])
                   for x in codesA]
@@ -253,9 +261,7 @@ def scan_dims(d0, d1, destab, count_all=True):
                     if qzw[x] != t.qa(pab[x][w])[z]:
                         continue
                     # all four relations hold and all four loops are nilpotent
-                    ax = _apply_tables(t.rowsA[x], d0, d1)
-                    az = _apply_tables(t.rowsA[z], d0, d1)
-                    if not _stable(ax, az, ay, aw, pairs_by_dims, destab):
+                    if not _stable(imgA[x], imgA[z], ay, aw, pairs_by_dims, destab):
                         continue
                     if _end_dim(t.rowsA[x], t.rowsA[z], t.rowsB[y], t.rowsB[w], d0, d1) != 1:
                         continue  # twisted form: splits after field extension

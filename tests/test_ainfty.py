@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from conifold_flop.ainfty import (AInftyTable, B_PAIRS, DEGREE, GENERATORS, mc_expand,
-                                  mc_matches_relations, mk_eval, stasheff_check)
+from conifold_flop.ainfty import (AInftyTable, B_PAIRS, BRANES, DEGREE, GENERATORS, StasheffReport,
+                                  _tuples, mc_expand, mc_matches_relations, mk_eval, stasheff_check)
 from conifold_flop.paths import POTENTIAL, FreePathElement, cyclic_derivative, fpe
 
 
@@ -58,6 +59,88 @@ def test_stasheff_catches_mutation():
     arity, gens, residual = report.violation
     assert arity == 4
     assert set(gens) <= set("XYZW")
+
+
+def _dense_stasheff_check(max_arity, table):
+    """The sweep ``stasheff_check`` replaced: every composable tuple of
+    arity 2..max_arity, every inner operation at every slot."""
+    checked = 0
+    for arity in range(2, max_arity + 1):
+        for gens in _tuples(arity):
+            residual = {}
+            for s in (2, 3):
+                outer_arity = arity - s + 1
+                if outer_arity < 1 or outer_arity > 3:
+                    continue
+                for r in range(0, arity - s + 1):
+                    inner = table.apply(gens[r:r + s])
+                    if inner is None:
+                        continue
+                    sign_in, gen_in = inner
+                    spliced = gens[:r] + (gen_in,) + gens[r + s:]
+                    if len(spliced) == 1:
+                        continue  # m1 = 0
+                    if not table.composable(spliced):
+                        continue
+                    outer = table.apply(spliced)
+                    if outer is None:
+                        continue
+                    sign_out, gen_out = outer
+                    koszul = sum(DEGREE[g] - 1 for g in gens[:r])
+                    term = sign_in * sign_out * (-1) ** (koszul % 2)
+                    residual[gen_out] = residual.get(gen_out, 0) + term
+            checked += 1
+            residual = {g: c for g, c in residual.items() if c != 0}
+            if residual:
+                return StasheffReport(False, checked, (arity, gens, residual))
+    return StasheffReport(True, checked)
+
+
+def _report(rep):
+    return rep.ok, rep.checked, rep.violation
+
+
+@pytest.mark.parametrize("max_arity", range(2, 7))
+def test_stasheff_counts_composable_tuples(max_arity):
+    report = stasheff_check(max_arity)
+    assert report.ok
+    assert report.checked == {2: 72, 3: 504, 4: 3096, 5: 18648, 6: 111960}[max_arity]
+    assert _report(report) == _report(_dense_stasheff_check(max_arity, AInftyTable()))
+
+
+def _mutated_table(rng):
+    """The default table with one to three entries of m2/m3 changed: a
+    sign flipped or doubled, an entry deleted, or its output moved to a
+    generator whose branes differ from those of the input tuple."""
+    t = AInftyTable()
+    t.m2, t.m3 = dict(t.m2), dict(t.m3)
+    for _ in range(rng.randint(1, 3)):
+        m = rng.choice((t.m2, t.m3))
+        key = rng.choice(sorted(m))
+        sign, gen = m[key]
+        kind = rng.choice(("flip", "double", "delete", "wrong_branes"))
+        if kind == "flip":
+            m[key] = (-sign, gen)
+        elif kind == "double":
+            m[key] = (2 * sign, gen)
+        elif kind == "delete":
+            del m[key]
+        else:
+            branes = (BRANES[key[0]][0], BRANES[key[-1]][1])
+            m[key] = (sign, rng.choice([g for g in GENERATORS if BRANES[g] != branes]))
+    return t
+
+
+def test_stasheff_matches_dense_sweep_on_mutations():
+    rng = random.Random(20171)
+    failures = 0
+    for _ in range(120):
+        table = _mutated_table(rng)
+        max_arity = rng.randint(2, 6)
+        got = stasheff_check(max_arity, table)
+        assert _report(got) == _report(_dense_stasheff_check(max_arity, table))
+        failures += not got.ok
+    assert 0 < failures < 120
 
 
 def test_mc_components():

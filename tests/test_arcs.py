@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,45 @@ def test_check_arcs_validates_each_arc_once(monkeypatch):
     monkeypatch.setattr(arcs, "validate_arc", spy)
     assert verify.check_arcs()[0]
     assert cached.cache_info().misses == len(calls) < sum(calls.values())
+
+
+def _subdivide_by_recomputed_levels(arc, cfg, radii2):
+    """The body ``_subdivide_for_zones`` had before it carried ring levels:
+    the levels of both ends of every segment recomputed on every pass."""
+    def ring_level(p):
+        return bisect_left(radii2, arcs._sq_dist(p, (cfg.center, 0)))
+
+    pts = list(arc.points)
+    for _ in range(24):
+        out = [pts[0]]
+        changed = False
+        for p, q in zip(pts[:-1], pts[1:]):
+            if abs(ring_level(p) - ring_level(q)) > 1:
+                out.append(((p[0] + q[0]) / 2, (p[1] + q[1]) / 2))
+                changed = True
+            out.append(q)
+        pts = out
+        if not changed:
+            return pts, [ring_level(p) for p in pts]
+    raise RuntimeError("could not refine the arc across the annulus")
+
+
+def test_subdivision_matches_recomputed_levels(monkeypatch):
+    # every arc the staircase refines in criterion 10, at every ring count it tries
+    tried = []
+    staircase_once = arcs._staircase_once
+
+    def spy(arc, cfg, total_turns, rings):
+        tried.append((arc, cfg, rings))
+        return staircase_once(arc, cfg, total_turns, rings)
+
+    monkeypatch.setattr(arcs, "_staircase_once", spy)
+    assert verify.check_arcs()[0]
+    assert len({rings for _, _, rings in tried}) > 1
+    for arc, cfg, rings in tried:
+        radii2 = arcs._ring_radii2(cfg, rings)
+        assert (arcs._subdivide_for_zones(arc.points, cfg.center, radii2)
+                == _subdivide_by_recomputed_levels(arc, cfg, radii2))
 
 
 @pytest.mark.parametrize("pieces", [3, 5, 7])

@@ -105,6 +105,15 @@ def test_counts_divisible_by_group_order(counts4):
             assert n % (_gl_order(d0) * _gl_order(d1)) == 0
 
 
+@pytest.mark.parametrize("d0,d1", [(d0, t - d0) for t in range(1, 6) for d0 in range(t + 1)])
+def test_image_tables_match_apply_tables(d0, d1):
+    t = scan._Tables(d0, d1)
+    assert len(t.imgA) == len(t.imgB) == 1 << (d0 * d1)
+    for c in range(1 << (d0 * d1)):
+        assert t.imgA[c] == scan._apply_tables(scan._rows_of(c, d1, d0), d0, d1)
+        assert t.imgB[c] == scan._apply_tables(scan._rows_of(c, d0, d1), d1, d0)
+
+
 @pytest.mark.parametrize("d0,d1", [(1, 1), (2, 3), (3, 2), (2, 2), (1, 4)])
 def test_rank_forms_partition_all_matrices(d0, d1):
     forms = scan._rank_forms(d0, d1, ascending=True)
