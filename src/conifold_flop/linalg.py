@@ -1,12 +1,14 @@
-"""Small dense exact linear algebra over Fraction.
+"""Small dense exact linear algebra over the rationals.
 
 Matrices are tuples of row tuples; the empty matrix keeps its shape
-through explicit (rows, cols) arguments where it matters.  Values come in
-and go out as Fractions, but the eliminations of `rref` and `independent`
-run on primitive integer rows: each row is first scaled to the integer
-row with coprime entries on the same ray (`integer_row`), and a row is
-cleared against a pivot row by cross-multiplication, ``a * row - f *
-pivot_row``, followed by division by its content (the gcd of its
+through explicit (rows, cols) arguments where it matters.  Entries are
+ints or Fractions.  `mat_mul` and `mat_vec` keep int inputs as ints: an
+entry of a product is a Fraction when one of its terms is, or when it has
+no terms.  The eliminations return Fractions, and those of `rref` and
+`independent` run on primitive integer rows: each row is first scaled to
+the integer row with coprime entries on the same ray (`integer_row`), and
+a row is cleared against a pivot row by cross-multiplication, ``a * row -
+f * pivot_row``, followed by division by its content (the gcd of its
 entries).  A reduced row echelon form is unique, so `rref` divides each
 surviving row by its pivot once at the end and returns the same
 Fractions as elimination over Fraction would.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,15 +48,12 @@ def mat_mul(a, b, bcols=None):
         return ()
     if not b:
         return zeros(len(a), 0 if bcols is None else bcols)
-    n = len(b[0])
-    return tuple(
-        tuple(sum((ra[k] * b[k][j] for k in range(len(b))), ZERO) for j in range(n))
-        for ra in a
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, ra, col)) for col in cols) for ra in a)
 
 
 def mat_vec(m, v):
-    return tuple(sum((row[k] * v[k] for k in range(len(v))), ZERO) for row in m)
+    return tuple(sum(map(mul, row, v)) if v else ZERO for row in m)
 
 
 def transpose(m, ncols=None):
@@ -171,32 +171,23 @@ def in_span(basis, vec):
 
 
 def span_intersect(a, b, ncols):
-    """Intersection of two row spans via the kernel of the stacked system."""
-    a, b = tuple(a), tuple(b)
+    """Intersection of two row spans via the kernel of the stacked system,
+    on integer rows throughout: scaling a row keeps its span."""
+    a = [integer_row(row) for row in a]
+    b = [[-x for x in integer_row(row)] for row in b]
     if not a or not b:
         return ()
     # coefficients (s, t) with s.A = t.B: kernel of [A^T | -B^T]
-    rows = []
-    for i in range(ncols):
-        rows.append(tuple(a[k][i] for k in range(len(a))) + tuple(-b[k][i] for k in range(len(b))))
-    combos = nullspace(tuple(rows), len(a) + len(b))
-    vecs = []
-    for combo in combos:
-        v = tuple(sum((combo[k] * a[k][i] for k in range(len(a))), ZERO) for i in range(ncols))
-        vecs.append(v)
-    return row_space(tuple(vecs), ncols)
+    combos = nullspace(tuple(zip(*a, *b)), len(a) + len(b))
+    return row_space(mat_mul([integer_row(c[:len(a)]) for c in combos], a), ncols)
 
 
 def preimage(m, target_basis, ncols):
     """Basis of {v : m v in row span of target_basis}; m is (r x ncols)."""
-    r, _ = shape(m, ncols)
-    t = tuple(target_basis)
-    rows = []
-    for i in range(r):
-        rows.append(tuple(m[i][j] for j in range(ncols)) + tuple(-t[k][i] for k in range(len(t))))
-    combos = nullspace(tuple(rows), ncols + len(t))
-    vecs = [v[:ncols] for v in combos]
-    return row_space(tuple(vecs), ncols)
+    t = [integer_row(row) for row in target_basis]
+    rows = tuple(tuple(row) + tuple(-u[i] for u in t) for i, row in enumerate(m))
+    combos = nullspace(rows, ncols + len(t))
+    return row_space([v[:ncols] for v in combos], ncols)
 
 
 def solve_matrix(a, b, ncols):

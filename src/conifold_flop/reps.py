@@ -54,18 +54,10 @@ class Representation:
 
     def word_action(self, word):
         """Matrix of a composable word (rightmost arrow acts first)."""
-        d = {0: self.dims[0], 1: self.dims[1]}
-        src = SRC[word[-1]]
-        ncols = d[src]
-        cur = src
-        out = linalg.identity(ncols)
-        for a in reversed(word):
-            tgt = TGT[a]
-            if d[cur] == 0 or d[tgt] == 0 or ncols == 0:
-                out = linalg.zeros(d[tgt], ncols)
-            else:
-                out = linalg.mat_mul(self.matrix(a), out)
-            cur = tgt
+        ncols = self.dims[SRC[word[-1]]]
+        out = self.matrix(word[-1])
+        for a in reversed(word[:-1]):
+            out = linalg.mat_mul(self.matrix(a), out, bcols=ncols)
         return out
 
     def is_zero(self):
@@ -110,47 +102,35 @@ def make_catalog_rep(kind: str, *params) -> Representation:
         return rep((1, 1), [[0]], [[0]], [[mu1]], [[mu2]])
     if kind in ("vplus", "vminus", "vplus_dag", "vminus_dag"):
         (m,) = params
-        if kind == "vplus":
-            if m < 1:
-                raise ValueError("vplus needs m >= 1")
-            d0, d1 = m - 1, m
-            mx = [[1 if i == j else 0 for j in range(d0)] for i in range(d1)]
-            mz = [[1 if i == j + 1 else 0 for j in range(d0)] for i in range(d1)]
-            return rep((d0, d1), mx, mz, linalg.zeros(d0, d1), linalg.zeros(d0, d1))
-        if kind == "vminus":
-            if m < 0:
-                raise ValueError("vminus needs n >= 0")
-            d0, d1 = m + 1, m
-            mx = [[1 if i == j else 0 for j in range(d0)] for i in range(d1)]
-            mz = [[1 if i == j - 1 else 0 for j in range(d0)] for i in range(d1)]
-            return rep((d0, d1), mx, mz, linalg.zeros(d0, d1), linalg.zeros(d0, d1))
-        if kind == "vplus_dag":
-            if m < 1:
-                raise ValueError("vplus_dag needs m >= 1")
-            d0, d1 = m, m - 1
-            my = [[1 if i == j else 0 for j in range(d1)] for i in range(d0)]
-            mw = [[1 if i == j + 1 else 0 for j in range(d1)] for i in range(d0)]
-            return rep((d0, d1), linalg.zeros(d1, d0), linalg.zeros(d1, d0), my, mw)
-        if m < 0:
-            raise ValueError("vminus_dag needs n >= 0")
-        d0, d1 = m, m + 1
-        my = [[1 if i == j else 0 for j in range(d1)] for i in range(d0)]
-        mw = [[1 if i == j - 1 else 0 for j in range(d1)] for i in range(d0)]
-        return rep((d0, d1), linalg.zeros(d1, d0), linalg.zeros(d1, d0), my, mw)
+        plus = kind.startswith("vplus")
+        if m < (1 if plus else 0):
+            raise ValueError("%s needs %s" % (kind, "m >= 1" if plus else "n >= 0"))
+        # the active pair maps a space of dim a to one of dim b
+        (a, b), shift = ((m - 1, m), 1) if plus else ((m + 1, m), -1)
+        one = [[1 if i == j else 0 for j in range(a)] for i in range(b)]
+        two = [[1 if i == j + shift else 0 for j in range(a)] for i in range(b)]
+        if kind.endswith("_dag"):
+            return rep((b, a), linalg.zeros(a, b), linalg.zeros(a, b), one, two)
+        return rep((a, b), one, two, linalg.zeros(a, b), linalg.zeros(a, b))
     raise ValueError("unknown catalog kind %r" % kind)
 
 
 def relations_hold(r: Representation) -> bool:
-    d0, d1 = r.dims
-    if d0 == 0 or d1 == 0:
+    if 0 in r.dims:
         return True
     for rel in relations():
         (w1, c1), (w2, c2) = sorted(rel.coeffs.items())
-        lhs = linalg.mat_scale(c1, r.word_action(w1))
-        rhs = linalg.mat_scale(-c2, r.word_action(w2))
-        if lhs != rhs:
+        if linalg.mat_scale(c1, r.word_action(w1)) != linalg.mat_scale(-c2, r.word_action(w2)):
             return False
     return True
+
+
+def _images(mats, basis):
+    """The images of the rows of ``basis`` under each of ``mats``, a list
+    that spans the image.  Each row is scaled by `linalg.integer_row`
+    first, so integer matrices give int images."""
+    rows = [linalg.integer_row(v) for v in basis]
+    return [linalg.mat_vec(m, v) for m in mats for v in rows]
 
 
 def _radical_chain(r: Representation):
@@ -161,8 +141,8 @@ def _radical_chain(r: Representation):
     chain = [(linalg.identity(d0), linalg.identity(d1))]
     while True:
         u0, u1 = chain[-1]
-        n0 = linalg.row_space(tuple(linalg.mat_vec(m, v) for m in (r.my, r.mw) for v in u1), d0)
-        n1 = linalg.row_space(tuple(linalg.mat_vec(m, v) for m in (r.mx, r.mz) for v in u0), d1)
+        n0 = linalg.row_space(_images((r.my, r.mw), u1), d0)
+        n1 = linalg.row_space(_images((r.mx, r.mz), u0), d1)
         if (n0, n1) == (u0, u1):
             return chain
         chain.append((n0, n1))
@@ -179,8 +159,30 @@ def check_rep(r: Representation) -> dict:
 
 @lru_cache(maxsize=MODULE_CACHE_SIZE)
 def _valid(r: Representation) -> bool:
-    """The relations hold and the module is nilpotent."""
-    return relations_hold(r) and is_nilpotent(r)
+    """Relations and nilpotency, both read off `_integerize(r)`."""
+    ri = _integerize(r)
+    return relations_hold(ri) and is_nilpotent(ri)
+
+
+@lru_cache(maxsize=MODULE_CACHE_SIZE)
+def _integerize(r: Representation) -> Representation:
+    """``r`` with each arrow scaled by the lcm of its denominators: a module
+    whose four matrices hold Python ints.  Validity, the exact candidates,
+    End(r) and the GF(p) scans all read their arrows from this one copy.
+
+    Scaling an arrow by a nonzero number changes none of them.  Every term
+    of a cyclic derivative uses the same three arrows, so each relation is
+    homogeneous in each arrow and holds after the scaling exactly when it
+    held before.  A scaled arrow has the same kernel and image, so
+    nilpotency and the subrepresentation lattice stay; and a pair of vertex
+    maps commutes with an arrow exactly when it commutes with a nonzero
+    multiple of it, so End(r) stays.
+    """
+    mats = []
+    for m in (r.mx, r.mz, r.my, r.mw):
+        den = math.lcm(*(c.denominator for row in m for c in row))
+        mats.append(tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in m))
+    return Representation(r.dims, *mats)
 
 
 def scale_arrow(r: Representation, arrow: str, scalar) -> Representation:
@@ -242,13 +244,10 @@ def central_charge(r: Representation, p: StabilityParams) -> QC:
 
 def _closure_up(r, seed0, seed1):
     d0, d1 = r.dims
-    w0 = linalg.row_space(tuple(seed0), d0)
-    w1 = linalg.row_space(tuple(seed1), d1)
+    w0, w1 = linalg.row_space(seed0, d0), linalg.row_space(seed1, d1)
     while True:
-        n1 = list(w1) + [linalg.mat_vec(m, v) for m in (r.mx, r.mz) for v in w0]
-        n0 = list(w0) + [linalg.mat_vec(m, v) for m in (r.my, r.mw) for v in w1]
-        n0 = linalg.row_space(tuple(n0), d0)
-        n1 = linalg.row_space(tuple(n1), d1)
+        n0 = linalg.row_space(list(w0) + _images((r.my, r.mw), w1), d0)
+        n1 = linalg.row_space(list(w1) + _images((r.mx, r.mz), w0), d1)
         if len(n0) == len(w0) and len(n1) == len(w1):
             return n0, n1
         w0, w1 = n0, n1
@@ -280,41 +279,41 @@ def exact_subrep_candidates(r: Representation) -> tuple:
     images of all path actions up to length 4, radical and socle layers,
     socle coordinate lines, and coordinate-line closures.  Seeds are
     deduplicated by vertex and canonical row space before any closure is
-    taken; many words share an image or a kernel.  Cached per module
-    value, so the result is a tuple."""
+    taken; many words share an image or a kernel.  It runs on the integer
+    module `_integerize(r)`; the bases are canonical Fraction RREFs.
+    Cached per module value, so the result is a tuple."""
+    ri = _integerize(r)
     d0, d1 = r.dims
     full = (linalg.identity(d0), linalg.identity(d1))
     seeds = set()  # (vertex, reduced row-echelon basis)
     for src in (0, 1):
         n = r.dims[src]
         # each word acts through its suffix w[1:], one length shorter
-        action = {"": full[src]}
+        action = {}
         for length in range(1, 5):
             for word in _words_from(src, length):
-                m = linalg.mat_mul(r.matrix(word[0]), action[word[1:]], bcols=n)
+                m = ri.matrix(word[0])
+                if length > 1:
+                    m = linalg.mat_mul(m, action[word[1:]], bcols=n)
                 action[word] = m
                 tgt = TGT[word[0]]
-                seeds.add((tgt, linalg.row_space(tuple(
-                    linalg.mat_vec(m, v) for v in full[src]), r.dims[tgt])))
+                seeds.add((tgt, linalg.row_space(linalg.transpose(m, n), r.dims[tgt])))
                 seeds.add((src, linalg.row_space(linalg.nullspace(m, n), n)))
     for v in (0, 1):
-        seeds.update((v, (row,)) for row in linalg.identity(r.dims[v]))
+        seeds.update((v, (row,)) for row in full[v])
 
-    pairs = _radical_chain(r)  # V itself is dropped with the trivial pairs below
+    pairs = _radical_chain(ri)  # V itself is dropped with the trivial pairs below
     # socle chain
-    s0 = linalg.span_intersect(linalg.nullspace(r.mx, d0), linalg.nullspace(r.mz, d0), d0)
-    s1 = linalg.span_intersect(linalg.nullspace(r.my, d1), linalg.nullspace(r.mw, d1), d1)
+    s0 = linalg.span_intersect(linalg.nullspace(ri.mx, d0), linalg.nullspace(ri.mz, d0), d0)
+    s1 = linalg.span_intersect(linalg.nullspace(ri.my, d1), linalg.nullspace(ri.mw, d1), d1)
     pairs.append((s0, s1))
-    for v, basis in ((0, s0), (1, s1)):
-        for vec in basis:
-            seed = [[vec], []] if v == 0 else [[], [vec]]
-            pairs.append(_closure_up(r, seed[0], seed[1]))
+    pairs += [_closure_up(ri, (vec,), ()) for vec in s0]
+    pairs += [_closure_up(ri, (), (vec,)) for vec in s1]
     for v, seed in seeds:
-        s = [seed, ()] if v == 0 else [(), seed]
-        pairs.append(_closure_up(r, s[0], s[1]))
-        upper = [full[0], full[1]]
-        upper[v] = seed
-        pairs.append(_closure_down(r, upper[0], upper[1]))
+        lower, upper = [(), ()], list(full)
+        lower[v] = upper[v] = seed
+        pairs.append(_closure_up(ri, *lower))
+        pairs.append(_closure_down(ri, *upper))
 
     seen = {}
     for w0, w1 in pairs:
@@ -329,16 +328,9 @@ def exact_subrep_candidates(r: Representation) -> tuple:
 # finite-field scans
 
 
-def _integerize(r: Representation) -> Representation:
-    mats = {}
-    for a in "xzyw":
-        m = r.matrix(a)
-        mats[a] = linalg.mat_scale(math.lcm(*(c.denominator for row in m for c in row)), m)
-    return Representation(r.dims, mats["x"], mats["z"], mats["y"], mats["w"])
-
-
 def _mod_matrix(m, p):
-    return tuple(tuple(int(c) % p for c in row) for row in m)
+    """The int matrix ``m`` (an arrow of `_integerize`) reduced mod p."""
+    return tuple(tuple(c % p for c in row) for row in m)
 
 
 def _subspaces_gfp(dim, p):
@@ -424,13 +416,14 @@ def _interval_counts(out_a, out_b, in_c, in_d, ds, dt, p):
 def subrep_scan_Fp(r: Representation, p: int):
     """Exhaustive count of arrow-closed subspace pairs over GF(p).
 
-    Arrow rescaling clears denominators first (it preserves the
-    subrepresentation lattice).  A pair (W0, W1) is closed exactly when
-    x(W0) + z(W0) <= W1 and W1 lies in the common preimage of W0 under y
-    and w, so the scan enumerates the subspaces of the smaller vertex only
-    and counts the closed partners at the other vertex by Gaussian
-    binomials over that interval.  Returns the sorted list of realized
-    (dim vector, count) pairs, the zero and full pairs included.
+    The arrows are those of `_integerize(r)`.  A pair (W0, W1) is closed
+    exactly when x(W0) + z(W0) <= W1 and W1 lies in the common preimage of
+    W0 under y and w, so the scan enumerates the subspaces of the smaller
+    vertex only and counts the closed partners at the other vertex by
+    Gaussian binomials over that interval.  Returns the sorted list of
+    realized (dim vector, count) pairs, the zero and full pairs included:
+    a list, not a tuple, as the subrep-lattice workload tells scans from
+    verdicts (tuples) by type.
     """
     if p not in SCAN_PRIMES:
         raise ValueError("p must be one of %r" % (SCAN_PRIMES,))
@@ -529,10 +522,12 @@ def is_stable(r: Representation, params: StabilityParams) -> StabilityVerdict:
 @lru_cache(maxsize=MODULE_CACHE_SIZE)
 def _end_dim(r: Representation) -> int:
     """dim End(r), the Schur test of a stable verdict: the nullity of the
-    intertwiner map of r with itself.  Its equations, the columns of the
-    matrix, are eliminated: over Q that is about twice as fast as the rows."""
+    intertwiner map of `_integerize(r)` with itself.  Its equations, the
+    columns of the matrix, are eliminated: over Q that is about twice as
+    fast as the rows."""
     n = r.dims[0] ** 2 + r.dims[1] ** 2
-    rows = tuple(row for row in zip(*intertwiner_matrix(r, r)) if any(row))
+    ri = _integerize(r)
+    rows = tuple(row for row in zip(*intertwiner_matrix(ri, ri)) if any(row))
     return n - linalg.rank(rows, n)
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -225,3 +225,86 @@ def test_integer_elimination_edge_cases():
     assert pivots == (0,) and red == ((1, Fraction(-21, 22), Fraction(-35, 2)),)
     assert _all_fractions(red)
     assert linalg.nullspace((), 2) == linalg.identity(2)
+
+
+# --- products keep ints; eliminations ignore an integer rescaling ------------
+
+def _entries(m):
+    return [x for row in m for x in row]
+
+
+@st.composite
+def _factors(draw):
+    """(a, b) int matrices with a: r x k and b: k x c, r, k, c in 1..4."""
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    ints = st.integers(-5, 5)
+    a = tuple(tuple(draw(ints) for _ in range(k)) for _ in range(r))
+    b = tuple(tuple(draw(ints) for _ in range(c)) for _ in range(k))
+    return a, b
+
+
+def _sum_product(a, b):
+    """a @ b by Fraction sums: the definition the products must meet."""
+    return tuple(tuple(sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
+                       for col in zip(*b)) for row in a)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_factors())
+def test_products_keep_int_inputs_int(factors):
+    a, b = factors
+    got = linalg.mat_mul(a, b)
+    assert got == _sum_product(a, b) and all(type(x) is int for x in _entries(got))
+    vec = linalg.mat_vec(a, tuple(row[0] for row in b))
+    assert vec == tuple(row[0] for row in got) and all(type(x) is int for x in vec)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_factors(), st.sampled_from(["a", "b", "both"]))
+def test_products_with_a_fraction_factor_are_fractions(factors, which):
+    a, b = factors
+    if which in ("a", "both"):
+        a = linalg.mat(a)
+    if which in ("b", "both"):
+        b = linalg.mat(b)
+    got = linalg.mat_mul(a, b)
+    assert got == _sum_product(a, b) and _all_fractions(got)
+    vec = linalg.mat_vec(a, tuple(row[0] for row in b))
+    assert all(type(x) is Fraction for x in vec)
+
+
+def test_products_with_no_terms_are_fraction_zeros():
+    for a in (((), ()), linalg.mat([[], []])):
+        # a is 2 x 0 and b is 0 x 3: each entry is an empty sum
+        assert linalg.mat_mul(a, (), bcols=3) == linalg.zeros(2, 3)
+        assert _all_fractions(linalg.mat_mul(a, (), bcols=3))
+        assert linalg.mat_vec(a, ()) == (Fraction(0), Fraction(0))
+        assert all(type(x) is Fraction for x in linalg.mat_vec(a, ()))
+    assert linalg.mat_mul((), ((1, 2),)) == ()
+    assert linalg.mat_mul(((1,), (2,)), ((), )) == ((), ())
+
+
+def _rescaled(m):
+    """m times the lcm of its denominators: an int matrix."""
+    den = lcm(*[Fraction(x).denominator for x in _entries(m)])
+    return tuple(tuple(int(x * den) for x in row) for row in m)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mixed_matrices())
+def test_eliminations_ignore_an_integer_rescaling(problem):
+    rows, vectors, ncols = problem
+    rows, vectors = tuple(rows), tuple(vectors)
+    ints = _rescaled(rows)
+    assert all(type(x) is int for x in _entries(ints))
+    assert linalg.rref(ints, ncols) == linalg.rref(rows, ncols)
+    assert linalg.nullspace(ints, ncols) == linalg.nullspace(rows, ncols)
+    # row by row scaling keeps a span, so a basis may be rescaled too
+    basis = linalg.row_space(vectors, ncols)
+    int_basis = tuple(tuple(linalg.integer_row(row)) for row in basis)
+    m = linalg.transpose(rows, ncols)  # a map into the space of the basis
+    assert (linalg.preimage(_rescaled(m), int_basis, len(rows))
+            == linalg.preimage(m, basis, len(rows)))
+    assert (linalg.span_intersect(ints, int_basis, ncols)
+            == linalg.span_intersect(rows, basis, ncols))
+    assert _all_fractions(linalg.span_intersect(ints, int_basis, ncols))

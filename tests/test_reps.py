@@ -1,18 +1,35 @@
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conifold_flop import linalg, reps
 from conifold_flop.exactcx import QC, admissible, phase_lt
+from conifold_flop.paths import SRC, TGT, relations
 from conifold_flop.reps import (StabilityParams, arrow_closed, central_charge, check_rep,
                                 exact_subrep_candidates, flop_K, is_stable, make_catalog_rep,
                                 rep, scale_arrow, stability_params, stable_families,
                                 subrep_scan_Fp, verify_witness)
+from conifold_flop.truncated import _words_from
 
 CH1 = stability_params(-1, 2, 1, 1)
 CH2 = stability_params(1, 1, -1, 2)
+
+
+def _load_workloads():
+    """The benchmark's workload module (its module inputs and its observe
+    step), loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
 
 
 # --- catalog -------------------------------------------------------------
@@ -136,6 +153,15 @@ def test_subrep_scan_clears_denominators():
     r = make_catalog_rep("point", Fraction(1, 3), Fraction(2, 5))
     got = subrep_scan_Fp(r, 3)
     assert [d for d, _ in got] == [(0, 0), (0, 1), (1, 1)]
+
+
+def test_subrep_scan_returns_a_list():
+    # the subrep-lattice workload tells a scan from a verdict (a tuple) by type
+    for kind, args in CATALOG:
+        r = make_catalog_rep(kind, *args)
+        got = subrep_scan_Fp(r, 2)
+        assert type(got) is list
+        assert WORKLOADS._lattice_value(got) == [[d0, d1, n] for (d0, d1), n in got]
 
 
 def test_subrep_scan_rejects_large_dims():
@@ -368,11 +394,202 @@ def test_closure_down_matches_oracle_on_quadruples(r):
     _assert_closure_down_matches_oracle(r)
 
 
+# --- the integer module against the Fraction bodies it replaced ----------------
+#
+# Validity, the exact candidates and End(r) used to run on the module as
+# given, in Fraction arithmetic.  These are those bodies, kept as oracles.
+
+
+def _fraction_word_action(r, word):
+    d = {0: r.dims[0], 1: r.dims[1]}
+    src = SRC[word[-1]]
+    ncols = d[src]
+    cur = src
+    out = linalg.identity(ncols)
+    for a in reversed(word):
+        tgt = TGT[a]
+        if d[cur] == 0 or d[tgt] == 0 or ncols == 0:
+            out = linalg.zeros(d[tgt], ncols)
+        else:
+            out = linalg.mat_mul(r.matrix(a), out)
+        cur = tgt
+    return out
+
+
+def _fraction_radical_chain(r):
+    d0, d1 = r.dims
+    chain = [(linalg.identity(d0), linalg.identity(d1))]
+    while True:
+        u0, u1 = chain[-1]
+        n0 = linalg.row_space(tuple(linalg.mat_vec(m, v) for m in (r.my, r.mw) for v in u1), d0)
+        n1 = linalg.row_space(tuple(linalg.mat_vec(m, v) for m in (r.mx, r.mz) for v in u0), d1)
+        if (n0, n1) == (u0, u1):
+            return chain
+        chain.append((n0, n1))
+
+
+def _fraction_valid(r):
+    d0, d1 = r.dims
+    if d0 and d1:
+        for rel in relations():
+            (w1, c1), (w2, c2) = sorted(rel.coeffs.items())
+            if (linalg.mat_scale(c1, _fraction_word_action(r, w1))
+                    != linalg.mat_scale(-c2, _fraction_word_action(r, w2))):
+                return False
+    return _fraction_radical_chain(r)[-1] == ((), ())
+
+
+def _fraction_closure_up(r, seed0, seed1):
+    d0, d1 = r.dims
+    w0 = linalg.row_space(tuple(seed0), d0)
+    w1 = linalg.row_space(tuple(seed1), d1)
+    while True:
+        n1 = list(w1) + [linalg.mat_vec(m, v) for m in (r.mx, r.mz) for v in w0]
+        n0 = list(w0) + [linalg.mat_vec(m, v) for m in (r.my, r.mw) for v in w1]
+        n0 = linalg.row_space(tuple(n0), d0)
+        n1 = linalg.row_space(tuple(n1), d1)
+        if len(n0) == len(w0) and len(n1) == len(w1):
+            return n0, n1
+        w0, w1 = n0, n1
+
+
+def _fraction_candidates(r):
+    d0, d1 = r.dims
+    full = (linalg.identity(d0), linalg.identity(d1))
+    seeds = set()
+    for src in (0, 1):
+        n = r.dims[src]
+        action = {"": full[src]}
+        for length in range(1, 5):
+            for word in _words_from(src, length):
+                m = linalg.mat_mul(r.matrix(word[0]), action[word[1:]], bcols=n)
+                action[word] = m
+                tgt = TGT[word[0]]
+                seeds.add((tgt, linalg.row_space(tuple(
+                    linalg.mat_vec(m, v) for v in full[src]), r.dims[tgt])))
+                seeds.add((src, linalg.row_space(linalg.nullspace(m, n), n)))
+    for v in (0, 1):
+        seeds.update((v, (row,)) for row in linalg.identity(r.dims[v]))
+
+    pairs = _fraction_radical_chain(r)
+    s0 = linalg.span_intersect(linalg.nullspace(r.mx, d0), linalg.nullspace(r.mz, d0), d0)
+    s1 = linalg.span_intersect(linalg.nullspace(r.my, d1), linalg.nullspace(r.mw, d1), d1)
+    pairs.append((s0, s1))
+    for v, basis in ((0, s0), (1, s1)):
+        for vec in basis:
+            seed = [[vec], []] if v == 0 else [[], [vec]]
+            pairs.append(_fraction_closure_up(r, seed[0], seed[1]))
+    for v, seed in seeds:
+        s = [seed, ()] if v == 0 else [(), seed]
+        pairs.append(_fraction_closure_up(r, s[0], s[1]))
+        upper = [full[0], full[1]]
+        upper[v] = seed
+        pairs.append(_closure_down_oracle(r, upper[0], upper[1]))
+
+    seen = {}
+    for w0, w1 in pairs:
+        e0, e1 = len(w0), len(w1)
+        if (e0, e1) in ((0, 0), (d0, d1)):
+            continue
+        seen[(e0, e1, w0, w1)] = (w0, w1)
+    return tuple(sorted(seen.values(), key=lambda p: (len(p[0]) + len(p[1]), len(p[0]), p)))
+
+
+def _fraction_end_dim(r):
+    n = r.dims[0] ** 2 + r.dims[1] ** 2
+    rows = tuple(row for row in zip(*reps.intertwiner_matrix(r, r)) if any(row))
+    return n - linalg.rank(rows, n)
+
+
+def _assert_integer_module_matches_fractions(r):
+    cands = exact_subrep_candidates.__wrapped__(r)
+    assert cands == _fraction_candidates(r)
+    assert all(type(x) is Fraction for pair in cands for basis in pair for row in basis for x in row)
+    assert reps._valid.__wrapped__(r) == _fraction_valid(r)
+    assert reps._end_dim.__wrapped__(r) == _fraction_end_dim(r)
+
+
+def _scaled(r):
+    """r with x scaled by 2/3 and w by 5/7: denominators in two arrows."""
+    return scale_arrow(scale_arrow(r, "x", Fraction(2, 3)), "w", Fraction(5, 7))
+
+
+@pytest.mark.parametrize("kind,args", CATALOG)
+def test_integer_module_matches_fractions_on_catalog(kind, args):
+    r = make_catalog_rep(kind, *args)
+    for module in (r, _sheared(r), _scaled(r), _scaled(_sheared(r))):
+        _assert_integer_module_matches_fractions(module)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_integer_module_matches_fractions_on_workload_conjugates(seed):
+    for _, module in WORKLOADS._lattice_prepare(seed):
+        _assert_integer_module_matches_fractions(module)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_quadruples())
+def test_integer_module_matches_fractions_on_quadruples(r):
+    _assert_integer_module_matches_fractions(r)
+    _assert_integer_module_matches_fractions(_scaled(r))
+
+
+def test_integer_module_matches_fractions_on_rational_points():
+    for mu in ((Fraction(1, 2), 3), (Fraction(-4, 9), Fraction(5, 6))):
+        for kind in ("point", "point_flopped"):
+            _assert_integer_module_matches_fractions(make_catalog_rep(kind, *mu))
+
+
+def test_integerize_scales_each_arrow_to_ints():
+    r = _scaled(_sheared(make_catalog_rep("vminus", 3)))
+    ri = reps._integerize(r)
+    assert ri.dims == r.dims
+    for a, den in zip("xzyw", (3, 1, 1, 7)):
+        assert ri.matrix(a) == linalg.mat_scale(den, r.matrix(a))
+        assert all(type(c) is int for row in ri.matrix(a) for c in row)
+    assert reps._integerize(r) is ri  # cached per module value
+
+
+class _IntegerOnly:
+    """Stands in for `linalg` inside `reps` and refuses a product whose
+    inputs are not all ints.  A product with an empty factor multiplies
+    nothing, so its other factor may hold the Fraction zeros of a product
+    with no terms."""
+
+    def __getattr__(self, name):
+        return getattr(linalg, name)
+
+    @staticmethod
+    def _ints(m):
+        return all(type(x) is int for row in m for x in row)
+
+    def mat_mul(self, a, b, bcols=None):
+        assert not (a and b) or (self._ints(a) and self._ints(b)), "Fraction product"
+        return linalg.mat_mul(a, b, bcols)
+
+    def mat_vec(self, m, v):
+        assert self._ints(m) and self._ints((v,)), "Fraction product"
+        return linalg.mat_vec(m, v)
+
+    def rank(self, rows, ncols=None):  # the End dimension's elimination
+        assert self._ints(rows), "Fraction rows"
+        return linalg.rank(rows, ncols)
+
+
+@pytest.mark.parametrize("kind,args", CATALOG)
+def test_chamber_free_work_multiplies_ints_only(kind, args, monkeypatch):
+    r = _scaled(_sheared(make_catalog_rep(kind, *args)))
+    want = _fraction_candidates(r), _fraction_valid(r), _fraction_end_dim(r)
+    monkeypatch.setattr(reps, "linalg", _IntegerOnly())
+    assert (exact_subrep_candidates.__wrapped__(r), reps._valid.__wrapped__(r),
+            reps._end_dim.__wrapped__(r)) == want
+
+
 # --- per-module caches ----------------------------------------------------------
 
 
 def _clear_module_caches():
-    for cached in (reps._valid, exact_subrep_candidates, reps._end_dim):
+    for cached in (reps._valid, exact_subrep_candidates, reps._end_dim, reps._integerize):
         cached.cache_clear()
 
 
@@ -418,6 +635,18 @@ def test_vplus2_stable_then_unstable():
     v = is_stable(r, CH2)
     assert v.kind == "unstable" and v.witness_dims == (0, 1)
     assert verify_witness(r, v.witness, CH2)
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_verdicts_above_the_scan_cap(m):
+    # chamber -1 finds an exact destabilizer before any scan; chamber +1
+    # finds none and stops at the scan's dimension cap
+    r = make_catalog_rep("vplus", m)
+    v = is_stable(r, CH2)
+    assert v.kind == "unstable" and v.witness_dims == (0, 1)
+    assert verify_witness(r, v.witness, CH2)
+    with pytest.raises(ValueError, match="vertex dimensions above 4 are not scanned"):
+        is_stable(r, CH1)
 
 
 def test_degenerate_points_stable_in_plus_chamber():
