@@ -29,7 +29,7 @@ import sys
 import time
 
 # sha256 of the stdout of `conifold-flop verify-all --json`
-VERIFY_ALL_SHA256 = "7c5b84040e7b8ceb67430e6daf025775d1a6a4a71bb1a13326f71e84a34a3100"
+VERIFY_ALL_SHA256 = "f34c4625c5d4ad9b572ad00eb12e1c49066fc239d92b7770ebe738c349379d7e"
 # cold samples per criterion
 REPEAT = 3
 

@@ -252,7 +252,7 @@ def cmd_ext(ns, config):
         if src.dims not in ((1, 0), (0, 1)) or src.total_dim() != 1:
             raise CliError("--higher needs a vertex simple as --from")
         vertex = 0 if src.dims == (1, 0) else 1
-        dims = ext_dims(vertex, dst, cutoff=ns.n)
+        dims = ext_dims(vertex, dst)
         payload = {"ext_dims": list(dims), "total": sum(dims),
                    "euler": dims[0] - dims[1] + dims[2] - dims[3]}
         _emit(ns, payload, ["Ext^0..3 = %s, total %d" % (list(dims), sum(dims))])
@@ -377,7 +377,6 @@ def build_parser():
     s.add_argument("--from", dest="src", required=True)
     s.add_argument("--to", dest="dst", required=True)
     s.add_argument("--higher", action="store_true", help="Ext^0..3 of a vertex simple")
-    s.add_argument("--n", type=int, default=6)
 
     s = sub.add_parser("flop", parents=[common], help="K-class flop or point-module analysis")
     s.add_argument("--dimvec")

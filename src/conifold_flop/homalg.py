@@ -4,9 +4,9 @@ analysis of point modules.
 
 Everything is exact linear algebra: hom spaces solve the intertwining
 system, first extensions solve the cocycle-mod-coboundary system attached
-to the four relations, and higher Ext groups come from minimal projective
-resolutions over a length truncation, re-run at the next cutoff to rule
-out boundary effects.
+to the four relations, and higher Ext groups of a vertex simple are the
+cohomology of Hom(P_*, m) for its shipped minimal projective resolution,
+the sphere table `tables.table_sphere0` or `tables.table_sphere1`.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from fractions import Fraction
 
 from . import linalg
 from .exactcx import cross
-from .freecomplex import FCGen, FreeComplex, extend_resolution, graded_cohomology
+from .freecomplex import FreeComplex, graded_cohomology
 from .paths import SRC, TGT, relations
 from .reps import (Representation, StabilityParams, arrow_layout, central_charge, check_rep,
                    flop_K, intertwiner_matrix, is_stable, make_catalog_rep)
-from .truncated import truncated_algebra
+from .tables import table_sphere0, table_sphere1
 
 @dataclass(frozen=True)
 class ModuleMap:
@@ -239,25 +239,7 @@ def psi_sphere(k: int, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# higher Ext via truncated minimal resolutions
-
-
-def _resolve_simple(vertex: int, cutoff: int, s_cap: int) -> FreeComplex:
-    """Minimal projective resolution of the vertex simple, to length 3,
-    computed inside the truncation window."""
-    from .freecomplex import ModuleSlices, _minimal_generators, _syzygy_step
-
-    A = truncated_algebra(cutoff)
-    top = FCGen("g", vertex, 3, 0)
-    slices = ModuleSlices(A, [top], s_cap)
-    kernels = {}
-    for (s, u), basis in slices.basis.items():
-        if s >= 1:
-            kernels[(s, u)] = linalg.identity(len(basis))
-    mins = _minimal_generators(slices, kernels)
-    gens, diff = _syzygy_step(slices, mins, 2)
-    fc = FreeComplex([top] + gens, diff)
-    return extend_resolution(fc, cutoff, s_cap)
+# higher Ext of the vertex simples
 
 
 def _hom_complex_dims(res: FreeComplex, m: Representation):
@@ -291,20 +273,17 @@ def _hom_complex_dims(res: FreeComplex, m: Representation):
     return tuple(hdims[j] - ranks[j] - ranks[j + 1] for j in range(4))
 
 
-def ext_dims(vertex: int, m: Representation, cutoff: int = 6):
-    """(dim Ext^0..3) of the vertex simple against m, with agreement
-    between the cutoff and cutoff + 1 required."""
-    if cutoff < 6:
-        raise ValueError("cutoff must be at least 6")
-    if not check_rep(m)["nilpotent"]:
-        raise ValueError("target module must be nilpotent")
-    results = []
-    for c in (cutoff, cutoff + 1):
-        res = _resolve_simple(vertex, c, c - 2)
-        results.append(_hom_complex_dims(res, m))
-    if results[0] != results[1]:
-        raise RuntimeError("Ext dimensions did not stabilize: %r vs %r" % tuple(results))
-    return results[0]
+def ext_dims(vertex: int, m: Representation):
+    """(dim Ext^0..3) of the vertex simple against m.  The sphere table of
+    the vertex is the simple's minimal projective resolution
+    0 -> P_v -> P_u^2 -> P_u^2 -> P_v (u the other vertex), and Hom(P_*, m)
+    is a complex only when m satisfies the relations."""
+    if vertex not in (0, 1):
+        raise ValueError("vertex must be 0 or 1")
+    chk = check_rep(m)
+    if not (chk["relations_ok"] and chk["nilpotent"]):
+        raise ValueError("target module must satisfy the relations and be nilpotent")
+    return _hom_complex_dims((table_sphere0, table_sphere1)[vertex](), m)
 
 
 # ---------------------------------------------------------------------------

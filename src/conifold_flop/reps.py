@@ -154,14 +154,16 @@ def is_nilpotent(r: Representation) -> bool:
 
 
 def check_rep(r: Representation) -> dict:
-    return {"relations_ok": relations_hold(r), "nilpotent": is_nilpotent(r)}
+    """Relations and nilpotency, both read off `_integerize(r)`, which
+    keeps each of them whether or not ``r`` is a valid module."""
+    ri = _integerize(r)
+    return {"relations_ok": relations_hold(ri), "nilpotent": is_nilpotent(ri)}
 
 
 @lru_cache(maxsize=MODULE_CACHE_SIZE)
 def _valid(r: Representation) -> bool:
-    """Relations and nilpotency, both read off `_integerize(r)`."""
-    ri = _integerize(r)
-    return relations_hold(ri) and is_nilpotent(ri)
+    """Both facts of `check_rep(r)`, cached per module."""
+    return all(check_rep(r).values())
 
 
 @lru_cache(maxsize=MODULE_CACHE_SIZE)

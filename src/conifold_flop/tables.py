@@ -4,7 +4,9 @@ Each table is the endomorphism-deformed Floer complex of a catalog object
 (the two spheres, the holonomy tori, the higher spheres), shipped as a
 FreeComplex whose top rows follow the computed differentials, with all
 area weights specialized to 1.  The sphere and torus tables are complete
-minimal resolutions of their cohomology modules; the higher-sphere tables
+minimal resolutions of their cohomology modules: the two sphere tables
+resolve the vertex simples, and `homalg.ext_dims` reads its higher Ext
+groups off them.  The higher-sphere tables
 ship the characteristic top rows
 
     d(r_i) = z c_i - x c_{i+1},   d(p_i) = yx c_i,   d(q_i) = wz c_i

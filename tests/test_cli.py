@@ -92,6 +92,24 @@ def test_ext_commands(capsys):
     assert data["ext_dims"] == [0, 2, 2, 0] and data["total"] == 4 and data["euler"] == 0
 
 
+@pytest.mark.parametrize("src,dst,dims", [
+    ("simple:0", "vplus:16", [0, 17, 32, 15]), ("simple:1", "vplus:16", [16, 30, 14, 0]),
+    ("simple:0", "vminus:16", [0, 15, 32, 17]), ("simple:1", "vminus:16", [16, 34, 18, 0]),
+])
+def test_ext_higher_on_long_chains(capsys, src, dst, dims):
+    code, out = run(capsys, "ext", "--from", src, "--to", dst, "--higher", "--json")
+    assert code == 0
+    assert out == jsonio.dumps({"ext_dims": dims, "total": sum(dims), "euler": 0})
+
+
+def test_ext_takes_no_truncation(capsys):
+    # the resolutions of the simples are the shipped sphere tables: no cutoff
+    with pytest.raises(SystemExit) as exc:
+        main(["ext", "--from", "simple:0", "--to", "simple:1", "--higher", "--n", "6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 6" in capsys.readouterr().err
+
+
 def test_flop_commands(capsys):
     code, out = run(capsys, "flop", "--dimvec", "1,2", "--json")
     assert json.loads(out)["image"] == [3, 2]

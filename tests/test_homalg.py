@@ -1,15 +1,20 @@
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conifold_flop import homalg, linalg, reps
+from conifold_flop.freecomplex import (FCGen, FreeComplex, ModuleSlices, _minimal_generators,
+                                       _syzygy_step, extend_resolution)
 from conifold_flop.homalg import (ExtensionDatum, build_extension, ext1, ext1_dim, ext_dims,
                                   flop_point_analysis, free_complex_cohomology, hom, hom_dim,
                                   is_module_map, iso_check, psi_sphere)
 from conifold_flop.paths import SRC, TGT, relations
 from conifold_flop.reps import is_stable, make_catalog_rep, rep, scale_arrow, stability_params
 from conifold_flop.tables import table_sphere0, table_sphere1, table_sphere_m, table_torus
+from conifold_flop.truncated import truncated_algebra
 
 CH1 = stability_params(-1, 2, 1, 1)
 CH2 = stability_params(1, 1, -1, 2)
@@ -135,6 +140,110 @@ def test_ext_dims_against_point():
     assert d[0] == hom_dim(S0, pt)
     assert d[1] == ext1_dim(S0, pt)
     assert d[0] - d[1] + d[2] - d[3] == 0
+
+
+def test_ext_dims_rejects_a_module_that_breaks_the_relations():
+    # nilpotent, yet Hom(P_*, m) is no complex: d o d is not zero on it
+    m = rep((2, 2), [[-1, 0], [-1, 0]], [[0, 0], [0, 0]], [[0, 0], [-1, -1]], [[-1, 1], [0, 0]])
+    assert reps.check_rep(m) == {"relations_ok": False, "nilpotent": True}
+    for v in (0, 1):
+        with pytest.raises(ValueError, match="satisfy the relations"):
+            ext_dims(v, m)
+
+
+def test_ext_dims_rejects_a_non_nilpotent_module():
+    with pytest.raises(ValueError, match="nilpotent"):
+        ext_dims(0, rep((1, 1), [[1]], [[1]], [[1]], [[1]]))
+
+
+@pytest.mark.parametrize("vertex", [2, -1])
+def test_ext_dims_rejects_a_vertex_outside_the_quiver(vertex):
+    with pytest.raises(ValueError, match="vertex must be 0 or 1"):
+        ext_dims(vertex, S0)
+
+
+# --- oracle: Ext of a vertex simple from a resolution computed by syzygies -----
+
+
+@lru_cache(maxsize=None)
+def _computed_resolution(vertex, cutoff):
+    """Minimal projective resolution of the vertex simple to length 3,
+    computed inside the truncation window: the top generator, its minimal
+    first syzygies, then `extend_resolution`."""
+    s_cap = cutoff - 2
+    top = FCGen("g", vertex, 3, 0)
+    slices = ModuleSlices(truncated_algebra(cutoff), [top], s_cap)
+    kernels = {(s, u): linalg.identity(len(basis))
+               for (s, u), basis in slices.basis.items() if s >= 1}
+    gens, diff = _syzygy_step(slices, _minimal_generators(slices, kernels), 2)
+    return extend_resolution(FreeComplex([top] + gens, diff), cutoff, s_cap)
+
+
+def _oracle_ext_dims(vertex, m):
+    """Ext dimensions from the computed resolutions at the cutoffs 6 and 7,
+    which must agree."""
+    first, second = (homalg._hom_complex_dims(_computed_resolution(vertex, c), m) for c in (6, 7))
+    assert first == second, "Ext dimensions did not stabilize: %r vs %r" % (first, second)
+    return first
+
+
+def _assert_ext_dims_match_oracle(m):
+    for v in (0, 1):
+        assert ext_dims(v, m) == _oracle_ext_dims(v, m)
+
+
+# the 19 modules of the subrep-lattice benchmark workload
+LATTICE_KINDS = ([("vplus", m) for m in range(1, 5)] + [("vplus_dag", m) for m in range(1, 5)]
+                 + [("vminus", n) for n in range(4)] + [("vminus_dag", n) for n in range(4)]
+                 + [("point", 1, 1), ("point", 1, 2), ("point_flopped", 1, 2)])
+
+
+@pytest.mark.parametrize("kind", LATTICE_KINDS)
+def test_ext_dims_match_oracle_on_lattice_catalog(kind):
+    _assert_ext_dims_match_oracle(make_catalog_rep(*kind))
+
+
+@pytest.mark.parametrize("k", range(-3, 5))
+def test_ext_dims_match_oracle_on_psi_spheres(k):
+    _assert_ext_dims_match_oracle(psi_sphere(k))
+
+
+def _iterated_extensions(seed, count, max_dim=7):
+    """Nilpotent modules of total dimension at most ``max_dim`` built from the
+    two simples by repeated extensions build_extension(a, b, sum c_i xi_i)
+    over a basis xi_i of Ext^1(a, b).  Each class has one coefficient for
+    all four arrows: a sum of cocycles is a cocycle, but a separate
+    coefficient per arrow is not."""
+    rng = random.Random(seed)
+    pool, out = [S0, S1], []
+    while len(out) < count:
+        a, b = rng.choice(pool), rng.choice(pool)
+        if a.total_dim() + b.total_dim() > max_dim:
+            continue
+        classes = ext1(a, b)
+        if not classes:
+            continue
+        coeffs = [Fraction(rng.randint(-2, 2)) for _ in classes]
+        xi = {}
+        for arrow in "xzyw":
+            blocks = [linalg.mat_scale(c, cls.matrix(arrow)) for c, cls in zip(coeffs, classes)]
+            total = blocks[0]
+            for block in blocks[1:]:
+                total = linalg.mat_add(total, block)
+            xi[arrow] = total
+        e, _, _ = build_extension(a, b, ExtensionDatum(xi))
+        pool.append(e)
+        out.append(e)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ext_dims_match_oracle_on_iterated_extensions(seed):
+    modules = _iterated_extensions(seed, 14)
+    assert max(m.total_dim() for m in modules) >= 5
+    for m in modules:
+        assert reps.check_rep(m) == {"relations_ok": True, "nilpotent": True}
+        _assert_ext_dims_match_oracle(m)
 
 
 def test_cohomology_of_catalog_tables():

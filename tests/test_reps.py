@@ -69,6 +69,10 @@ def test_relation_violation_detected():
     # dims (2, 2) with x, y generic enough to break xyz = zyx
     r = rep((2, 2), [[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 0]])
     assert not check_rep(r)["relations_ok"]
+    # nilpotent, so only the relations reject it
+    r = rep((2, 2), [[-1, 0], [-1, 0]], [[0, 0], [0, 0]], [[0, 0], [-1, -1]], [[-1, 1], [0, 0]])
+    assert check_rep(r) == {"relations_ok": False, "nilpotent": True}
+    assert not reps._valid(r)
 
 
 # --- phases ----------------------------------------------------------------
@@ -428,7 +432,7 @@ def _fraction_radical_chain(r):
         chain.append((n0, n1))
 
 
-def _fraction_valid(r):
+def _fraction_relations_hold(r):
     d0, d1 = r.dims
     if d0 and d1:
         for rel in relations():
@@ -436,7 +440,15 @@ def _fraction_valid(r):
             if (linalg.mat_scale(c1, _fraction_word_action(r, w1))
                     != linalg.mat_scale(-c2, _fraction_word_action(r, w2))):
                 return False
+    return True
+
+
+def _fraction_is_nilpotent(r):
     return _fraction_radical_chain(r)[-1] == ((), ())
+
+
+def _fraction_valid(r):
+    return _fraction_relations_hold(r) and _fraction_is_nilpotent(r)
 
 
 def _fraction_closure_up(r, seed0, seed1):
@@ -501,12 +513,18 @@ def _fraction_end_dim(r):
     return n - linalg.rank(rows, n)
 
 
+def _assert_check_rep_matches_fractions(r):
+    assert check_rep(r) == {"relations_ok": _fraction_relations_hold(r),
+                            "nilpotent": _fraction_is_nilpotent(r)}
+
+
 def _assert_integer_module_matches_fractions(r):
     cands = exact_subrep_candidates.__wrapped__(r)
     assert cands == _fraction_candidates(r)
     assert all(type(x) is Fraction for pair in cands for basis in pair for row in basis for x in row)
     assert reps._valid.__wrapped__(r) == _fraction_valid(r)
     assert reps._end_dim.__wrapped__(r) == _fraction_end_dim(r)
+    _assert_check_rep_matches_fractions(r)
 
 
 def _scaled(r):
@@ -530,6 +548,7 @@ def test_integer_module_matches_fractions_on_workload_conjugates(seed):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_quadruples())
 def test_integer_module_matches_fractions_on_quadruples(r):
+    # most quadruples break the relations; both outcomes of each check_rep fact occur
     _assert_integer_module_matches_fractions(r)
     _assert_integer_module_matches_fractions(_scaled(r))
 
@@ -538,6 +557,19 @@ def test_integer_module_matches_fractions_on_rational_points():
     for mu in ((Fraction(1, 2), 3), (Fraction(-4, 9), Fraction(5, 6))):
         for kind in ("point", "point_flopped"):
             _assert_integer_module_matches_fractions(make_catalog_rep(kind, *mu))
+
+
+CHECK_REP_CHAINS = [(kind, (m,)) for kind in ("vplus", "vplus_dag") for m in range(1, 9)] + [
+    (kind, (n,)) for kind in ("vminus", "vminus_dag") for n in range(9)]
+
+
+@pytest.mark.parametrize("kind,args", CHECK_REP_CHAINS + [("simple", (0,)), ("simple", (1,)),
+                                                          ("point", (Fraction(1, 2), 3))])
+def test_check_rep_matches_fractions_on_catalog(kind, args):
+    r = make_catalog_rep(kind, *args)
+    for module in (r, scale_arrow(r, "x", Fraction(2, 3)), scale_arrow(r, "w", Fraction(5, 7)),
+                   _scaled(r)):
+        _assert_check_rep_matches_fractions(module)
 
 
 def test_integerize_scales_each_arrow_to_ints():
