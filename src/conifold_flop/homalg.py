@@ -6,7 +6,8 @@ Everything is exact linear algebra: hom spaces solve the intertwining
 system, first extensions solve the cocycle-mod-coboundary system attached
 to the four relations, and higher Ext groups of a vertex simple are the
 cohomology of Hom(P_*, m) for its shipped minimal projective resolution,
-the sphere table `tables.table_sphere0` or `tables.table_sphere1`.
+the sphere table `tables.table_sphere0` or `tables.table_sphere1`, built
+on the integer module of m.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from . import linalg
 from .exactcx import cross
 from .freecomplex import FreeComplex, graded_cohomology
 from .paths import SRC, TGT, relations
-from .reps import (Representation, StabilityParams, arrow_layout, central_charge, check_rep,
-                   flop_K, intertwiner_matrix, is_stable, make_catalog_rep)
+from .reps import (Representation, StabilityParams, _integerize, arrow_layout, central_charge,
+                   check_rep, flop_K, intertwiner_matrix, is_stable, make_catalog_rep)
 from .tables import table_sphere0, table_sphere1
 
 @dataclass(frozen=True)
@@ -277,13 +278,20 @@ def ext_dims(vertex: int, m: Representation):
     """(dim Ext^0..3) of the vertex simple against m.  The sphere table of
     the vertex is the simple's minimal projective resolution
     0 -> P_v -> P_u^2 -> P_u^2 -> P_v (u the other vertex), and Hom(P_*, m)
-    is a complex only when m satisfies the relations."""
+    is a complex only when m satisfies the relations.
+
+    The complex is built on the integer module `_integerize(m)`.  Scaling
+    an arrow a by c != 0 scales the potential by c, so a -> c.a is an
+    automorphism of the Jacobi algebra; it fixes both vertex idempotents,
+    so it fixes the simples, and `_integerize(m)` is m pulled back along
+    such an automorphism.  Pulling back is an exact autoequivalence, so the
+    Ext dimensions do not change."""
     if vertex not in (0, 1):
         raise ValueError("vertex must be 0 or 1")
     chk = check_rep(m)
     if not (chk["relations_ok"] and chk["nilpotent"]):
         raise ValueError("target module must satisfy the relations and be nilpotent")
-    return _hom_complex_dims((table_sphere0, table_sphere1)[vertex](), m)
+    return _hom_complex_dims((table_sphere0, table_sphere1)[vertex](), _integerize(m))
 
 
 # ---------------------------------------------------------------------------

@@ -182,14 +182,6 @@ def span_intersect(a, b, ncols):
     return row_space(mat_mul([integer_row(c[:len(a)]) for c in combos], a), ncols)
 
 
-def preimage(m, target_basis, ncols):
-    """Basis of {v : m v in row span of target_basis}; m is (r x ncols)."""
-    t = [integer_row(row) for row in target_basis]
-    rows = tuple(tuple(row) + tuple(-u[i] for u in t) for i, row in enumerate(m))
-    combos = nullspace(rows, ncols + len(t))
-    return row_space([v[:ncols] for v in combos], ncols)
-
-
 def solve_matrix(a, b, ncols):
     """One solution x (as column list) of a x = b, or None; a is (r x ncols)."""
     r, _ = shape(a, ncols)

@@ -6,9 +6,11 @@ A representation keeps four matrices (x, z: V0 -> V1 and y, w: V1 -> V0)
 satisfying the four cyclic-derivative relations as matrix identities.
 Stability follows the slope rule: an object is stable when every proper
 nonzero subrepresentation has strictly smaller phase.  Negative verdicts
-come with an exact rational witness subspace; positive verdicts rest on
-exhaustive finite-field subspace scans, escalating through the primes
-2, 3, 5 until the flagged dimension vectors are explained.
+come with an exact rational witness subspace, a closure of a kernel or
+image seed (upward, or downward as the annihilator of an upward closure
+in the dual module); positive verdicts rest on exhaustive finite-field
+subspace scans, escalating through the primes 2, 3, 5 until the flagged
+dimension vectors are explained.
 """
 
 from __future__ import annotations
@@ -170,7 +172,8 @@ def _valid(r: Representation) -> bool:
 def _integerize(r: Representation) -> Representation:
     """``r`` with each arrow scaled by the lcm of its denominators: a module
     whose four matrices hold Python ints.  Validity, the exact candidates,
-    End(r) and the GF(p) scans all read their arrows from this one copy.
+    End(r), the GF(p) scans and `homalg.ext_dims` all read their arrows
+    from this one copy.
 
     Scaling an arrow by a nonzero number changes none of them.  Every term
     of a cyclic derivative uses the same three arrows, so each relation is
@@ -255,43 +258,38 @@ def _closure_up(r, seed0, seed1):
         w0, w1 = n0, n1
 
 
-def _closure_down(r, upper0, upper1):
-    """The largest subrepresentation inside (upper0, upper1), both given in
-    reduced row-echelon form.  A side facing the whole space at the other
-    vertex is kept as it is: its preimage is everything."""
+def _dual(r):
+    """The dual module on the same quiver: x' = y^T, z' = w^T, y' = x^T,
+    w' = z^T, valid exactly when ``r`` is.  (W0, W1) is a subrepresentation
+    of ``r`` exactly when (Ann W0, Ann W1) is one of the dual."""
     d0, d1 = r.dims
-    w0, w1 = upper0, upper1
-    while True:
-        n0 = w0
-        if len(w1) < d1:
-            for m in (r.mx, r.mz):
-                n0 = linalg.span_intersect(n0, linalg.preimage(m, w1, d0), d0)
-        n1 = w1
-        if len(n0) < d0:
-            for m in (r.my, r.mw):
-                n1 = linalg.span_intersect(n1, linalg.preimage(m, n0, d1), d1)
-        if len(n0) == len(w0) and len(n1) == len(w1):
-            return n0, n1
-        w0, w1 = n0, n1
+    t = linalg.transpose
+    return Representation(r.dims, t(r.my, d1), t(r.mw, d1), t(r.mx, d0), t(r.mz, d0))
+
+
+def _annihilator(basis, n):
+    return linalg.row_space(linalg.nullspace(basis, n), n)
 
 
 @lru_cache(maxsize=MODULE_CACHE_SIZE)
 def exact_subrep_candidates(r: Representation) -> tuple:
     """Proper nonzero subrepresentations found by exact seeds: kernels and
-    images of all path actions up to length 4, radical and socle layers,
-    socle coordinate lines, and coordinate-line closures.  Seeds are
-    deduplicated by vertex and canonical row space before any closure is
-    taken; many words share an image or a kernel.  It runs on the integer
-    module `_integerize(r)`; the bases are canonical Fraction RREFs.
-    Cached per module value, so the result is a tuple."""
+    images of all path actions up to length 4 (taken once per distinct
+    (target vertex, matrix) pair), radical and socle layers, socle
+    coordinate lines, and coordinate-line closures.  Seeds are deduplicated
+    by vertex and canonical row space; each seed S at v gives the smallest
+    subrepresentation containing (S, 0) and the largest inside (S, V), the
+    annihilator of the dual's smallest one containing (Ann S, 0).  It runs
+    on the integer module `_integerize(r)`; the bases are canonical
+    Fraction RREFs.  Cached per module value, so the result is a tuple."""
     ri = _integerize(r)
+    dual = _dual(ri)
     d0, d1 = r.dims
-    full = (linalg.identity(d0), linalg.identity(d1))
     seeds = set()  # (vertex, reduced row-echelon basis)
     for src in (0, 1):
         n = r.dims[src]
         # each word acts through its suffix w[1:], one length shorter
-        action = {}
+        action, distinct = {}, set()
         for length in range(1, 5):
             for word in _words_from(src, length):
                 m = ri.matrix(word[0])
@@ -299,10 +297,12 @@ def exact_subrep_candidates(r: Representation) -> tuple:
                     m = linalg.mat_mul(m, action[word[1:]], bcols=n)
                 action[word] = m
                 tgt = TGT[word[0]]
-                seeds.add((tgt, linalg.row_space(linalg.transpose(m, n), r.dims[tgt])))
-                seeds.add((src, linalg.row_space(linalg.nullspace(m, n), n)))
+                if (tgt, m) not in distinct:
+                    distinct.add((tgt, m))
+                    seeds.add((tgt, linalg.row_space(linalg.transpose(m, n), r.dims[tgt])))
+                    seeds.add((src, linalg.row_space(linalg.nullspace(m, n), n)))
     for v in (0, 1):
-        seeds.update((v, (row,)) for row in full[v])
+        seeds.update((v, (row,)) for row in linalg.identity(r.dims[v]))
 
     pairs = _radical_chain(ri)  # V itself is dropped with the trivial pairs below
     # socle chain
@@ -312,10 +312,10 @@ def exact_subrep_candidates(r: Representation) -> tuple:
     pairs += [_closure_up(ri, (vec,), ()) for vec in s0]
     pairs += [_closure_up(ri, (), (vec,)) for vec in s1]
     for v, seed in seeds:
-        lower, upper = [(), ()], list(full)
-        lower[v] = upper[v] = seed
+        lower, ann = [(), ()], [(), ()]
+        lower[v], ann[v] = seed, _annihilator(seed, r.dims[v])
         pairs.append(_closure_up(ri, *lower))
-        pairs.append(_closure_down(ri, *upper))
+        pairs.append(tuple(map(_annihilator, _closure_up(dual, *ann), r.dims)))
 
     seen = {}
     for w0, w1 in pairs:

@@ -246,6 +246,42 @@ def test_ext_dims_match_oracle_on_iterated_extensions(seed):
         _assert_ext_dims_match_oracle(m)
 
 
+# --- Ext on the integer module against the Fraction body ----------------------
+
+
+def _sheared(m):
+    """m in the basis change g (lower unitriangular, all ones) at both
+    vertices: each arrow a becomes g a g^-1."""
+    g = [linalg.mat([[int(i >= j) for j in range(d)] for i in range(d)]) for d in m.dims]
+    gi = [linalg.mat([[(i == j) - (i == j + 1) for j in range(d)] for i in range(d)]) for d in m.dims]
+    return reps.Representation(m.dims, *(
+        linalg.mat_mul(linalg.mat_mul(g[TGT[a]], m.matrix(a), m.dims[SRC[a]]), gi[SRC[a]],
+                       m.dims[SRC[a]]) for a in "xzyw"))
+
+
+def _scaled(m):
+    """m with x scaled by 2/3 and w by 5/7: denominators in two arrows."""
+    return scale_arrow(scale_arrow(m, "x", Fraction(2, 3)), "w", Fraction(5, 7))
+
+
+@pytest.mark.parametrize("kind", LATTICE_KINDS + [("point", Fraction(1, 2), 3)])
+def test_ext_dims_on_the_integer_module_match_the_fraction_body(kind, monkeypatch):
+    r = make_catalog_rep(*kind)
+    real, seen = homalg._hom_complex_dims, []
+
+    def record(res, m):
+        seen.append(m)
+        return real(res, m)
+
+    monkeypatch.setattr(homalg, "_hom_complex_dims", record)
+    for m in (r, _sheared(r), _scaled(r), _scaled(_sheared(r))):
+        # the Fraction body: the complex built on m as given
+        want = tuple(real(table(), m) for table in (table_sphere0, table_sphere1))
+        assert (ext_dims(0, m), ext_dims(1, m)) == want
+    assert len(seen) == 8
+    assert all(type(c) is int for m in seen for a in "xzyw" for row in m.matrix(a) for c in row)
+
+
 def test_cohomology_of_catalog_tables():
     for cutoff in (6, 7):
         h = free_complex_cohomology(table_sphere0(), cutoff)

@@ -225,13 +225,6 @@ def _gauss(n, k, q):
     return num // den
 
 
-def _dual(r):
-    """The dual representation: x' = y^T, z' = w^T, y' = x^T, w' = z^T."""
-    d0, d1 = r.dims
-    t = linalg.transpose
-    return reps.Representation(r.dims, t(r.my, d1), t(r.mw, d1), t(r.mx, d0), t(r.mz, d0))
-
-
 @pytest.mark.parametrize("kind,args", CATALOG)
 def test_subrep_scan_matches_pairwise_oracle_on_catalog(kind, args):
     r = make_catalog_rep(kind, *args)
@@ -278,7 +271,7 @@ def test_subrep_scan_zero_arrows_is_product_of_gaussian_binomials():
 
 def _assert_dual_counts(r, p):
     d0, d1 = r.dims
-    dual = {(d0 - k0, d1 - k1): n for (k0, k1), n in subrep_scan_Fp(_dual(r), p)}
+    dual = {(d0 - k0, d1 - k1): n for (k0, k1), n in subrep_scan_Fp(reps._dual(r), p)}
     assert dict(subrep_scan_Fp(r, p)) == dual
 
 
@@ -344,45 +337,77 @@ def test_exact_candidates_pinned_and_closed(kind, args):
             assert arrow_closed(module, w0, w1)
 
 
+def _preimage(m, target_basis, ncols):
+    """Basis of {v : m v in row span of target_basis}; m is (r x ncols)."""
+    t = [linalg.integer_row(row) for row in target_basis]
+    rows = tuple(tuple(row) + tuple(-u[i] for u in t) for i, row in enumerate(m))
+    combos = linalg.nullspace(rows, ncols + len(t))
+    return linalg.row_space([v[:ncols] for v in combos], ncols)
+
+
 def _closure_down_oracle(r, upper0, upper1):
-    """_closure_down without the whole-space shortcut: both preimage and
-    intersection steps on every pass."""
+    """The largest subrepresentation inside (upper0, upper1) by preimages and
+    intersections, as the exact candidates took it before the dual route
+    replaced it (without that body's whole-space shortcut: both steps run on
+    every pass)."""
     d0, d1 = r.dims
     w0, w1 = upper0, upper1
     while True:
         n0 = w0
         for m in (r.mx, r.mz):
-            n0 = linalg.span_intersect(n0, linalg.preimage(m, w1, d0), d0)
+            n0 = linalg.span_intersect(n0, _preimage(m, w1, d0), d0)
         n1 = w1
         for m in (r.my, r.mw):
-            n1 = linalg.span_intersect(n1, linalg.preimage(m, n0, d1), d1)
+            n1 = linalg.span_intersect(n1, _preimage(m, n0, d1), d1)
         if len(n0) == len(w0) and len(n1) == len(w1):
             return n0, n1
         w0, w1 = n0, n1
 
 
+def _ann(basis, n):
+    """The annihilator of a row span, as a canonical basis."""
+    return linalg.row_space(linalg.nullspace(basis, n), n)
+
+
+def _dual_route(r, upper0, upper1):
+    """The largest subrepresentation inside (upper0, upper1) as
+    exact_subrep_candidates takes it: the annihilators of the smallest
+    subrepresentation of the dual module containing their annihilators."""
+    dual = reps._dual(reps._integerize(r))
+    return tuple(map(_ann, reps._closure_up(dual, _ann(upper0, r.dims[0]),
+                                            _ann(upper1, r.dims[1])), r.dims))
+
+
 def _closure_down_seeds(r):
     """The (upper0, upper1) pairs that exact_subrep_candidates closes
-    downwards, recorded on an uncached run."""
+    downwards through the dual module, recorded on an uncached run, each
+    with the subrepresentation that the dual route gave it.  A module equal
+    to its dual records its upward closures too, and for them the same
+    identity holds."""
     seeds = []
-    real = reps._closure_down
+    real = reps._closure_up
+    dual = reps._dual(reps._integerize(r))
 
-    def record(module, upper0, upper1):
-        seeds.append((upper0, upper1))
-        return real(module, upper0, upper1)
+    def record(module, seed0, seed1):
+        out = real(module, seed0, seed1)
+        if module == dual:
+            upper = tuple(map(_ann, (seed0, seed1), r.dims))
+            seeds.append((upper, tuple(map(_ann, out, r.dims))))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reps, "_closure_down", record)
+        mp.setattr(reps, "_closure_up", record)
         exact_subrep_candidates.__wrapped__(r)
     return seeds
 
 
 def _assert_closure_down_matches_oracle(r):
-    seeds = _closure_down_seeds(r)
     d0, d1 = r.dims
-    seeds.append((linalg.identity(d0), linalg.identity(d1)))
-    for upper0, upper1 in seeds:
-        assert reps._closure_down(r, upper0, upper1) == _closure_down_oracle(r, upper0, upper1)
+    seeds = _closure_down_seeds(r)
+    for upper in ((linalg.identity(d0), linalg.identity(d1)), ((), ())):
+        seeds.append((upper, _dual_route(r, *upper)))
+    for (upper0, upper1), got in seeds:
+        assert got == _closure_down_oracle(r, upper0, upper1)
 
 
 @pytest.mark.parametrize("kind,args", CATALOG)
@@ -396,6 +421,54 @@ def test_closure_down_matches_oracle_on_catalog(kind, args):
 @given(_quadruples())
 def test_closure_down_matches_oracle_on_quadruples(r):
     _assert_closure_down_matches_oracle(r)
+
+
+def _closure_up_calls(r):
+    """The seeds that exact_subrep_candidates closes upwards, each tagged
+    with the module it is closed in, recorded on an uncached run."""
+    ri = reps._integerize(r)  # cached: the same object the run reads
+    calls = set()
+    real = reps._closure_up
+
+    def record(module, seed0, seed1):
+        calls.add(("module" if module is ri else "dual", tuple(seed0), tuple(seed1)))
+        return real(module, seed0, seed1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reps, "_closure_up", record)
+        exact_subrep_candidates.__wrapped__(r)
+    return calls
+
+
+def _assert_seeds_taken_once_per_matrix_keep_the_seed_set(r):
+    # every word's image and kernel, with no word skipped, closed upwards in
+    # the module and, through their annihilators, in the dual; and the socle
+    # lines closed upwards
+    s0 = linalg.span_intersect(linalg.nullspace(r.mx, r.dims[0]), linalg.nullspace(r.mz, r.dims[0]),
+                               r.dims[0])
+    s1 = linalg.span_intersect(linalg.nullspace(r.my, r.dims[1]), linalg.nullspace(r.mw, r.dims[1]),
+                               r.dims[1])
+    want = {("module", (vec,), ()) for vec in s0} | {("module", (), (vec,)) for vec in s1}
+    for v, seed in _fraction_seeds(r):
+        for tag, basis in (("module", seed), ("dual", _ann(seed, r.dims[v]))):
+            want.add((tag,) + ((basis, ()) if v == 0 else ((), basis)))
+    assert _closure_up_calls(r) == want
+
+
+@pytest.mark.parametrize("kind,args", CATALOG)
+def test_seeds_taken_once_per_matrix_keep_the_seed_set_on_catalog(kind, args):
+    # the point modules have dims (1, 1) and two zero arrows, so some zero
+    # word into vertex 0 and some zero word into vertex 1 are equal
+    # matrices: only the target vertex in the key keeps both zero seeds
+    r = make_catalog_rep(kind, *args)
+    for module in (r, _sheared(r)):
+        _assert_seeds_taken_once_per_matrix_keep_the_seed_set(module)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_quadruples())
+def test_seeds_taken_once_per_matrix_keep_the_seed_set_on_quadruples(r):
+    _assert_seeds_taken_once_per_matrix_keep_the_seed_set(r)
 
 
 # --- the integer module against the Fraction bodies it replaced ----------------
@@ -465,9 +538,11 @@ def _fraction_closure_up(r, seed0, seed1):
         w0, w1 = n0, n1
 
 
-def _fraction_candidates(r):
-    d0, d1 = r.dims
-    full = (linalg.identity(d0), linalg.identity(d1))
+def _fraction_seeds(r):
+    """The seeds of the exact candidates, (vertex, canonical basis): the
+    image and kernel of every word, each word taken, and the coordinate
+    lines."""
+    full = (linalg.identity(r.dims[0]), linalg.identity(r.dims[1]))
     seeds = set()
     for src in (0, 1):
         n = r.dims[src]
@@ -482,7 +557,13 @@ def _fraction_candidates(r):
                 seeds.add((src, linalg.row_space(linalg.nullspace(m, n), n)))
     for v in (0, 1):
         seeds.update((v, (row,)) for row in linalg.identity(r.dims[v]))
+    return seeds
 
+
+def _fraction_candidates(r):
+    d0, d1 = r.dims
+    full = (linalg.identity(d0), linalg.identity(d1))
+    seeds = _fraction_seeds(r)
     pairs = _fraction_radical_chain(r)
     s0 = linalg.span_intersect(linalg.nullspace(r.mx, d0), linalg.nullspace(r.mz, d0), d0)
     s1 = linalg.span_intersect(linalg.nullspace(r.my, d1), linalg.nullspace(r.mw, d1), d1)
@@ -730,6 +811,43 @@ def test_rescaling_preserves_verdicts():
     assert is_stable(s, CH2).kind == is_stable(r, CH2).kind
     with pytest.raises(ValueError):
         scale_arrow(r, "x", 0)
+
+
+# --- duality ---------------------------------------------------------------------
+#
+# The dual module's subrepresentations are the annihilator pairs of the
+# module's, so its lattice is the module's turned upside down: a
+# subrepresentation of dimension e becomes one of dimension d - e.  Flipping
+# the chamber flips the sign of every phase comparison with d, so each
+# verdict of the module is the verdict of its dual in the other chamber.
+
+
+def _assert_duality_invariants(r):
+    dual = reps._dual(r)
+    assert reps._dual(dual) == r
+    assert reps._valid(dual) == reps._valid(r)
+    for p in (2, 3, 5):
+        _assert_dual_counts(r, p)
+    if r.is_zero() or not reps._valid(r):
+        return
+    for params, flipped in ((CH1, CH2), (CH2, CH1)):
+        verdict = is_stable(dual, flipped)
+        assert verdict.kind == is_stable(r, params).kind
+        if verdict.kind == "unstable":
+            assert verify_witness(dual, verdict.witness, flipped)
+
+
+@pytest.mark.parametrize("kind,args", CATALOG)
+def test_duality_invariants_on_catalog(kind, args):
+    r = make_catalog_rep(kind, *args)
+    for module in (r, _sheared(r), _scaled(r)):
+        _assert_duality_invariants(module)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_quadruples())
+def test_duality_invariants_on_quadruples(r):
+    _assert_duality_invariants(r)
 
 
 # --- K-theory ------------------------------------------------------------------
