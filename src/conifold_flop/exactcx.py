@@ -4,7 +4,8 @@ comparison that drives all stability verdicts.
 Admissible numbers lie in the closed upper half plane minus the
 non-negative real axis, so their argument sits in (0, pi].  Comparing two
 arguments there never needs transcendental functions: the sign of the
-cross product re(u) im(v) - im(u) re(v) decides it exactly.
+cross product re(u) im(v) - im(u) re(v) decides it exactly, and
+`phase_lt` takes that sign on numerators and denominators.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def cross(u: QC, v: QC) -> Fraction:
 
 def admissible(u: QC) -> bool:
     """Phase in (0, pi]: upper half plane, or negative real axis."""
-    return u.im > 0 or (u.im == 0 and u.re < 0)
+    return u.im.numerator > 0 or (u.im.numerator == 0 and u.re.numerator < 0)
 
 
 def phase_lt(u: QC, v: QC) -> bool:
@@ -51,4 +52,6 @@ def phase_lt(u: QC, v: QC) -> bool:
         raise ValueError("phase of zero is undefined")
     if not admissible(u) or not admissible(v):
         raise ValueError("phase comparison needs arguments with phase in (0, pi]")
-    return cross(u, v) > 0
+    # cross(u, v) > 0, times the product of the four positive denominators
+    return (u.re.numerator * v.im.numerator * u.im.denominator * v.re.denominator
+            > u.im.numerator * v.re.numerator * u.re.denominator * v.im.denominator)

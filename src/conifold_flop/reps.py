@@ -248,14 +248,14 @@ def central_charge(r: Representation, p: StabilityParams) -> QC:
 
 
 def _closure_up(r, seed0, seed1):
-    d0, d1 = r.dims
-    w0, w1 = linalg.row_space(seed0, d0), linalg.row_space(seed1, d1)
-    while True:
-        n0 = linalg.row_space(list(w0) + _images((r.my, r.mw), w1), d0)
-        n1 = linalg.row_space(list(w1) + _images((r.mx, r.mz), w0), d1)
-        if len(n0) == len(w0) and len(n1) == len(w1):
-            return n0, n1
-        w0, w1 = n0, n1
+    """The smallest subrepresentation containing the seeds; each pass maps
+    only the rows it accepted last, one `linalg.independent` per vertex."""
+    into, span = ((r.my, r.mw), (r.mx, r.mz)), ([], [])
+    new = [[linalg.integer_row(v) for v in seed] for seed in (seed0, seed1)]
+    while any(new := [linalg.independent(span[v], new[v], r.dims[v]) for v in (0, 1)]):
+        span = [span[v] + list(new[v]) for v in (0, 1)]
+        new = [_images(into[v], new[1 - v]) for v in (0, 1)]
+    return tuple(linalg.row_space(span[v], r.dims[v]) for v in (0, 1))
 
 
 def _dual(r):

@@ -15,7 +15,11 @@ dimension vector up to a bound.
 The stability test needs each arrow as a map on vectors: ``_Tables``
 builds, once per code, the image of every source vector under that
 matrix (``imgA`` for x and z, ``imgB`` for y and w), and the kernel
-looks the images of each tuple it tests up there.
+looks the images of each tuple it tests up there.  Its composition
+tables (``pab``, ``pba`` and the memoized ``qa``/``qb``) are filled by
+linearity: a product of GF(2) matrices is linear in each factor, so each
+row is spanned from the products with the unit codes 1 << k, one XOR per
+entry.  The subspaces of each GF(2)^dim are listed once (``_subspaces``).
 
 Nilpotency is read off the four loops yx, yz, wx and wz at vertex 0,
 entries of the composition table ``pba``: a tuple satisfying the
@@ -48,6 +52,7 @@ The loop order prunes aggressively: the relation xyz = zyx constrains
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 
 from .reps import Representation, _gfp_rank, _subspaces_gfp, intertwiner_matrix
 
@@ -92,6 +97,19 @@ def _pack(rows, width):
     return code
 
 
+def _products(rows, factor_rows, width):
+    """``rows`` times every code of the other factor, packed at ``width``;
+    ``factor_rows`` holds the packed rows of every code of that factor.  The
+    product is linear in the factor, so code c maps to the XOR of the
+    products with the unit codes 1 << k of its bits: one product per unit
+    code, then one XOR per entry."""
+    t = [0]
+    for k in range(len(factor_rows).bit_length() - 1):
+        u = _pack(_mul_rows(rows, factor_rows[1 << k]), width)
+        t += [v ^ u for v in t]
+    return t
+
+
 class _Tables:
     """Composition tables for one dimension vector (d0, d1)."""
 
@@ -105,27 +123,21 @@ class _Tables:
         self.imgA = [_apply_tables(rows, d0, d1) for rows in rowsA]
         self.imgB = [_apply_tables(rows, d1, d0) for rows in rowsB]
         # a.b lands in End(V1), b.a in End(V0); only reachable products matter
-        self.pab = [[_pack(_mul_rows(rowsA[a], rowsB[b]), d1) for b in self.codesB]
-                    for a in self.codesA]
-        self.pba = [[_pack(_mul_rows(rowsB[b], rowsA[a]), d0) for a in self.codesA]
-                    for b in self.codesB]
+        self.pab = [_products(ra, rowsB, d1) for ra in rowsA]
+        self.pba = [_products(rb, rowsA, d0) for rb in rowsB]
         self._qa, self._qb, self._nil = {}, {}, {}
 
     def qa(self, c):
         """(End V1 code c) . (A code) -> A code, memoized per c."""
         tab = self._qa.get(c)
         if tab is None:
-            rows_c = _rows_of(c, self.d1, self.d1)
-            tab = [_pack(_mul_rows(rows_c, ra), self.d0) for ra in self.rowsA]
-            self._qa[c] = tab
+            tab = self._qa[c] = _products(_rows_of(c, self.d1, self.d1), self.rowsA, self.d0)
         return tab
 
     def qb(self, c):
         tab = self._qb.get(c)
         if tab is None:
-            rows_c = _rows_of(c, self.d0, self.d0)
-            tab = [_pack(_mul_rows(rows_c, rb), self.d1) for rb in self.rowsB]
-            self._qb[c] = tab
+            tab = self._qb[c] = _products(_rows_of(c, self.d0, self.d0), self.rowsB, self.d1)
         return tab
 
     def nil(self, c):
@@ -139,9 +151,11 @@ class _Tables:
         return ok
 
 
+@lru_cache(maxsize=None)
 def _subspaces(dim):
     """All subspaces of GF(2)^dim: (dim, membership mask over vectors, basis),
-    the reduced-echelon bases of ``reps._subspaces_gfp`` packed into bits."""
+    the reduced-echelon bases of ``reps._subspaces_gfp`` packed into bits.
+    Cached per dimension, so the value is a tuple."""
     subs = []
     for rows in _subspaces_gfp(dim, 2):
         basis = tuple(sum(c << j for j, c in enumerate(row)) for row in rows)
@@ -149,7 +163,7 @@ def _subspaces(dim):
         for b in basis:
             span |= {s ^ b for s in span}
         subs.append((len(basis), sum(1 << v for v in span), basis))
-    return subs
+    return tuple(subs)
 
 
 def _apply_tables(rows, src_dim, tgt_dim):

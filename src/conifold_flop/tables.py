@@ -11,8 +11,11 @@ ship the characteristic top rows
 
     d(r_i) = z c_i - x c_{i+1},   d(p_i) = yx c_i,   d(q_i) = wz c_i
 
-together with the two boundary loop rows, and are completed downward by
-exact syzygies so the cohomology is concentrated in one degree.
+together with the two boundary loop rows, and their lower rows in closed
+form, so the cohomology is concentrated in one degree.  The lower rows
+are the minimal syzygies that `freecomplex.extend_resolution` computes
+from the top rows, generator for generator; the tests keep that
+completion as the oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .freecomplex import FCGen, FreeComplex, extend_resolution
+from .freecomplex import FCGen, FreeComplex
 from .paths import FreePathElement, fpe
 
 SM_MAX = 6
@@ -114,15 +117,51 @@ def _sphere_m_top(m: int):
     return gens, diff
 
 
+def _sphere_m_syzygies(m: int):
+    """Lower two levels of the higher-sphere complex, named syz{degree}_{i}
+    in the order of the syzygy completion, each row sorted by output name.
+
+    Degree 1, vertex 1: P_j = -z p_j + x p_{j+1} (+ xy r_j for j <= m-2)
+    and Q_j = -z q_j + x q_{j+1} (+ zw r_{j-1} for j >= 2), j = 1..m-1.
+    Degree 1, vertex 0: A = -wx p_1 + yx q_1 and B_j = -wz p_j + yz q_j
+    (- wzy r_{j-1} for 2 <= j <= m-1), j = 1..m.  Degree 0, vertex 1:
+    -z A + x B_1, then zw P_j - zy Q_j - z B_j + x B_{j+1}, j = 1..m-1.
+    """
+    gens, diff = [], {}
+
+    def add(vertex, degree, internal, *entries):
+        name = "syz%d_%d" % (degree, sum(g.degree == degree for g in gens))
+        gens.append(FCGen(name, vertex, degree, internal))
+        diff[name] = [(_f({word: c}), out) for out, word, c in sorted(entries)]
+        return name
+
+    P, Q, B = {}, {}, {}  # [entry] * cond: the entry only where cond holds
+    for j in range(1, m):
+        P[j] = add(1, 1, 3, ("p%d" % j, "z", -1), ("p%d" % (j + 1), "x", 1),
+                   *[("r%d" % j, "xy", 1)] * (j <= m - 2))
+        Q[j] = add(1, 1, 3, ("q%d" % j, "z", -1), ("q%d" % (j + 1), "x", 1),
+                   *[("r%d" % (j - 1), "zw", 1)] * (j >= 2))
+    A = add(0, 1, 4, ("p1", "wx", -1), ("q1", "yx", 1))
+    for j in range(1, m + 1):
+        B[j] = add(0, 1, 4, ("p%d" % j, "wz", -1), ("q%d" % j, "yz", 1),
+                   *[("r%d" % (j - 1), "wzy", -1)] * (2 <= j <= m - 1))
+    add(1, 0, 5, (A, "z", -1), (B[1], "x", 1))
+    for j in range(1, m):
+        add(1, 0, 5, (P[j], "zw", 1), (Q[j], "zy", -1), (B[j], "z", -1), (B[j + 1], "x", 1))
+    return gens, diff
+
+
 @lru_cache(maxsize=None)
 def table_sphere_m(m: int) -> FreeComplex:
     """Complex of the m-th sphere (2 <= m <= 6); cohomology in the top
-    degree is the chain module with dims (m-1, m)."""
+    degree is the chain module with dims (m-1, m).  The top rows of
+    `_sphere_m_top` with the closed-form syzygies of `_sphere_m_syzygies`
+    below them: a minimal projective resolution."""
     if not 2 <= m <= SM_MAX:
         raise ValueError("sphere index must be in 2..%d" % SM_MAX)
     gens, diff = _sphere_m_top(m)
-    top = FreeComplex(gens, diff)
-    return extend_resolution(top, cutoff=10, s_cap=7)
+    low_gens, low_diff = _sphere_m_syzygies(m)
+    return FreeComplex(gens + low_gens, {**diff, **low_diff})
 
 
 def m1b_table(target: str, rho=None, m=None) -> FreeComplex:

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conifold_flop import linalg, reps
-from conifold_flop.exactcx import QC, admissible, phase_lt
+from conifold_flop.exactcx import QC, admissible, cross, phase_lt
 from conifold_flop.paths import SRC, TGT, relations
 from conifold_flop.reps import (StabilityParams, arrow_closed, central_charge, check_rep,
                                 exact_subrep_candidates, flop_K, is_stable, make_catalog_rep,
@@ -87,6 +88,27 @@ def test_phase_examples():
         phase_lt(QC(0, 0), QC(1, 1))
     with pytest.raises(ValueError):
         phase_lt(QC(1, 0), QC(1, 1))  # positive axis not admissible
+
+
+def test_phase_lt_matches_cross_sign_on_seeded_samples():
+    # phase_lt decides the sign of cross(u, v) on numerators and
+    # denominators; the negative real axis, equal phases and large
+    # denominators included
+    rng = random.Random(5)
+    big = 10 ** 30
+
+    def frac(lo, hi, den_hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, den_hi))
+
+    us = [QC(-frac(1, big, big), 0) for _ in range(20)]           # negative real axis
+    us += [QC(frac(-50, 50, 9), frac(1, 50, 9)) for _ in range(60)]
+    us += [QC(frac(-big, big, big), frac(1, big, big)) for _ in range(60)]
+    us += [Fraction(rng.randint(1, 9), rng.randint(1, big)) * u for u in us[:80]]  # equal phases
+    for u in us:
+        assert admissible(u)
+        for v in us[::7]:
+            assert phase_lt(u, v) == (cross(u, v) > 0)
+            assert phase_lt(v, u) == (cross(v, u) > 0)
 
 
 @st.composite
@@ -536,6 +558,27 @@ def _fraction_closure_up(r, seed0, seed1):
         if len(n0) == len(w0) and len(n1) == len(w1):
             return n0, n1
         w0, w1 = n0, n1
+
+
+def _assert_closure_up_matches_fractions(r):
+    # every closure an uncached run takes, in the module and in the dual
+    ri, dual = reps._integerize(r), reps._dual(reps._integerize(r))
+    for tag, seed0, seed1 in _closure_up_calls(r):
+        module = ri if tag == "module" else dual
+        assert reps._closure_up(module, seed0, seed1) == _fraction_closure_up(module, seed0, seed1)
+
+
+@pytest.mark.parametrize("kind,args", CATALOG)
+def test_closure_up_matches_fractions_on_catalog(kind, args):
+    r = make_catalog_rep(kind, *args)
+    for module in (r, _sheared(r)):
+        _assert_closure_up_matches_fractions(module)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_quadruples())
+def test_closure_up_matches_fractions_on_quadruples(r):
+    _assert_closure_up_matches_fractions(r)
 
 
 def _fraction_seeds(r):

@@ -114,6 +114,36 @@ def test_image_tables_match_apply_tables(d0, d1):
         assert t.imgB[c] == scan._apply_tables(scan._rows_of(c, d0, d1), d1, d0)
 
 
+@pytest.mark.parametrize("d0,d1", [(d0, t - d0) for t in range(1, 6) for d0 in range(t + 1)])
+def test_composition_tables_match_direct_products(d0, d1):
+    # the tables are spanned from unit codes; each entry is one product
+    t = scan._Tables(d0, d1)
+    pack, mul = scan._pack, scan._mul_rows
+    for a in t.codesA:
+        for b in t.codesB:
+            assert t.pab[a][b] == pack(mul(t.rowsA[a], t.rowsB[b]), d1)
+            assert t.pba[b][a] == pack(mul(t.rowsB[b], t.rowsA[a]), d0)
+    # every End code up to dimension 3; above it, every code the scan can
+    # pass in (a product in pab or pba): End(GF(2)^5) alone has 2^25 codes
+    for d, width, table, q, rows in ((d1, d0, t.pab, t.qa, t.rowsA), (d0, d1, t.pba, t.qb, t.rowsB)):
+        codes = range(1 << (d * d)) if d <= 3 else sorted({c for row in table for c in row})
+        for c in codes:
+            rows_c = scan._rows_of(c, d, d)
+            assert q(c) == [pack(mul(rows_c, r), width) for r in rows]
+
+
+@pytest.mark.parametrize("dim", range(5))
+def test_subspaces_cached_value_is_immutable(dim):
+    subs = scan._subspaces(dim)
+    assert scan._subspaces(dim) is subs
+    assert isinstance(subs, tuple)
+    assert all(isinstance(s, tuple) and isinstance(s[2], tuple) for s in subs)
+    with pytest.raises((TypeError, AttributeError)):
+        subs[0] = None
+    with pytest.raises(AttributeError):
+        subs.append(None)
+
+
 @pytest.mark.parametrize("d0,d1", [(1, 1), (2, 3), (3, 2), (2, 2), (1, 4)])
 def test_rank_forms_partition_all_matrices(d0, d1):
     forms = scan._rank_forms(d0, d1, ascending=True)

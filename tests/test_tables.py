@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from conifold_flop import tables
 from conifold_flop.freecomplex import (FCGen, FreeComplex, ModuleSlices, StabilizationError,
-                                       d_squared_ideal_check)
+                                       d_squared_ideal_check, extend_resolution)
 from conifold_flop.paths import FreePathElement, fpe
 from conifold_flop.tables import (catalog_tables, m1b_table, table_sphere0,
                                   table_sphere_m, table_torus)
@@ -74,6 +75,22 @@ def test_sphere_m_row_shapes():
     assert _row(fc3, "q2") == {"c1": fpe("wz")}
     assert _row(fc3, "p3") == {"c2": fpe("yz")}
     assert _row(fc3, "q1") == {"c1": fpe("wx")}
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_sphere_m_closed_form_matches_syzygy_completion(m):
+    # the oracle: the top rows completed downward by computed minimal
+    # syzygies; the same generators, names, order and rows
+    want = extend_resolution(FreeComplex(*tables._sphere_m_top(m)),
+                             cutoff=10 if m <= 6 else 12, s_cap=7)
+    if m <= tables.SM_MAX:
+        got = table_sphere_m(m)
+    else:  # beyond SM_MAX: the closed form itself, below the same top rows
+        top_gens, top_diff = tables._sphere_m_top(m)
+        low_gens, low_diff = tables._sphere_m_syzygies(m)
+        got = FreeComplex(top_gens + low_gens, {**top_diff, **low_diff})
+    assert got.gens == want.gens
+    assert got.diff == want.diff
 
 
 def test_sphere_m_range():
