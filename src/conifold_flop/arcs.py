@@ -110,17 +110,18 @@ class DegenerateArc(ValueError):
     """Vertex exactly on a reference set; perturb the arc and retry."""
 
 
-def _sq_dist(p, q=(0, 0)):
-    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-
-
-def _segment_clearance_ok(p, q, eps):
-    """Minimal distance of segment pq to the origin is at least eps."""
+def _clears_origin(p, q, eps2):
+    """The segment pq keeps squared distance at least ``eps2`` from the
+    origin.  With D = q - p, the nearest point is p when p.D >= 0, q when
+    q.D <= 0, and otherwise lies inside, at squared distance
+    cross(p, q)^2 / |D|^2; no division is needed."""
     dx, dy = q[0] - p[0], q[1] - p[1]
-    t = -(p[0] * dx + p[1] * dy) / (dx * dx + dy * dy)
-    t = max(F(0), min(F(1), t))
-    closest = (p[0] + t * dx, p[1] + t * dy)
-    return _sq_dist(closest) >= eps * eps
+    if p[0] * dx + p[1] * dy >= 0:
+        return p[0] * p[0] + p[1] * p[1] >= eps2
+    if q[0] * dx + q[1] * dy <= 0:
+        return q[0] * q[0] + q[1] * q[1] >= eps2
+    cross = p[0] * q[1] - p[1] * q[0]
+    return cross * cross >= eps2 * (dx * dx + dy * dy)
 
 
 def _orient(p, q, r):
@@ -153,28 +154,26 @@ def _segments_cross(p1, q1, p2, q2):
 def validate_arc(arc: PLArc, cfg: SceneConfig):
     """Simplicity, endpoint placement and origin clearance, all exact.
     Returns True or raises ValueError; an invalid arc is not cached, so it
-    raises on every call.  Endpoints and clearance are checked on the
-    Fraction vertices; the fold-back test and the all-pairs crossing test
-    then run on integer vertices, the Fraction ones times one positive
-    scale (`linalg.integer_row` of all coordinates), which keeps every
-    sign and so every verdict."""
+    raises on every call.  Endpoints are checked on the Fraction vertices.
+    Every other test is the sign of a homogeneous polynomial in the
+    coordinates and eps: the degenerate-segment and clearance tests, the
+    fold-back test and the all-pairs crossing test.  So they all run on
+    integers, the vertices and eps times one positive scale
+    (`linalg.integer_row` of all of them), which keeps every sign and so
+    every verdict and message."""
     pts = arc.points
     ends = {pts[0], pts[-1]}
     marked = {(cfg.a, F(0)), (cfg.b, F(0))}
     if ends != marked:
         raise ValueError("arc endpoints must be the two marked points")
-    segs = arc.segments()
+    *flat, eps = integer_row([c for p in pts for c in p] + [cfg.eps])
+    ipts = list(zip(flat[0::2], flat[1::2]))
+    segs = list(zip(ipts[:-1], ipts[1:]))
     for p, q in segs:
         if p == q:
             raise ValueError("degenerate segment")
-        if not _segment_clearance_ok(p, q, cfg.eps):
+        if not _clears_origin(p, q, eps * eps):
             raise ValueError("arc passes within eps of the origin")
-    # the fold-back and crossing tests below are signs of homogeneous
-    # polynomials of degree 1 or 2 in the coordinates, so they run on the
-    # vertices times one positive scale, as integers
-    flat = integer_row([c for p in pts for c in p])
-    ipts = list(zip(flat[0::2], flat[1::2]))
-    segs = list(zip(ipts[:-1], ipts[1:]))
     for i, (p1, q1) in enumerate(segs):
         # consecutive segments share exactly their joint vertex: collinear
         # ones must not turn back, whichever of them runs further

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from .arcs import PLArc, SceneConfig
 from .exactcx import QC
-from .freecomplex import FCGen, FreeComplex
 from .paths import FreePathElement
 from .reps import Representation, StabilityParams, StabilityVerdict
 
@@ -50,10 +49,6 @@ def fpe_to_json(e: FreePathElement):
     return [{"word": w, "coeff": frac_str(e.coeffs[w])} for w in e.words()]
 
 
-def fpe_from_json(data) -> FreePathElement:
-    return FreePathElement({item["word"]: parse_frac(item["coeff"]) for item in data})
-
-
 def matrix_to_json(m):
     return [[frac_str(c) for c in row] for row in m]
 
@@ -76,11 +71,6 @@ def rep_from_json(data) -> Representation:
     return Representation(dims, *(matrix_from_json(_field(data, a)) for a in "xzyw"))
 
 
-def params_to_json(p: StabilityParams):
-    return {"z0": [frac_str(p.z0.re), frac_str(p.z0.im)],
-            "z1": [frac_str(p.z1.re), frac_str(p.z1.im)]}
-
-
 def params_from_json(data) -> StabilityParams:
     z0, z1 = (_seq(_field(data, k), k, 2) for k in ("z0", "z1"))
     return StabilityParams(QC(parse_frac(z0[0]), parse_frac(z0[1])),
@@ -99,36 +89,6 @@ def verdict_to_json(v: StabilityVerdict):
     return out
 
 
-def complex_to_json(fc: FreeComplex):
-    gens = [{"name": g.name, "vertex": g.vertex, "degree": g.degree,
-             "internal": g.internal} for g in fc.gens]
-    names = [g.name for g in fc.gens]
-    matrix = []
-    for out_name in names:
-        row = []
-        for in_name in names:
-            entry = FreePathElement()
-            for coeff, target in fc.diff[in_name]:
-                if target == out_name:
-                    entry = entry + coeff
-            row.append(fpe_to_json(entry))
-        matrix.append(row)
-    return {"generators": gens, "differential": matrix}
-
-
-def complex_from_json(data) -> FreeComplex:
-    gens = [FCGen(g["name"], g["vertex"], g["degree"], g["internal"])
-            for g in data["generators"]]
-    names = [g.name for g in gens]
-    diff = {}
-    for i, out_name in enumerate(names):
-        for j, in_name in enumerate(names):
-            e = fpe_from_json(data["differential"][i][j])
-            if not e.is_zero():
-                diff.setdefault(in_name, []).append((e, out_name))
-    return FreeComplex(gens, diff)
-
-
 def arc_to_json(arc: PLArc):
     return {"points": [[frac_str(x), frac_str(y)] for x, y in arc.points],
             "orientation": arc.orientation}
@@ -139,11 +99,6 @@ def arc_from_json(data) -> PLArc:
     return PLArc(tuple((parse_frac(x), parse_frac(y))
                        for x, y in (_seq(p, "point", 2) for p in points)),
                  data.get("orientation", 1))
-
-
-def scene_to_json(cfg: SceneConfig):
-    return {"a": frac_str(cfg.a), "b": frac_str(cfg.b), "r1": frac_str(cfg.r1),
-            "r2": frac_str(cfg.r2), "eps": frac_str(cfg.eps)}
 
 
 def scene_from_json(data) -> SceneConfig:

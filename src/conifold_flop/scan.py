@@ -47,6 +47,18 @@ carry it).  The order changes how soon a witness is found, never a result.
 
 The loop order prunes aggressively: the relation xyz = zyx constrains
 (x, z) given y alone, so its solution table is reused across all w.
+
+Four sub-dimension vectors are decided on one pair of arrows out of one
+vertex.  A closed pair of dims (1, 0) is a common kernel vector of x and
+z; (0, 1) one of y and w; (d0, d1 - 1) is a hyperplane of V1 holding the
+images of x and z, so it exists exactly when im x + im z != V1; and
+(d0 - 1, d1) exists exactly when im y + im w != V0.  When these dims
+destabilize, the kernel drops a pair (x, z), or a w against y, whose
+``_simple_masks`` meet before it tests the relations: ``_stable`` would
+find that closed pair, so no count changes.  By counting dimensions, two
+maps V0 -> V1 share a kernel vector and two maps V1 -> V0 miss part of V0
+once d0 > 2 d1; then, or in the mirror case d1 > 2 d0, ``scan_dims``
+returns 0 before it builds the tables.
 """
 
 from __future__ import annotations
@@ -226,11 +238,35 @@ def _rank_forms(d0, d1, ascending):
     return forms if ascending else forms[::-1]
 
 
+def _simple_masks(img, src, tgt, kernel, cokernel):
+    """One bitmask per code from its image table ``img``: with ``kernel``,
+    the nonzero source vectors it sends to 0 (bits 1 .. 2^src - 1); with
+    ``cokernel``, the nonzero functionals on the target that vanish on the
+    images of the unit vectors (shifted past them).  Two codes of one side
+    have a common kernel vector, or images spanning less than the target,
+    exactly when their masks meet."""
+    masks = []
+    for im in img:
+        cols = [im[1 << i] for i in range(src)]
+        mask = 0
+        if kernel:
+            mask |= sum(1 << v for v in range(1, 1 << src) if not im[v])
+        if cokernel:
+            mask |= sum(1 << f for f in range(1, 1 << tgt)
+                        if not any(bin(f & c).count("1") & 1 for c in cols)) << (1 << src)
+        masks.append(mask)
+    return masks
+
+
 def scan_dims(d0, d1, destab, count_all=True):
     """Number of stable relation-satisfying nilpotent tuples over GF(2).
 
     With ``count_all`` false, stops at the first stable representation.
     """
+    # a simple sub or quotient forced by counting dimensions (module docstring)
+    if (d0 > 2 * d1 and ((1, 0) in destab or (d0 - 1, d1) in destab)
+            or d1 > 2 * d0 and ((0, 1) in destab or (d0, d1 - 1) in destab)):
+        return 0
     t = _Tables(d0, d1)
     subs0 = _subspaces(d0)
     subs1 = _subspaces(d1)
@@ -246,19 +282,25 @@ def scan_dims(d0, d1, destab, count_all=True):
     codesA, codesB = t.codesA, t.codesB
     pab, pba, nil = t.pab, t.pba, t.nil
     imgA, imgB = t.imgA, t.imgB
+    # a pair whose masks meet has a closed pair of dims (1, 0), (d0, d1 - 1),
+    # (0, 1) or (d0 - 1, d1), whichever of them destabilize
+    maskA = _simple_masks(imgA, d0, d1, (1, 0) in destab, (d0, d1 - 1) in destab)
+    maskB = _simple_masks(imgB, d1, d0, (0, 1) in destab, (d0 - 1, d1) in destab)
     # witnesses sit at low rank of y when the vertex-0 simple destabilizes
     for y, orbit in _rank_forms(d0, d1, ascending=(1, 0) in destab):
         pba_y = pba[y]
-        ay = imgB[y]
+        ay, my = imgB[y], maskB[y]
         fibre = 0
         # rel xyz = zyx depends on (x, y, z) only; index solutions by z
         s1 = {}
         for x in codesA:
-            qx = t.qa(pab[x][y])
+            qx, mx = t.qa(pab[x][y]), maskA[x]
             for z in codesA:
-                if qx[z] == t.qa(pab[z][y])[x]:
+                if not mx & maskA[z] and qx[z] == t.qa(pab[z][y])[x]:
                     s1.setdefault(z, []).append(x)
         for w in codesB:
+            if my & maskB[w]:
+                continue
             pba_w = pba[w]
             aw = imgB[w]
             # rel wxy = yxw and the loops yx, wx: prune x given (y, w)

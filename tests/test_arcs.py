@@ -42,9 +42,23 @@ def test_segments_cross_agrees_with_the_on_segment_test(p1, q1, p2, q2):
     assert _segments_cross(p1, q1, p2, q2) == _segments_cross_by_on_seg(p1, q1, p2, q2)
 
 
+def _sq_dist(p, q=(0, 0)):
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+
+def _segment_clearance_ok(p, q, eps):
+    """Minimal distance of segment pq to the origin is at least eps: the
+    nearest point at the clamped parameter, in Fractions."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    t = -(p[0] * dx + p[1] * dy) / (dx * dx + dy * dy)
+    t = max(F(0), min(F(1), t))
+    closest = (p[0] + t * dx, p[1] + t * dy)
+    return _sq_dist(closest) >= eps * eps
+
+
 def _validate_by_fractions(arc, cfg):
-    """The body ``validate_arc`` had before its pair loop ran on integer
-    vertices: every test on the Fraction vertices."""
+    """The body ``validate_arc`` had before it ran on integer vertices:
+    every test on the Fraction vertices."""
     pts = arc.points
     if {pts[0], pts[-1]} != {(cfg.a, F(0)), (cfg.b, F(0))}:
         raise ValueError("arc endpoints must be the two marked points")
@@ -52,7 +66,7 @@ def _validate_by_fractions(arc, cfg):
     for p, q in segs:
         if p == q:
             raise ValueError("degenerate segment")
-        if not arcs._segment_clearance_ok(p, q, cfg.eps):
+        if not _segment_clearance_ok(p, q, cfg.eps):
             raise ValueError("arc passes within eps of the origin")
     for i, (p1, q1) in enumerate(segs):
         if i + 1 < len(segs):
@@ -105,6 +119,28 @@ def _random_arc(rng, cfg):
     return PLArc(tuple(pts))
 
 
+def _near_origin_arc(rng, cfg):
+    """An arc from one marked point round a far corner and back through
+    vertices near the origin: multiples of eps / 4 within 3 eps, points at
+    distance exactly eps, or a pair on a line tangent to the eps circle."""
+    ends = [(cfg.a, F(0)), (cfg.b, F(0))]
+    rng.shuffle(ends)
+    e = cfg.eps
+    pts = [ends[0], (ends[0][0], F(3)), (F(2), F(3))]
+    for _ in range(rng.randint(1, 3)):
+        move = rng.choice(("grid", "grid", "circle", "tangent"))
+        sx, sy = rng.choice((1, -1)), rng.choice((1, -1))
+        if move == "grid":
+            pts.append((e * F(rng.randint(-12, 12), 4), e * F(rng.randint(-12, 12), 4)))
+        elif move == "circle":
+            pts.append(rng.choice(((sx * e, F(0)), (F(0), sy * e), (sx * e * F(3, 5), sy * e * F(4, 5)))))
+        else:
+            t = F(rng.randint(1, 8), 4)
+            pts += [(sx * e, -t), (sx * e, t)] if rng.random() < 0.5 else [(-t, sy * e), (t, sy * e)]
+    pts.append(ends[1])
+    return PLArc(tuple(pts))
+
+
 def test_integer_pair_loop_matches_the_fraction_pair_loop():
     rng = random.Random(20171)
     seen = collections.Counter()
@@ -114,6 +150,14 @@ def test_integer_pair_loop_matches_the_fraction_pair_loop():
         want = _verdict(_validate_by_fractions, arc, cfg)
         assert _verdict(arcs.validate_arc.__wrapped__, arc, cfg) == want, arc
         seen[want] += 1
+    near = collections.Counter()
+    for _ in range(400):
+        cfg = rng.choice(_SCENES)
+        arc = _near_origin_arc(rng, cfg)
+        want = _verdict(_validate_by_fractions, arc, cfg)
+        assert _verdict(arcs.validate_arc.__wrapped__, arc, cfg) == want, arc
+        near[want] += 1
+    assert near["arc passes within eps of the origin"] >= 30 and near[True] >= 30, near
     # the flop images of S:k for k != 0 have 31 to 39 vertices with large
     # denominators; one vertex moved onto another one, or a fold-back
     # inserted, spoils them
@@ -129,6 +173,22 @@ def test_integer_pair_loop_matches_the_fraction_pair_loop():
     for verdict in (True, "arc is not simple", "consecutive segments fold back",
                     "degenerate segment", "arc endpoints must be the two marked points"):
         assert seen[verdict] >= 30, seen
+
+
+def test_clearance_at_exactly_eps_passes():
+    e = CFG.eps
+    # a horizontal segment tangent to the eps circle, nearest at its inside
+    # point (0, eps), then a vertex at distance eps, nearest to both of its
+    # segments; each passes, and moved inwards each fails
+    for shrink, want in ((1, True), (F(8, 9), "arc passes within eps of the origin")):
+        tangent = ((CFG.b, F(0)), (F(-1), e * shrink), (F(1), e * shrink), (F(1), F(2)),
+                   (CFG.a, F(2)), (CFG.a, F(0)))
+        vertex = ((CFG.b, F(0)), (F(-1), F(2)), (e * shrink * F(3, 5), e * shrink * F(4, 5)),
+                  (F(1), F(2)), (F(1), F(4)), (CFG.a, F(4)), (CFG.a, F(0)))
+        for pts in (tangent, vertex):
+            arc = PLArc(pts)
+            assert _verdict(_validate_by_fractions, arc, CFG) == want
+            assert _verdict(arcs.validate_arc.__wrapped__, arc, CFG) == want
 
 
 def test_scene_validation():
@@ -231,7 +291,7 @@ def _subdivide_by_recomputed_levels(arc, cfg, radii2):
     """The body ``_subdivide_for_zones`` had before it carried ring levels:
     the levels of both ends of every segment recomputed on every pass."""
     def ring_level(p):
-        return bisect_left(radii2, arcs._sq_dist(p, (cfg.center, 0)))
+        return bisect_left(radii2, _sq_dist(p, (cfg.center, 0)))
 
     pts = list(arc.points)
     for _ in range(24):

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conifold_flop import homalg, linalg, reps
-from conifold_flop.freecomplex import (FCGen, FreeComplex, ModuleSlices, _minimal_generators,
-                                       _syzygy_step, extend_resolution)
+from conifold_flop.freecomplex import (FCGen, FreeComplex, ModuleSlices, StabilizationError,
+                                       _minimal_generators, _syzygy_step, extend_resolution,
+                                       graded_cohomology)
 from conifold_flop.homalg import (ExtensionDatum, build_extension, ext1, ext1_dim, ext_dims,
                                   flop_point_analysis, free_complex_cohomology, hom, hom_dim,
                                   is_module_map, iso_check, psi_sphere)
 from conifold_flop.paths import SRC, TGT, relations
 from conifold_flop.reps import is_stable, make_catalog_rep, rep, scale_arrow, stability_params
-from conifold_flop.tables import table_sphere0, table_sphere1, table_sphere_m, table_torus
+from conifold_flop.tables import (catalog_tables, table_sphere0, table_sphere1, table_sphere_m,
+                                  table_torus)
 from conifold_flop.truncated import truncated_algebra
 
 CH1 = stability_params(-1, 2, 1, 1)
@@ -444,3 +446,49 @@ def _quadruple(draw):
 def test_hom_and_ext1_match_oracles_on_quadruples(m, n):
     _assert_matches_oracles(m, n)
     assert reps._end_dim(m) == len(_oracle_hom(m, m))
+
+
+# --- one cohomology window ------------------------------------------------------
+
+
+def _window_tables():
+    return [*catalog_tables(rho=2, ms=(2, 3)).values(), table_torus(2),
+            *(table_sphere_m(m) for m in range(2, 7))]
+
+
+@pytest.mark.parametrize("cutoff", [6, 7])
+def test_second_window_repeats_the_first(cutoff):
+    # every generator has internal degree >= -3, so the window s <= cutoff - 3
+    # is the same over the cutoff + 1 algebra; free_complex_cohomology skips it
+    for fc in _window_tables():
+        assert min(g.internal for g in fc.gens) >= -3
+        assert graded_cohomology(fc, cutoff) == graded_cohomology(fc, cutoff + 1, s_max=cutoff - 3)
+
+
+def _deep_generator_complex():
+    return FreeComplex([FCGen("g", 0, 3, -4)], {})
+
+
+def test_internal_degree_below_minus_3_runs_the_second_window(monkeypatch):
+    calls = []
+
+    def windows(fc, cutoff, s_max=None):
+        # the two windows disagree, as a truncation artefact would make them
+        calls.append((cutoff, s_max))
+        return {3: S0 if s_max is None else S1}
+
+    monkeypatch.setattr(homalg, "graded_cohomology", windows)
+    with pytest.raises(RuntimeError, match="cohomology did not stabilize"):
+        free_complex_cohomology(_deep_generator_complex(), 6)
+    assert calls == [(6, None), (7, 3)]
+    calls.clear()
+    assert free_complex_cohomology(table_sphere0(), 6) == {0: S0}
+    assert calls == [(6, None)]
+
+
+def test_internal_degree_below_minus_3_overflows_the_first_window():
+    # with the real windows, the length-cutoff words of a generator of
+    # internal degree -4 sit inside the first window, and an arrow takes
+    # them past its cutoff
+    with pytest.raises(StabilizationError, match="arrow action left the window"):
+        free_complex_cohomology(_deep_generator_complex(), 6)

@@ -196,11 +196,31 @@ def _relations_hold(rx, rz, ry, rw):
             and word(rw, rx, ry) == word(ry, rx, rw) and word(rx, ry, rz) == word(rz, ry, rx))
 
 
+def _simple_destabilizes(images, d0, d1, destab):
+    """Whether a closed pair of dims (1, 0), (0, 1), (d0, d1 - 1) or
+    (d0 - 1, d1) lies in ``destab``: a common kernel vector of x and z, or
+    of y and w, or images of x and z (of y and w) spanning less than V1
+    (than V0).  Ranks by Gaussian elimination on the image vectors."""
+    ax, az, ay, aw = images
+
+    def common_kernel(a, b, src):
+        return any(not a[v] and not b[v] for v in range(1, 1 << src))
+
+    def rank(a, b, src):
+        return len(_reduce_basis([m[1 << i] for m in (a, b) for i in range(src)]))
+
+    return ((1, 0) in destab and common_kernel(ax, az, d0)
+            or (0, 1) in destab and common_kernel(ay, aw, d1)
+            or (d0, d1 - 1) in destab and rank(ax, az, d0) < d1
+            or (d0 - 1, d1) in destab and rank(ay, aw, d1) < d0)
+
+
 @pytest.mark.parametrize("chamber", [1, -1])
 def test_loop_rule_matches_radical_chain(chamber, monkeypatch):
-    # the kernel hands every tuple passing its relation and loop filters to
-    # _stable; those must be exactly the relation-satisfying tuples (y in
-    # its rank forms) that the radical chain finds nilpotent
+    # the kernel hands every tuple passing its relation, loop and simple
+    # filters to _stable; those must be exactly the relation-satisfying
+    # tuples (y in its rank forms) that the radical chain finds nilpotent
+    # and that have no destabilizing simple sub or quotient
     seen = set()
 
     def record(ax, az, ay, aw, pairs_by_dims, destab):
@@ -209,10 +229,11 @@ def test_loop_rule_matches_radical_chain(chamber, monkeypatch):
 
     monkeypatch.setattr(scan, "_stable", record)
     assert scan.scan_stable_dimvectors(chamber, 4, with_counts=True) == {}
-    expected, satisfying = set(), 0
+    expected, satisfying, simple = set(), 0, 0
     for total in range(1, 5):
         for d0 in range(total + 1):
             d1 = total - d0
+            destab = scan.destabilizing_pairs(chamber, d0, d1)
             rows_a = [scan._rows_of(c, d1, d0) for c in range(1 << (d0 * d1))]
             rows_b = [scan._rows_of(c, d0, d1) for c in range(1 << (d0 * d1))]
             for y, _ in scan._rank_forms(d0, d1, ascending=True):
@@ -223,10 +244,79 @@ def test_loop_rule_matches_radical_chain(chamber, monkeypatch):
                     satisfying += 1
                     images = (scan._apply_tables(rx, d0, d1), scan._apply_tables(rz, d0, d1),
                               scan._apply_tables(ry, d1, d0), scan._apply_tables(rw, d1, d0))
-                    if _nilpotent(*images, d0, d1):
+                    if not _nilpotent(*images, d0, d1):
+                        continue
+                    if _simple_destabilizes(images, d0, d1, destab):
+                        simple += 1
+                    else:
                         expected.add(tuple(map(tuple, images)))
-    assert len(expected) < satisfying  # the rule has tuples to reject
+    assert len(expected) + simple < satisfying  # the rule has tuples to reject
+    assert simple  # and so has the simple filter
     assert seen == expected
+
+
+@pytest.fixture(scope="module")
+def nilpotent_tuples4():
+    """{(d0, d1): every relation-satisfying nilpotent code tuple (x, z, y, w)}
+    for d0 + d1 <= 4, y over all codes, and the cell's image tables."""
+    out = {}
+    for total in range(1, 5):
+        for d0 in range(total + 1):
+            d1 = total - d0
+            t = scan._Tables(d0, d1)
+            tuples = [(x, z, y, w) for x, z, y, w in itertools.product(t.codesA, t.codesA, t.codesB, t.codesB)
+                      if _relations_hold(t.rowsA[x], t.rowsA[z], t.rowsB[y], t.rowsB[w])
+                      and _nilpotent(t.imgA[x], t.imgA[z], t.imgB[y], t.imgB[w], d0, d1)]
+            out[(d0, d1)] = (t, tuples)
+    return out
+
+
+@pytest.mark.parametrize("chamber", [1, -1])
+def test_simple_filter_drops_only_unstable_tuples(chamber, nilpotent_tuples4):
+    # the kernel's masks meet exactly on the tuples with a destabilizing
+    # simple sub or quotient, and _stable rejects each of them; in the cells
+    # that return before the tables, every tuple is such a tuple
+    dropped = 0
+    for (d0, d1), (t, tuples) in nilpotent_tuples4.items():
+        destab = scan.destabilizing_pairs(chamber, d0, d1)
+        forced = (d0 > 2 * d1 and ((1, 0) in destab or (d0 - 1, d1) in destab)
+                  or d1 > 2 * d0 and ((0, 1) in destab or (d0, d1 - 1) in destab))
+        mask_a = scan._simple_masks(t.imgA, d0, d1, (1, 0) in destab, (d0, d1 - 1) in destab)
+        mask_b = scan._simple_masks(t.imgB, d1, d0, (0, 1) in destab, (d0 - 1, d1) in destab)
+        pairs = {(e0, e1): [(m0, b0, m1, b1) for k0, m0, b0 in scan._subspaces(d0) if k0 == e0
+                            for k1, m1, b1 in scan._subspaces(d1) if k1 == e1]
+                 for e0, e1 in destab}
+        for x, z, y, w in tuples:
+            images = (t.imgA[x], t.imgA[z], t.imgB[y], t.imgB[w])
+            masked = bool(mask_a[x] & mask_a[z] or mask_b[y] & mask_b[w])
+            assert masked == _simple_destabilizes(images, d0, d1, destab)
+            assert masked or not forced
+            if masked:
+                dropped += 1
+                assert not scan._stable(*images, pairs, destab)
+    assert dropped
+
+
+def test_forced_cells_return_before_the_tables(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def no_tables(d0, d1):
+        raise Built
+
+    monkeypatch.setattr(scan, "_Tables", no_tables)
+    for chamber in (1, -1):
+        early = set()
+        for total in range(1, 6):
+            for d0 in range(total + 1):
+                destab = scan.destabilizing_pairs(chamber, d0, total - d0)
+                try:
+                    assert scan.scan_dims(d0, total - d0, destab) == 0
+                except Built:
+                    continue
+                early.add((d0, total - d0))
+        assert early == {(0, 2), (0, 3), (0, 4), (0, 5), (2, 0), (3, 0), (4, 0), (5, 0),
+                         (1, 3), (3, 1), (1, 4), (4, 1)}
 
 
 # --- oracle: the GF(2) End dimension from packed intertwining equations --------
