@@ -102,17 +102,13 @@ class ModuleSlices:
         self.gens = tuple(gens)
         self.s_max = s_max
         self.basis = {}
-        self.position = {}
         for gi, g in enumerate(self.gens):
             for u in (0, 1):
                 for length, word in A.basis[(g.vertex, u)]:
                     s = g.internal + length
                     if s > s_max:
                         continue
-                    key = (s, u)
-                    slot = self.basis.setdefault(key, [])
-                    self.position[(gi, word, u)] = (key, len(slot))
-                    slot.append((gi, word))
+                    self.basis.setdefault((s, u), []).append((gi, word))
 
     def slice_dim(self, s, u):
         return len(self.basis.get((s, u), ()))

@@ -299,32 +299,28 @@ def ext_dims(vertex: int, m: Representation):
 
 
 def free_complex_cohomology(fc: FreeComplex, cutoff: int):
-    """Graded cohomology as representations, keyed by the shifted degree
-    (top homological degree 3 becomes 0); dims must agree between the
-    cutoff and cutoff + 1 on the same window s <= cutoff - 3.
+    """Graded cohomology as representations on the window s <= cutoff - 3,
+    keyed by the shifted degree (top homological degree 3 becomes 0).
 
-    The second window is computed only if a generator has internal degree
-    below -3.  Otherwise it repeats the first one exactly:
-    - a basis element (generator g, word) of the window has length
-      s - g.internal <= cutoff, so both algebras give the window the same
-      basis, in the same order: the classes of length L come from the
-      union-find on the words of length L alone;
-    - every product the first window forms has length at most its cutoff,
-      or `class_of` returns None there and the first window raises
-      `StabilizationError`; below the cutoff both algebras return the same
-      class.
-    So the second window would make the same calls with the same results,
-    and its dimensions could not differ."""
+    The window needs no check against the cutoff + 1 algebra:
+    - if every generator has internal degree >= -3, a window element
+      (generator g, word) has length s - g.internal <= cutoff, so over the
+      cutoff + 1 algebra the window has the same basis in the same order
+      and every product the window forms has the same class (a class is
+      its source and arrow counts); a product past the cutoff makes
+      `class_of` return None, and the window raises `StabilizationError`;
+    - otherwise let g have the least internal degree, i < -3.  A
+      differential entry lowers the internal degree by its length, which
+      is positive, so no entry leaves g, and its words of length cutoff are
+      cycles at s = i + cutoff <= cutoff - 4, inside the window.  An entry
+      into g from a generator with window elements overflows the cutoff
+      on that generator's words of greatest length in the window.  Failing
+      that, no boundary reaches g, so a cohomology class at that slice
+      holds a length-cutoff word of g, and an arrow on it leaves the
+      window.  Either way the window raises `StabilizationError`."""
     if cutoff < 6:
         raise ValueError("cutoff must be at least 6")
-    first = graded_cohomology(fc, cutoff)
-    if any(g.internal < -3 for g in fc.gens):
-        second = graded_cohomology(fc, cutoff + 1, s_max=cutoff - 3)
-        d1 = {k: r.dims for k, r in first.items()}
-        d2 = {k: r.dims for k, r in second.items()}
-        if d1 != d2:
-            raise RuntimeError("cohomology did not stabilize: %r vs %r" % (d1, d2))
-    return {k - 3: r for k, r in first.items()}
+    return {k - 3: r for k, r in graded_cohomology(fc, cutoff).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
 """Length-truncated Jacobi algebras of the conifold quiver.
 
-All relations are binomial (each cyclic derivative is a difference of two
-words), so the quotient by the two-sided ideal, degree by degree, is the
-quotient of the set of composable words by the equivalence generated by
-substituting one relation word for its partner inside a larger word.  The
-basis of each homogeneous component is therefore a set of word classes,
-computed by union-find; no Groebner machinery is needed.  Products of
+A path class of the Jacobi algebra is determined by its source vertex and
+by how many x, z, y and w it contains: two composable words with the same
+source and the same arrow counts are equal modulo the relations, and
+words with different counts are independent.  This is the dimer-model
+statement that paths with the same ends and the same arrow counts agree
+(Broomhead, Mem. AMS 1011, 2012); at vertex 0 it reads
+e0.A.e0 = k[yx, yz, wx, wz]/(yx.wz - yz.wx), the coordinate ring of the
+conifold (Van den Bergh, Duke Math. J. 122, 2004).  So the basis of each
+homogeneous component is written down directly: one class per count
+vector, represented by its normal word (`_normal_word`), the
+lexicographically least composable word with those counts.  Products of
 classes whose total length exceeds the cutoff are zero.
+
+The test oracle, in `tests/test_quiver.py`, is the union-find of the
+words under the relation substitutions; it checks the basis and every
+class through `MAX_CUTOFF`.
 """
 
 from __future__ import annotations
@@ -14,16 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .paths import SRC, TGT, FreePathElement, is_composable, relations
+from .paths import SRC, TGT, FreePathElement, is_composable
 
 MAX_CUTOFF = 12
-
-# partner substitution table for the four binomial relations
-_REL_PARTNER = {}
-for _r in relations():
-    _w1, _w2 = sorted(_r.coeffs)
-    _REL_PARTNER[_w1] = _w2
-    _REL_PARTNER[_w2] = _w1
 
 
 def _words_from(source, length):
@@ -37,29 +39,24 @@ def _words_from(source, length):
     return words
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-
-    def find(self, i):
-        p = self.parent
-        root = i
-        while p[root] != root:
-            root = p[root]
-        while p[i] != root:
-            p[i], i = root, p[i]
-        return root
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+def _normal_word(source, counts):
+    """The normal word of the class with ``counts`` = (x, z, y, w) from
+    ``source``: written left to right from the last arrow to act, where the
+    j-th arrow to act leaves vertex (source + j) mod 2, taking x before z
+    out of vertex 0 and w before y out of vertex 1."""
+    x, z, y, w = counts
+    length = x + z + y + w
+    outs = ("x" * x + "z" * z, "w" * w + "y" * y)
+    first = (source + length - 1) % 2  # the vertex the last arrow leaves
+    word = [""] * length
+    word[0::2], word[1::2] = outs[first], outs[1 - first]
+    return "".join(word)
 
 
 class TruncatedAlgebra:
     """Paths of length <= N modulo the relation ideal, with exact basis.
 
-    Basis elements are canonical word representatives, indexed per
+    Basis elements are the normal words of the classes, indexed per
     (source, target) pair; the two vertex idempotents are the empty words
     at v0 and v1.
     """
@@ -68,31 +65,22 @@ class TruncatedAlgebra:
         if not 0 <= cutoff <= MAX_CUTOFF:
             raise ValueError("cutoff must be in 0..%d" % MAX_CUTOFF)
         self.cutoff = cutoff
-        # (source, length) -> {word: canonical representative}
-        self._canon = {}
         # (source, target) -> ordered list of (length, representative)
         self.basis = {(s, t): [] for s in (0, 1) for t in (0, 1)}
         self._index = {}
         for source in (0, 1):
             for length in range(cutoff + 1):
-                words = _words_from(source, length)
-                uf = _UnionFind(words)
-                for word in words:
-                    for i in range(length - 2):
-                        sub = word[i:i + 3]
-                        partner = _REL_PARTNER.get(sub)
-                        if partner is not None:
-                            uf.union(word, word[:i] + partner + word[i + 3:])
-                canon = {w: uf.find(w) for w in words}
-                self._canon[(source, length)] = canon
                 target = source if length % 2 == 0 else 1 - source
-                reps = sorted(set(canon.values()))
+                # arrows leaving vertex 0 (x or z) and vertex 1 (y or w)
+                n_xz, n_yw = (length + 1 - source) // 2, (length + source) // 2
+                reps = sorted(_normal_word(source, (x, n_xz - x, n_yw - w, w))
+                              for x in range(n_xz + 1) for w in range(n_yw + 1))
                 for rep in reps:
                     self._index[(source, rep)] = len(self.basis[(source, target)])
                     self.basis[(source, target)].append((length, rep))
 
     def class_of(self, word: str, source=None):
-        """Canonical representative of a word, or None if length > cutoff.
+        """Normal word of a word's class, or None if length > cutoff.
 
         ``source`` disambiguates the empty word (a vertex idempotent).
         """
@@ -104,23 +92,7 @@ class TruncatedAlgebra:
             raise ValueError("non-composable word %r" % word)
         if len(word) > self.cutoff:
             return None
-        return self._canon[(SRC[word[-1]], len(word))][word]
-
-    def product(self, u: str, v: str, source_u=None, source_v=None):
-        """Class of the concatenation u*v (u acts after v); None if truncated."""
-        if u == "" and v == "":
-            if source_u != source_v:
-                return None
-            return ""
-        if u == "":
-            return self.class_of(v) if TGT[v[0]] == source_u else None
-        if v == "":
-            return self.class_of(u) if SRC[u[-1]] == source_v else None
-        if SRC[u[-1]] != TGT[v[0]]:
-            return None
-        if len(u) + len(v) > self.cutoff:
-            return None
-        return self.class_of(u + v)
+        return _normal_word(SRC[word[-1]], tuple(word.count(a) for a in "xzyw"))
 
     def dims(self):
         """dict (source, target, length) -> dimension of that component."""

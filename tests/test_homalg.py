@@ -12,7 +12,7 @@ from conifold_flop.freecomplex import (FCGen, FreeComplex, ModuleSlices, Stabili
 from conifold_flop.homalg import (ExtensionDatum, build_extension, ext1, ext1_dim, ext_dims,
                                   flop_point_analysis, free_complex_cohomology, hom, hom_dim,
                                   is_module_map, iso_check, psi_sphere)
-from conifold_flop.paths import SRC, TGT, relations
+from conifold_flop.paths import SRC, TGT, fpe, relations
 from conifold_flop.reps import is_stable, make_catalog_rep, rep, scale_arrow, stability_params
 from conifold_flop.tables import (catalog_tables, table_sphere0, table_sphere1, table_sphere_m,
                                   table_torus)
@@ -465,30 +465,30 @@ def test_second_window_repeats_the_first(cutoff):
         assert graded_cohomology(fc, cutoff) == graded_cohomology(fc, cutoff + 1, s_max=cutoff - 3)
 
 
-def _deep_generator_complex():
-    return FreeComplex([FCGen("g", 0, 3, -4)], {})
+def _shifted(fc, lowest):
+    """``fc`` with every internal degree moved so that the least is ``lowest``."""
+    shift = lowest - min(g.internal for g in fc.gens)
+    return FreeComplex([FCGen(g.name, g.vertex, g.degree, g.internal + shift) for g in fc.gens],
+                       fc.diff)
 
 
-def test_internal_degree_below_minus_3_runs_the_second_window(monkeypatch):
-    calls = []
-
-    def windows(fc, cutoff, s_max=None):
-        # the two windows disagree, as a truncation artefact would make them
-        calls.append((cutoff, s_max))
-        return {3: S0 if s_max is None else S1}
-
-    monkeypatch.setattr(homalg, "graded_cohomology", windows)
-    with pytest.raises(RuntimeError, match="cohomology did not stabilize"):
-        free_complex_cohomology(_deep_generator_complex(), 6)
-    assert calls == [(6, None), (7, 3)]
-    calls.clear()
-    assert free_complex_cohomology(table_sphere0(), 6) == {0: S0}
-    assert calls == [(6, None)]
+def _deep_complexes():
+    tables = [table_sphere0(), table_sphere1(), table_torus(2), table_sphere_m(2), table_sphere_m(3)]
+    yield FreeComplex([FCGen("g", 0, 3, -4)], {})
+    # the deep generator's only entries come in from generators at -2
+    yield FreeComplex([FCGen("g", 0, 3, -4), FCGen("f0", 0, 2, -2), FCGen("f1", 0, 2, -2)],
+                      {"f0": [(fpe("yx"), "g")], "f1": [(fpe("wz"), "g")]})
+    for fc in tables:
+        for lowest in range(-9, -3):
+            yield _shifted(fc, lowest)
 
 
 def test_internal_degree_below_minus_3_overflows_the_first_window():
-    # with the real windows, the length-cutoff words of a generator of
-    # internal degree -4 sit inside the first window, and an arrow takes
-    # them past its cutoff
-    with pytest.raises(StabilizationError, match="arrow action left the window"):
-        free_complex_cohomology(_deep_generator_complex(), 6)
+    # the length-cutoff words of a generator of least internal degree
+    # i < -3 sit inside the window s <= cutoff - 3; an entry into it
+    # overflows the cutoff, or an arrow takes its cohomology classes
+    # past the cutoff
+    for cutoff in (6, 7):
+        for fc in _deep_complexes():
+            with pytest.raises(StabilizationError, match="overflowed the cutoff|left the window"):
+                free_complex_cohomology(fc, cutoff)

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from conifold_flop import linalg
-from conifold_flop.paths import (POTENTIAL, FreePathElement, Path, Potential, cyclic_derivative,
-                                 fpe, is_composable, relations, word_source, word_target)
-from conifold_flop.truncated import truncated_algebra
+from conifold_flop.paths import (POTENTIAL, SRC, TGT, FreePathElement, Path, Potential,
+                                 cyclic_derivative, fpe, is_composable, relations, word_source,
+                                 word_target)
+from conifold_flop.truncated import MAX_CUTOFF, TruncatedAlgebra, _words_from, truncated_algebra
 
 
 def test_relation_words_composable():
@@ -64,8 +66,6 @@ def test_element_arithmetic_grading():
 def _oracle_dim(source, length):
     """Independent check: exact row reduction of the relation span inside
     the degree-(source, length) word component."""
-    from conifold_flop.truncated import _words_from
-
     rel_pairs = [tuple(sorted(r.coeffs)) for r in relations()]
     words = _words_from(source, length)
     index = {w: i for i, w in enumerate(words)}
@@ -93,10 +93,81 @@ def test_truncation_dims_match_oracle(source, length, expected):
 
 
 def test_hilbert_function_of_loop_components():
-    A = truncated_algebra(8)
-    for k in range(0, 5):
-        assert A.dim(0, 0, 2 * k) == (k + 1) ** 2
-        assert A.dim(1, 1, 2 * k) == (k + 1) ** 2
+    A = truncated_algebra(MAX_CUTOFF)
+    for source in (0, 1):
+        for target in (0, 1):
+            for length in range(MAX_CUTOFF + 1):
+                if (source + length + target) % 2:
+                    expected = 0
+                elif length % 2 == 0:
+                    expected = (length // 2 + 1) ** 2
+                else:
+                    expected = ((length + 1) // 2) * ((length + 3) // 2)
+                assert A.dim(source, target, length) == expected
+
+
+# --- union-find oracle: the classes of the relation substitutions ---------
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {i: i for i in items}
+
+    def find(self, i):
+        p = self.parent
+        root = i
+        while p[root] != root:
+            root = p[root]
+        while p[i] != root:
+            p[i], i = root, p[i]
+        return root
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
+def _relation_partners():
+    partner = {}
+    for r in relations():
+        w1, w2 = sorted(r.coeffs)
+        partner[w1], partner[w2] = w2, w1
+    return partner
+
+
+@lru_cache(maxsize=None)
+def _oracle_classes(source, length):
+    """word -> least word of its class, the classes generated by
+    substituting one relation word for its partner inside a word."""
+    partner = _relation_partners()
+    words = _words_from(source, length)
+    uf = _UnionFind(words)
+    for word in words:
+        for i in range(length - 2):
+            other = partner.get(word[i:i + 3])
+            if other is not None:
+                uf.union(word, word[:i] + other + word[i + 3:])
+    return {w: uf.find(w) for w in words}
+
+
+@pytest.mark.parametrize("cutoff", range(MAX_CUTOFF + 1))
+def test_normal_form_matches_union_find(cutoff):
+    A = TruncatedAlgebra(cutoff)
+    basis = {(s, t): [] for s in (0, 1) for t in (0, 1)}
+    for source in (0, 1):
+        for length in range(cutoff + 1):
+            target = source if length % 2 == 0 else 1 - source
+            classes = _oracle_classes(source, length)
+            basis[(source, target)].extend((length, rep) for rep in sorted(set(classes.values())))
+            for word, rep in classes.items():
+                if word:
+                    assert A.class_of(word) == rep
+        if cutoff < MAX_CUTOFF:
+            assert all(A.class_of(w) is None for w in _words_from(source, cutoff + 1))
+    assert A.basis == basis
+    assert A._index == {(s, rep): i for (s, _), entries in basis.items()
+                        for i, (_, rep) in enumerate(entries)}
 
 
 def test_dims_nondecreasing_in_cutoff():
@@ -129,16 +200,13 @@ def test_reduce_rejects_long_words():
 
 def test_reduce_is_multiplicative():
     A = truncated_algebra(8)
-    words = ["yx", "wz", "xyx", "x", "zwx"]
+    words = [w for source in (0, 1) for length in range(1, 8) for w in _words_from(source, length)]
     for u in words:
         for v in words:
-            if not is_composable(u) or not is_composable(v):
+            if len(u) + len(v) > 8 or SRC[u[-1]] != TGT[v[0]]:
                 continue
-            uv = fpe(u) * fpe(v)
-            if uv.is_zero():
-                continue
-            cu, cv = A.class_of(u), A.class_of(v)
-            assert A.product(cu, cv) == A.class_of(next(iter(uv.coeffs)))
+            (uv,) = (fpe(u) * fpe(v)).coeffs
+            assert A.class_of(uv) == A.class_of(A.class_of(u) + A.class_of(v))
 
 
 def test_cutoff_bounds():
