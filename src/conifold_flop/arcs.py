@@ -28,6 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .linalg import integer_row
 
@@ -81,12 +82,18 @@ class PLArc:
     orientation: int = 1
 
     def __post_init__(self):
-        pts = tuple((F(x), F(y)) for x, y in self.points)
+        pts = tuple((x if type(x) is F else F(x), y if type(y) is F else F(y))
+                    for x, y in self.points)
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValueError("an arc needs at least two vertices")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
+        # hashed once: `validate_arc` looks every arc up by it
+        object.__setattr__(self, "_hash", hash((pts, self.orientation)))
+
+    def __hash__(self):
+        return self._hash
 
     def reversed(self):
         """Same vertex chain traversed the other way."""
@@ -169,6 +176,7 @@ def validate_arc(arc: PLArc, cfg: SceneConfig):
     *flat, eps = integer_row([c for p in pts for c in p] + [cfg.eps])
     ipts = list(zip(flat[0::2], flat[1::2]))
     segs = list(zip(ipts[:-1], ipts[1:]))
+    boxes = [(min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])) for p, q in segs]
     for p, q in segs:
         if p == q:
             raise ValueError("degenerate segment")
@@ -182,8 +190,10 @@ def validate_arc(arc: PLArc, cfg: SceneConfig):
             if _orient(p1, q1, q2) == 0 and ((q1[0] - p1[0]) * (q2[0] - q1[0])
                                              + (q1[1] - p1[1]) * (q2[1] - q1[1])) < 0:
                 raise ValueError("consecutive segments fold back")
-        for p2, q2 in segs[i + 2:]:
-            if _segments_cross(p1, q1, p2, q2):
+        x0, x1, y0, y1 = boxes[i]
+        for (p2, q2), (u0, u1, v0, v1) in zip(segs[i + 2:], boxes[i + 2:]):
+            # segments whose bounding boxes are disjoint cannot meet
+            if u0 <= x1 and x0 <= u1 and v0 <= y1 and y0 <= v1 and _segments_cross(p1, q1, p2, q2):
                 raise ValueError("arc is not simple")
     return True
 
@@ -303,18 +313,29 @@ def catalog_arc(label: str, k: int, cfg: SceneConfig = DEFAULT_SCENE) -> PLArc:
 def _pythagorean_rotation(t: Fraction):
     """Exact rational rotation by an angle close to pi * t for t in [0, 1),
     exactly the identity at t = 0, via the half-angle parametrization
-    (cos, sin) = ((1-u^2), 2u)/(1+u^2)."""
+    (cos, sin) = ((1-u^2), 2u)/(1+u^2).  Returned on integers as (c, s, q),
+    for the rotation (c/q, s/q) with q > 0."""
     # u = tan(theta / 2) for theta = pi t; rational approximation of
-    # tan(pi t / 2) ~ t/(1 - t) rescaled; monotonicity is all that matters
-    u = F(4) * t / (3 * (1 - t) + 1)
-    den = 1 + u * u
-    return ((1 - u * u) / den, 2 * u / den)
+    # tan(pi t / 2) ~ t/(1 - t) rescaled, u = 4t / (3(1 - t) + 1) = p / r
+    # for t = n / m; monotonicity is all that matters
+    n, m = t.numerator, t.denominator
+    p, r = 4 * n, 4 * m - 3 * n
+    return (r * r - p * p, 2 * p * r, r * r + p * p)
 
 
-def _rotate_about(center, p, cs):
-    c, s = cs
-    dx, dy = p[0] - center, p[1]
-    return (center + c * dx - s * dy, s * dx + c * dy)
+def _rotate_about(center, p, rot):
+    """p rotated about (center, 0) by (c/q, s/q), ``rot`` = (c, s, q): p
+    itself for the identity, (2 center - x, -y) for the half-turn, else one
+    Fraction per coordinate from integer sums over a common denominator."""
+    c, s, q = rot
+    if s == 0:
+        return p if c > 0 else (2 * center - p[0], -p[1])
+    cn, cd = center.numerator, center.denominator
+    xd, yn, yd = p[0].denominator, p[1].numerator, p[1].denominator
+    dn = p[0].numerator * cd - cn * xd  # p.x - center = dn / (xd cd)
+    den = xd * cd * yd * q
+    return (F(cn * xd * yd * q + c * dn * yd - s * yn * xd * cd, den),
+            F(s * dn * yd + c * yn * xd * cd, den))
 
 
 def _ring_radii2(cfg: SceneConfig, rings: int):
@@ -328,9 +349,19 @@ def _subdivide_for_zones(points, center, radii2):
     by at most one, bounded effort.  The ring level of a point is the
     number of ring radii strictly inside it: 0 in the inner disk,
     len(radii2) outside the outer one.  Returns the refined points and the
-    level of each; a level is computed once, when its point is made."""
+    level of each; a level is computed once, when its point is made.
+
+    Levels are searched on integers: a squared radius R / L, over the common
+    denominator L, is below the squared distance N / M iff R < ceil(N L / M)."""
+    den = lcm(*(r.denominator for r in radii2))
+    radii = [r.numerator * (den // r.denominator) for r in radii2]
+    cn, cd = center.numerator, center.denominator
+
     def level(p):
-        return bisect_left(radii2, (p[0] - center) ** 2 + p[1] ** 2)
+        xd, yn, yd = p[0].denominator, p[1].numerator, p[1].denominator
+        dn = p[0].numerator * cd - cn * xd  # p.x - center = dn / (xd cd)
+        n = dn * dn * yd * yd + yn * yn * xd * xd * cd * cd
+        return bisect_left(radii, -(-n * den // (xd * cd * yd) ** 2))
 
     pts = list(points)
     levels = [level(p) for p in pts]
@@ -361,12 +392,12 @@ def _staircase_once(arc: PLArc, cfg: SceneConfig, total_turns: Fraction, rings: 
         # exactly in the inner disk, not at all from the outer radius on
         t = abs(total_turns) * F(rings - min(level, rings), rings)
         whole = int(t)  # full pi-turns rotate exactly
-        c, s = _pythagorean_rotation(t - whole)
+        c, s, q = _pythagorean_rotation(t - whole)
         if whole % 2 == 1:
             c, s = -c, -s
         if total_turns < 0:
             s = -s
-        return c, s
+        return c, s, q
 
     turns = {level: turn(level) for level in set(levels)}
     out = PLArc(tuple(_rotate_about(center, p, turns[level]) for p, level in zip(pts, levels)),

@@ -20,8 +20,8 @@ class QC:
     im: Fraction
 
     def __init__(self, re, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __add__(self, other):
         return QC(self.re + other.re, self.im + other.im)
@@ -47,10 +47,13 @@ def admissible(u: QC) -> bool:
 
 
 def phase_lt(u: QC, v: QC) -> bool:
-    """arg u < arg v, decided exactly.  Both arguments must be admissible."""
-    if u.is_zero() or v.is_zero():
-        raise ValueError("phase of zero is undefined")
-    if not admissible(u) or not admissible(v):
+    """arg u < arg v, decided exactly.  Both arguments must be admissible.
+
+    Admissible numbers are nonzero, so the zero test runs only on a refusal,
+    to name zero before a phase outside (0, pi], in either argument."""
+    if not (admissible(u) and admissible(v)):
+        if u.is_zero() or v.is_zero():
+            raise ValueError("phase of zero is undefined")
         raise ValueError("phase comparison needs arguments with phase in (0, pi]")
     # cross(u, v) > 0, times the product of the four positive denominators
     return (u.re.numerator * v.im.numerator * u.im.denominator * v.re.denominator

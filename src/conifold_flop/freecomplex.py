@@ -17,6 +17,7 @@ acting by postcomposition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -114,22 +115,24 @@ class ModuleSlices:
         return len(self.basis.get((s, u), ()))
 
     def differential_matrix(self, fc: FreeComplex, target: "ModuleSlices", s, u):
-        """Matrix (rows = source slice basis) of d into target slice (s, u)."""
+        """Matrix (rows = source slice basis) of d into target slice (s, u).
+        Integral coefficients are stored as ints."""
         src = self.basis.get((s, u), ())
         tgt = target.basis.get((s, u), ())
         tindex = {entry: i for i, entry in enumerate(tgt)}
+        out_index = {h.name: i for i, h in enumerate(target.gens)}
         rows = []
         for gi, word in src:
             g = self.gens[gi]
-            vec = [Fraction(0)] * len(tgt)
+            vec = [0] * len(tgt)
             for coeff, out_name in fc.diff[g.name]:
-                oi = next(i for i, h in enumerate(target.gens) if h.name == out_name)
+                oi = out_index[out_name]
                 for w2, c2 in coeff.coeffs.items():
                     combined = word + w2  # w2 acts first; empty word is the idempotent
                     rep = target.A.class_of(combined) if combined else ""
                     if rep is None:
                         raise StabilizationError("slice product overflowed the cutoff")
-                    vec[tindex[(oi, rep)]] += c2
+                    vec[tindex[(oi, rep)]] += c2.numerator if c2.denominator == 1 else c2
             rows.append(tuple(vec))
         return tuple(rows), src, tgt
 
@@ -146,10 +149,11 @@ class ModuleSlices:
         for c, (gi, word) in zip(vec, src):
             if c == 0:
                 continue
-            rep = self.A.class_of(arrow + word)
-            if rep is None:
+            # the class may be in the algebra but its slice above the window
+            i = tindex.get((gi, self.A.class_of(arrow + word)))
+            if i is None:
                 raise StabilizationError("arrow action left the window")
-            out[tindex[(gi, rep)]] += c
+            out[i] += c
         return s + 1, u2, tuple(out)
 
 
@@ -158,19 +162,17 @@ class ModuleSlices:
 
 
 class _DegreeCohomology:
-    """Cycle/boundary data of one homological degree, all slices."""
+    """Cycle/boundary data of one homological degree, all slices, from the
+    ``kernels`` of d on its ``slices``; ``matrix_below(s, u)`` is the slice
+    matrix of d from the slices ``below``, of degree k - 1."""
 
-    def __init__(self, fc, A, k, s_max):
-        self.k = k
-        self.slices, cycles = _kernel_slices(fc, A, k, s_max)
-        below = fc.gens_of_degree(k - 1)
-        self.slices_below = ModuleSlices(A, below, s_max) if below else None
+    def __init__(self, slices, kernels, below, matrix_below):
+        self.slices = slices
         self.data = {}
-        for (s, u), zs in cycles.items():
-            n = self.slices.slice_dim(s, u)
-            if self.slices_below is not None and self.slices_below.slice_dim(s, u):
-                mb, _, _ = self.slices_below.differential_matrix(fc, self.slices, s, u)
-                boundaries = linalg.row_space(mb, n)
+        for (s, u), zs in kernels.items():
+            n = slices.slice_dim(s, u)
+            if below.slice_dim(s, u):
+                boundaries = linalg.row_space(matrix_below(s, u), n)
             else:
                 boundaries = ()
             self.data[(s, u)] = {"boundaries": boundaries,
@@ -191,11 +193,10 @@ class _DegreeCohomology:
         return sol[len(d["boundaries"]):]
 
 
-def degree_cohomology_rep(fc, A, k, s_max):
-    """Cohomology of one homological degree as a Representation."""
+def _cohomology_rep(dc):
+    """The cohomology Representation of one degree's `_DegreeCohomology`."""
     from .reps import Representation
 
-    dc = _DegreeCohomology(fc, A, k, s_max)
     entries = []  # (s, u, index within reps)
     for (s, u), d in sorted(dc.data.items()):
         for i in range(len(d["reps"])):
@@ -225,13 +226,27 @@ def degree_cohomology_rep(fc, A, k, s_max):
 
 
 def graded_cohomology(fc: FreeComplex, cutoff: int, s_max=None):
-    """dict homological degree -> Representation, window s <= cutoff - 3."""
+    """dict homological degree -> Representation, window s <= cutoff - 3.
+
+    Each degree's `ModuleSlices` and each slice matrix of d are built once
+    per call: the matrices out of degree k give its kernels, then the
+    boundaries of degree k + 1.  The build order is that of a computation
+    degree by degree, so the first `StabilizationError` is the same."""
     A = truncated_algebra(cutoff)
     if s_max is None:
         s_max = cutoff - 3
+    module = functools.cache(lambda k: ModuleSlices(A, fc.gens_of_degree(k), s_max))
+
+    @functools.cache
+    def matrix(k, s, u):
+        """Slice matrix (s, u) of d from degree k to degree k + 1."""
+        return module(k).differential_matrix(fc, module(k + 1), s, u)[0]
+
     out = {}
     for k in fc.degrees():
-        r = degree_cohomology_rep(fc, A, k, s_max)
+        kernels = _kernels(module(k), functools.partial(matrix, k))
+        dc = _DegreeCohomology(module(k), kernels, module(k - 1), functools.partial(matrix, k - 1))
+        r = _cohomology_rep(dc)
         if r.dims != (0, 0):
             out[k] = r
     return out
@@ -241,16 +256,22 @@ def graded_cohomology(fc: FreeComplex, cutoff: int, s_max=None):
 # syzygies and minimal resolutions
 
 
+def _kernels(slices, matrix):
+    """Kernel of d on ``slices``, per slice in sorted order, as vectors;
+    ``matrix(s, u)`` is the slice matrix of d at (s, u)."""
+    kernels = {}
+    for (s, u), basis in sorted(slices.basis.items()):
+        n = len(basis)
+        m = matrix(s, u)
+        kernels[(s, u)] = linalg.nullspace(linalg.transpose(m, n and len(m[0])), n)
+    return kernels
+
+
 def _kernel_slices(fc, A, k, s_max):
     """Kernel of d on the degree-k module, per slice, as vectors."""
     slices = ModuleSlices(A, fc.gens_of_degree(k), s_max)
     above = ModuleSlices(A, fc.gens_of_degree(k + 1), s_max)
-    kernels = {}
-    for (s, u), basis in sorted(slices.basis.items()):
-        n = len(basis)
-        m, _, _ = slices.differential_matrix(fc, above, s, u)
-        kernels[(s, u)] = linalg.nullspace(linalg.transpose(m, n and len(m[0])), n)
-    return slices, kernels
+    return slices, _kernels(slices, lambda s, u: slices.differential_matrix(fc, above, s, u)[0])
 
 
 def _minimal_generators(slices, kernels):

@@ -207,33 +207,37 @@ DISTINGUISHED_POINT = (1, -1)
 PSI_RANGE = 5
 
 
-def psi_sphere(k: int, seed: int = 0):
-    """Module of the k-th sphere: vertex simples for k in {0, 1}, and
-    iterated extensions by the distinguished point module otherwise.
-    The result is checked against the catalog chain module."""
+def psi_spheres(k: int):
+    """Yields (j, module of the j-th sphere) from the vertex simple of k's
+    sign (j = 1 for k >= 1, else 0) out to k, one extension by the
+    distinguished point module per step; `build_extension` checks the short
+    exact sequence of each step.  Nothing is compared with the catalog."""
     if abs(k) > PSI_RANGE:
         raise ValueError("sphere index out of range")
-    if k == 0:
-        return make_catalog_rep("simple", 0)
-    if k == 1:
-        return make_catalog_rep("simple", 1)
+    j, step = (1, 1) if k >= 1 else (0, -1)
+    current = make_catalog_rep("simple", j)
+    yield j, current
     pt = make_catalog_rep("point", *DISTINGUISHED_POINT)
-    if k >= 2:
-        current = make_catalog_rep("simple", 1)
-        for _ in range(k - 1):
-            classes = ext1(pt, current)
-            if not classes:
-                raise RuntimeError("no nonzero extension class found")
-            current, _, _ = build_extension(pt, current, classes[0])
-        target = make_catalog_rep("vplus", k)
-    else:
-        current = make_catalog_rep("simple", 0)
-        for _ in range(-k):
-            classes = ext1(current, pt)
-            if not classes:
-                raise RuntimeError("no nonzero extension class found")
-            current, _, _ = build_extension(current, pt, classes[0])
-        target = make_catalog_rep("vminus", -k)
+    while j != k:
+        quotient, sub = (pt, current) if step > 0 else (current, pt)
+        classes = ext1(quotient, sub)
+        if not classes:
+            raise RuntimeError("no nonzero extension class found")
+        current, _, _ = build_extension(quotient, sub, classes[0])
+        j += step
+        yield j, current
+
+
+def psi_sphere(k: int, seed: int = 0):
+    """Module of the k-th sphere: vertex simples for k in {0, 1}, and
+    iterated extensions by the distinguished point module otherwise, the
+    last link of `psi_spheres(k)`.  Past the simples, the result is checked
+    against the catalog chain module."""
+    for _, current in psi_spheres(k):
+        pass
+    if k in (0, 1):
+        return current
+    target = make_catalog_rep("vplus", k) if k >= 2 else make_catalog_rep("vminus", -k)
     if not iso_check(current, target, seed=seed):
         raise RuntimeError("cone iteration drifted off the catalog module")
     return current

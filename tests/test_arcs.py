@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -403,3 +404,80 @@ def test_phase_order_rules():
     assert phase_order(2, -3) == "unspecified"
     with pytest.raises(ValueError):
         phase_order(2, 2)
+
+
+def _fraction_rotation(t):
+    """The Fraction body ``_pythagorean_rotation`` had before it returned
+    integers: (cos, sin) from u = 4t / (3(1 - t) + 1)."""
+    u = F(4) * t / (3 * (1 - t) + 1)
+    den = 1 + u * u
+    return (1 - u * u) / den, 2 * u / den
+
+
+def _seeded_points(rng, cfg, radii2):
+    """Points with denominators 1 to 12 around the annulus, and points at
+    exactly each ring radius: on the horizontal through the centre, and at
+    (3/5, 4/5) of the radius when the radius is rational."""
+    pts = []
+    for _ in range(300):
+        den = rng.choice((1, 2, 3, 5, 7, 12))
+        pts.append((F(rng.randint(-8 * den, 2 * den), den), F(rng.randint(-4 * den, 4 * den), den)))
+    for r2 in radii2:
+        r = F(math.isqrt(r2.numerator), math.isqrt(r2.denominator))
+        if r * r == r2:
+            pts += [(cfg.center + r, F(0)), (cfg.center - r, F(0)),
+                    (cfg.center + r * F(3, 5), -r * F(4, 5))]
+    return pts
+
+
+@pytest.mark.parametrize("cfg", _SCENES)
+def test_integer_ring_level_and_rotation_match_the_fraction_formulas(cfg):
+    rng = random.Random(1917)
+    for rings in (8, 16):
+        radii2 = arcs._ring_radii2(cfg, rings)
+        pts = _seeded_points(rng, cfg, radii2)
+        on_ring = 0
+        for p in pts:
+            d2 = _sq_dist(p, (cfg.center, 0))
+            on_ring += d2 in radii2
+            assert arcs._subdivide_for_zones([p], cfg.center, radii2) == ([p], [bisect_left(radii2, d2)])
+        assert on_ring >= 2 * len(radii2)
+        for total_turns in (F(1), F(2), F(-2)):
+            for level in range(rings + 1):
+                t = abs(total_turns) * F(rings - level, rings)
+                whole = int(t)
+                c, s = _fraction_rotation(t - whole)
+                if whole % 2 == 1:
+                    c, s = -c, -s
+                if total_turns < 0:
+                    s = -s
+                ci, si, q = arcs._pythagorean_rotation(t - whole)
+                ci, si = (-ci, -si) if whole % 2 == 1 else (ci, si)
+                rot = (ci, -si if total_turns < 0 else si, q)
+                assert (F(rot[0], q), F(rot[1], q)) == (c, s)
+                for p in pts[:40]:
+                    dx, dy = p[0] - cfg.center, p[1]
+                    want = (cfg.center + c * dx - s * dy, s * dx + c * dy)
+                    got = arcs._rotate_about(cfg.center, p, rot)
+                    assert got == want and all(type(x) is F for x in got)
+
+
+def test_pruned_pair_loop_matches_the_fraction_pair_loop_on_staircase_images():
+    # every flop, twist and inverse twist image of both catalog families is
+    # simple, and both pair loops must find it so
+    for label in ("S", "Sp"):
+        for k in CATALOG_RANGE:
+            arc = catalog_arc(label, k, CFG)
+            for img in (flop_map(arc, CFG), dehn_twist_map(arc, CFG),
+                        dehn_twist_map(arc, CFG, inverse=True)):
+                assert _validate_by_fractions(img, CFG) is True
+                assert arcs.validate_arc.__wrapped__(img, CFG) is True
+
+
+def test_arc_keeps_fraction_coordinates_and_hashes_by_value():
+    x = F(-3, 2)
+    arc = PLArc(((CFG.a, 0), (x, F(1)), (CFG.b, 0)))
+    assert arc.points[1][0] is x and arc.points[0][1] == F(0) and type(arc.points[0][1]) is F
+    same = PLArc(((CFG.a, F(0)), (F(-3, 2), 1), (CFG.b, F(0))))
+    assert arc == same and hash(arc) == hash(same) == hash((arc.points, 1))
+    assert arc.reversed() != arc and hash(arc.reversed()) == hash((arc.points, -1))

@@ -5,13 +5,13 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conifold_flop import homalg, linalg, reps
+from conifold_flop import freecomplex, homalg, linalg, reps
 from conifold_flop.freecomplex import (FCGen, FreeComplex, ModuleSlices, StabilizationError,
                                        _minimal_generators, _syzygy_step, extend_resolution,
                                        graded_cohomology)
 from conifold_flop.homalg import (ExtensionDatum, build_extension, ext1, ext1_dim, ext_dims,
                                   flop_point_analysis, free_complex_cohomology, hom, hom_dim,
-                                  is_module_map, iso_check, psi_sphere)
+                                  is_module_map, iso_check, psi_sphere, psi_spheres)
 from conifold_flop.paths import SRC, TGT, fpe, relations
 from conifold_flop.reps import is_stable, make_catalog_rep, rep, scale_arrow, stability_params
 from conifold_flop.tables import (catalog_tables, table_sphere0, table_sphere1, table_sphere_m,
@@ -111,6 +111,37 @@ def test_psi_sphere_catalog():
     assert iso_check(psi_sphere(-2), make_catalog_rep("vminus", 2))
     with pytest.raises(ValueError):
         psi_sphere(6)
+
+
+def _psi_sphere_per_k(k):
+    """The body ``psi_sphere`` had before the chains: the extensions from
+    the vertex simple rebuilt for every k, then the catalog check."""
+    if k in (0, 1):
+        return make_catalog_rep("simple", k)
+    pt = make_catalog_rep("point", *homalg.DISTINGUISHED_POINT)
+    current = make_catalog_rep("simple", 1 if k >= 2 else 0)
+    for _ in range(k - 1 if k >= 2 else -k):
+        if k >= 2:
+            current, _, _ = build_extension(pt, current, ext1(pt, current)[0])
+        else:
+            current, _, _ = build_extension(current, pt, ext1(current, pt)[0])
+    target = make_catalog_rep("vplus", k) if k >= 2 else make_catalog_rep("vminus", -k)
+    assert iso_check(current, target)
+    return current
+
+
+def test_psi_spheres_match_the_per_k_construction():
+    # one chain per sign gives every module of the per-k loop, entry by entry
+    want = {k: _psi_sphere_per_k(k) for k in range(-5, 6)}
+    for end in (-5, 5):
+        chain = list(psi_spheres(end))
+        assert [j for j, _ in chain] == (list(range(0, -6, -1)) if end < 0 else list(range(1, 6)))
+        for j, r in chain:
+            assert r == want[j] and repr(r) == repr(want[j])
+    for k in range(-5, 6):
+        assert repr(psi_sphere(k)) == repr(want[k])
+    with pytest.raises(ValueError, match="out of range"):
+        next(psi_spheres(-6))
 
 
 def test_psi_sphere_stability_both_chambers():
@@ -463,6 +494,77 @@ def test_second_window_repeats_the_first(cutoff):
     for fc in _window_tables():
         assert min(g.internal for g in fc.gens) >= -3
         assert graded_cohomology(fc, cutoff) == graded_cohomology(fc, cutoff + 1, s_max=cutoff - 3)
+
+
+def _fraction_matrix(src, fc, tgt, s, u):
+    """The body ``ModuleSlices.differential_matrix`` had before it stored
+    integral coefficients as ints: Fraction entries throughout."""
+    index = {entry: i for i, entry in enumerate(tgt.basis.get((s, u), ()))}
+    rows = []
+    for gi, word in src.basis.get((s, u), ()):
+        vec = [Fraction(0)] * len(index)
+        for coeff, out_name in fc.diff[src.gens[gi].name]:
+            oi = next(i for i, h in enumerate(tgt.gens) if h.name == out_name)
+            for w2, c2 in coeff.coeffs.items():
+                rep = tgt.A.class_of(word + w2) if word + w2 else ""
+                if rep is None:
+                    raise StabilizationError("slice product overflowed the cutoff")
+                vec[index[(oi, rep)]] += c2
+        rows.append(tuple(vec))
+    return tuple(rows)
+
+
+def _cohomology_per_degree(fc, cutoff):
+    """`graded_cohomology` recomputed degree by degree, as it was before the
+    single pass: fresh slices for every degree, the matrices of d out of
+    degree k built for its kernels and again for the boundaries of k + 1."""
+    A, s_max = truncated_algebra(cutoff), cutoff - 3
+    out = {}
+    for k in fc.degrees():
+        slices, above, below = (ModuleSlices(A, fc.gens_of_degree(j), s_max) for j in (k, k + 1, k - 1))
+        kernels = freecomplex._kernels(slices, lambda s, u: _fraction_matrix(slices, fc, above, s, u))
+        dc = freecomplex._DegreeCohomology(slices, kernels, below,
+                                           lambda s, u: _fraction_matrix(below, fc, slices, s, u))
+        r = freecomplex._cohomology_rep(dc)
+        if r.dims != (0, 0):
+            out[k] = r
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [6, 7])
+def test_single_pass_cohomology_matches_the_per_degree_computation(cutoff):
+    for fc in _window_tables():
+        got = graded_cohomology(fc, cutoff)
+        assert got == _cohomology_per_degree(fc, cutoff)
+        assert repr(got) == repr(_cohomology_per_degree(fc, cutoff))
+
+
+def test_slice_matrices_hold_ints_where_integral():
+    A = truncated_algebra(6)
+    for fc in _window_tables():
+        for k in fc.degrees():
+            src, tgt = (ModuleSlices(A, fc.gens_of_degree(j), 3) for j in (k, k + 1))
+            for s, u in src.basis:
+                rows, _, _ = src.differential_matrix(fc, tgt, s, u)
+                assert rows == _fraction_matrix(src, fc, tgt, s, u)
+                assert all(type(c) is int for row in rows for c in row if c.denominator == 1)
+
+
+def test_single_pass_raises_the_first_error_of_the_per_degree_computation():
+    for cutoff in (6, 7):
+        for fc in _deep_complexes():
+            with pytest.raises(StabilizationError) as per_degree:
+                _cohomology_per_degree(fc, cutoff)
+            with pytest.raises(StabilizationError) as single_pass:
+                graded_cohomology(fc, cutoff)
+            assert str(single_pass.value) == str(per_degree.value)
+
+
+def test_arrow_past_the_top_slice_is_a_stabilization_error():
+    # a lone generator has classes in the top slice of the window; an arrow
+    # takes them to a class of the algebra outside the window
+    with pytest.raises(StabilizationError, match="arrow action left the window"):
+        free_complex_cohomology(FreeComplex([FCGen("g", 0, 3, 0)], {}), 6)
 
 
 def _shifted(fc, lowest):

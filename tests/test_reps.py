@@ -79,6 +79,26 @@ def test_relation_violation_detected():
 # --- phases ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad,message", [(QC(0, 0), "phase of zero is undefined"),
+                                         (QC(1, 0), r"phase in \(0, pi\]"),
+                                         (QC(-1, -1), r"phase in \(0, pi\]")])
+def test_phase_lt_refusals_in_either_position(bad, message):
+    for args in ((bad, QC(1, 1)), (QC(1, 1), bad)):
+        with pytest.raises(ValueError, match=message):
+            phase_lt(*args)
+    # zero is named before a phase outside (0, pi], whichever argument it is
+    for args in ((QC(0, 0), QC(1, 0)), (QC(1, 0), QC(0, 0))):
+        with pytest.raises(ValueError, match="phase of zero is undefined"):
+            phase_lt(*args)
+
+
+def test_qc_keeps_fraction_inputs():
+    x = Fraction(3, 7)
+    u = QC(x, 2)
+    assert u.re is x and u.im == 2 and type(u.im) is Fraction
+    assert QC(1.5).re == Fraction(3, 2) and type(QC(1.5).im) is Fraction
+
+
 def test_phase_examples():
     assert phase_lt(QC(1, 1), QC(-1, 2))
     assert not phase_lt(QC(1, 1), QC(1, 1))
@@ -745,7 +765,8 @@ def test_chamber_free_work_multiplies_ints_only(kind, args, monkeypatch):
 
 
 def _clear_module_caches():
-    for cached in (reps._valid, exact_subrep_candidates, reps._end_dim, reps._integerize):
+    for cached in (reps._valid, exact_subrep_candidates, reps._end_dim, reps._integerize,
+                   reps._verdict):
         cached.cache_clear()
 
 
@@ -780,6 +801,23 @@ def test_invalid_module_raises_on_every_call():
         with pytest.raises(ValueError, match="must satisfy the relations"):
             is_stable(broken, CH1)
     assert reps._valid.cache_info().hits == 1
+
+
+def test_verdicts_are_cached_per_module_and_parameters():
+    _clear_module_caches()
+    r = make_catalog_rep("vplus", 2)
+    first = is_stable(r, CH1)
+    assert is_stable(make_catalog_rep("vplus", 2), CH1) is first
+    assert is_stable(r, CH2).kind == "unstable" and first.kind == "stable"
+    assert reps._verdict.cache_info()[:2] == (1, 2)  # (hits, misses)
+    # the checks before the cache run on every call
+    wall = stability_params(1, 1, 2, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="wall"):
+            is_stable(r, wall)
+        with pytest.raises(ValueError, match="zero representation"):
+            is_stable(rep((0, 0), [], [], [], []), CH1)
+    assert reps._verdict.cache_info()[:2] == (1, 2)
 
 
 # --- verdicts -----------------------------------------------------------------

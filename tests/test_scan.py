@@ -304,19 +304,43 @@ def test_forced_cells_return_before_the_tables(monkeypatch):
     def no_tables(d0, d1):
         raise Built
 
+    # the builder is cached per dimension vector: with its cache cleared,
+    # every cell that reaches the tables calls the patched class
     monkeypatch.setattr(scan, "_Tables", no_tables)
-    for chamber in (1, -1):
-        early = set()
-        for total in range(1, 6):
-            for d0 in range(total + 1):
-                destab = scan.destabilizing_pairs(chamber, d0, total - d0)
-                try:
-                    assert scan.scan_dims(d0, total - d0, destab) == 0
-                except Built:
-                    continue
-                early.add((d0, total - d0))
-        assert early == {(0, 2), (0, 3), (0, 4), (0, 5), (2, 0), (3, 0), (4, 0), (5, 0),
-                         (1, 3), (3, 1), (1, 4), (4, 1)}
+    scan._tables.cache_clear()
+    try:
+        for chamber in (1, -1):
+            early = set()
+            for total in range(1, 6):
+                for d0 in range(total + 1):
+                    destab = scan.destabilizing_pairs(chamber, d0, total - d0)
+                    try:
+                        assert scan.scan_dims(d0, total - d0, destab) == 0
+                    except Built:
+                        continue
+                    early.add((d0, total - d0))
+            assert early == {(0, 2), (0, 3), (0, 4), (0, 5), (2, 0), (3, 0), (4, 0), (5, 0),
+                             (1, 3), (3, 1), (1, 4), (4, 1)}
+    finally:
+        scan._tables.cache_clear()
+
+
+def test_both_chambers_share_one_set_of_tables():
+    # the 8 cells per chamber that reach the tables build them once; the
+    # second chamber reuses them, and the memoized masks are _simple_masks
+    scan._tables.cache_clear()
+    try:
+        for chamber in (1, -1):
+            assert set(scan.scan_stable_dimvectors(chamber, 5)) == EXPECTED5
+        assert scan._tables.cache_info()[:2] == (8, 8)  # (hits, misses)
+        for d0, d1 in [(d0, t - d0) for t in range(1, 6) for d0 in range(t + 1)]:
+            t = scan._tables(d0, d1)
+            assert scan._tables(d0, d1) is t
+            for flags in itertools.product((False, True), repeat=2):
+                assert t.masks("A", *flags) == scan._simple_masks(t.imgA, d0, d1, *flags)
+                assert t.masks("B", *flags) == scan._simple_masks(t.imgB, d1, d0, *flags)
+    finally:
+        scan._tables.cache_clear()
 
 
 # --- oracle: the GF(2) End dimension from packed intertwining equations --------
