@@ -137,24 +137,16 @@ def _orient(p, q, r):
     return (v > 0) - (v < 0)
 
 
-def _boxes_meet(p1, q1, p2, q2):
-    """The bounding boxes of the segments p1q1 and p2q2 intersect."""
-    return all(min(p1[i], q1[i]) <= max(p2[i], q2[i]) and min(p2[i], q2[i]) <= max(p1[i], q1[i])
-               for i in (0, 1))
-
-
 def _segments_cross(p1, q1, p2, q2):
-    """Proper or improper intersection of closed segments, exact: the
-    orientation straddle test.  Segments that pass the two straddle tests
-    either cross or are collinear, and collinear segments meet exactly
-    when their bounding boxes do."""
+    """Proper or improper intersection of closed segments whose bounding
+    boxes meet, exact: the orientation straddle test.  Segments that pass
+    the two straddle tests either cross or are collinear, and collinear
+    segments meet exactly when their bounding boxes do, as these do."""
     o1, o2 = _orient(p1, q1, p2), _orient(p1, q1, q2)
     if o1 == o2 != 0:
         return False
     o3, o4 = _orient(p2, q2, p1), _orient(p2, q2, q1)
-    if o3 == o4 != 0:
-        return False
-    return o1 != o2 or _boxes_meet(p1, q1, p2, q2)
+    return o3 != o4 or o3 == 0
 
 
 @lru_cache(maxsize=ARC_CACHE_SIZE)

@@ -474,22 +474,12 @@ def is_stable(r: Representation, params: StabilityParams) -> StabilityVerdict:
     field scans over escalating primes bound the possible sub-dimension
     vectors; flags that persist across all primes and are not matched by an
     exact equal-phase witness leave the verdict Undetermined.
-
-    The checks below run on every call, so an invalid module raises every
-    time.  The verdict, which is frozen, is cached per (module, parameters)
-    like `_valid`, `_end_dim` and the exact candidates.
     """
     params.require_off_wall()
     if r.is_zero():
         raise ValueError("stability of the zero representation is undefined")
     if not _valid(r):
         raise ValueError("representation must satisfy the relations and be nilpotent")
-    return _verdict(r, params)
-
-
-@lru_cache(maxsize=MODULE_CACHE_SIZE)
-def _verdict(r: Representation, params: StabilityParams) -> StabilityVerdict:
-    """The body of `is_stable`, on a valid nonzero module off the wall."""
     dims = r.dims
     equal_phase_dims = set()
     for w0, w1 in exact_subrep_candidates(r):

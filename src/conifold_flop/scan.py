@@ -21,8 +21,8 @@ linearity: a product of GF(2) matrices is linear in each factor, so each
 row is spanned from the products with the unit codes 1 << k, one XOR per
 entry.  The subspaces of each GF(2)^dim are listed once (``_subspaces``),
 and the tables of each dimension vector are built once (``_tables``), with
-their memos and ``_simple_masks``: both chambers scan the same cells, so
-the second chamber reuses what the first built.
+their memos: both chambers scan the same cells, so the second chamber
+reuses what the first built.
 
 Nilpotency is read off the four loops yx, yz, wx and wz at vertex 0,
 entries of the composition table ``pba``: a tuple satisfying the
@@ -140,7 +140,7 @@ class _Tables:
         # a.b lands in End(V1), b.a in End(V0); only reachable products matter
         self.pab = [_products(ra, rowsB, d1) for ra in rowsA]
         self.pba = [_products(rb, rowsA, d0) for rb in rowsB]
-        self._qa, self._qb, self._nil, self._masks = {}, {}, {}, {}
+        self._qa, self._qb, self._nil = {}, {}, {}
 
     def qa(self, c):
         """(End V1 code c) . (A code) -> A code, memoized per c."""
@@ -164,15 +164,6 @@ class _Tables:
                 power = _mul_rows(power, rows_c)
             ok = self._nil[c] = not any(power)
         return ok
-
-    def masks(self, side, kernel, cokernel):
-        """`_simple_masks` of the codes of x and z (``side`` "A") or of y and
-        w ("B"), memoized per (side, kernel, cokernel)."""
-        key = (side, kernel, cokernel)
-        if key not in self._masks:
-            img, src, tgt = (self.imgA, self.d0, self.d1) if side == "A" else (self.imgB, self.d1, self.d0)
-            self._masks[key] = _simple_masks(img, src, tgt, kernel, cokernel)
-        return self._masks[key]
 
 
 @lru_cache(maxsize=None)
@@ -303,8 +294,8 @@ def scan_dims(d0, d1, destab, count_all=True):
     imgA, imgB = t.imgA, t.imgB
     # a pair whose masks meet has a closed pair of dims (1, 0), (d0, d1 - 1),
     # (0, 1) or (d0 - 1, d1), whichever of them destabilize
-    maskA = t.masks("A", (1, 0) in destab, (d0, d1 - 1) in destab)
-    maskB = t.masks("B", (0, 1) in destab, (d0 - 1, d1) in destab)
+    maskA = _simple_masks(imgA, d0, d1, (1, 0) in destab, (d0, d1 - 1) in destab)
+    maskB = _simple_masks(imgB, d1, d0, (0, 1) in destab, (d0 - 1, d1) in destab)
     # witnesses sit at low rank of y when the vertex-0 simple destabilizes
     for y, orbit in _rank_forms(d0, d1, ascending=(1, 0) in destab):
         pba_y = pba[y]

@@ -33,6 +33,14 @@ def _segments_cross_by_on_seg(p1, q1, p2, q2):
     return on_seg(p1, q1, p2) or on_seg(p1, q1, q2) or on_seg(p2, q2, p1) or on_seg(p2, q2, q1)
 
 
+def _crosses(p1, q1, p2, q2):
+    """Intersection of any two closed segments: `_segments_cross` behind
+    the bounding-box test that `validate_arc` runs before it."""
+    boxes_meet = all(min(p1[i], q1[i]) <= max(p2[i], q2[i]) and min(p2[i], q2[i]) <= max(p1[i], q1[i])
+                     for i in (0, 1))
+    return boxes_meet and _segments_cross(p1, q1, p2, q2)
+
+
 # coordinates in -2..2 make collinear, touching and overlapping segments common
 _POINT = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 
@@ -40,7 +48,7 @@ _POINT = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 @settings(max_examples=2000, derandomize=True, deadline=None)
 @given(_POINT, _POINT, _POINT, _POINT)
 def test_segments_cross_agrees_with_the_on_segment_test(p1, q1, p2, q2):
-    assert _segments_cross(p1, q1, p2, q2) == _segments_cross_by_on_seg(p1, q1, p2, q2)
+    assert _crosses(p1, q1, p2, q2) == _segments_cross_by_on_seg(p1, q1, p2, q2)
 
 
 def _sq_dist(p, q=(0, 0)):
@@ -76,7 +84,7 @@ def _validate_by_fractions(arc, cfg):
                                              + (q1[1] - p1[1]) * (q2[1] - q1[1])) < 0:
                 raise ValueError("consecutive segments fold back")
         for p2, q2 in segs[i + 2:]:
-            if _segments_cross(p1, q1, p2, q2):
+            if _crosses(p1, q1, p2, q2):
                 raise ValueError("arc is not simple")
     return True
 

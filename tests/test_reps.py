@@ -765,8 +765,7 @@ def test_chamber_free_work_multiplies_ints_only(kind, args, monkeypatch):
 
 
 def _clear_module_caches():
-    for cached in (reps._valid, exact_subrep_candidates, reps._end_dim, reps._integerize,
-                   reps._verdict):
+    for cached in (reps._valid, exact_subrep_candidates, reps._end_dim, reps._integerize):
         cached.cache_clear()
 
 
@@ -801,23 +800,6 @@ def test_invalid_module_raises_on_every_call():
         with pytest.raises(ValueError, match="must satisfy the relations"):
             is_stable(broken, CH1)
     assert reps._valid.cache_info().hits == 1
-
-
-def test_verdicts_are_cached_per_module_and_parameters():
-    _clear_module_caches()
-    r = make_catalog_rep("vplus", 2)
-    first = is_stable(r, CH1)
-    assert is_stable(make_catalog_rep("vplus", 2), CH1) is first
-    assert is_stable(r, CH2).kind == "unstable" and first.kind == "stable"
-    assert reps._verdict.cache_info()[:2] == (1, 2)  # (hits, misses)
-    # the checks before the cache run on every call
-    wall = stability_params(1, 1, 2, 2)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="wall"):
-            is_stable(r, wall)
-        with pytest.raises(ValueError, match="zero representation"):
-            is_stable(rep((0, 0), [], [], [], []), CH1)
-    assert reps._verdict.cache_info()[:2] == (1, 2)
 
 
 # --- verdicts -----------------------------------------------------------------
