@@ -6,16 +6,14 @@ flop / Dehn-twist comparison."""
 
 __version__ = "0.1.0"
 
-from .paths import (POTENTIAL, FreePathElement, Path, Potential, cyclic_derivative,
-                    relations)
+from .paths import POTENTIAL, FreePathElement, Potential, cyclic_derivative, relations
 from .truncated import TruncatedAlgebra, truncated_algebra
 from .exactcx import QC, phase_lt
 from .ainfty import AInftyTable, mc_expand, mk_eval, stasheff_check
 from .freecomplex import FCGen, FreeComplex, d_squared_ideal_check
-from .tables import m1b_table
 from .reps import (Representation, StabilityParams, StabilityVerdict, central_charge,
                    check_rep, flop_K, is_stable, make_catalog_rep, stability_params,
-                   stable_dimvector_scan, subrep_scan_Fp)
+                   subrep_scan_Fp)
 from .homalg import (ExtensionDatum, ModuleMap, build_extension, ext1, ext_dims,
                      flop_point_analysis, free_complex_cohomology, hom, iso_check,
                      psi_sphere)

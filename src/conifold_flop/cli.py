@@ -2,7 +2,7 @@
 
 Every verification scenario is reachable as one invocation; output is an
 aligned text table by default and canonical JSON with --json.  Identical
-invocations with identical seeds print byte-identical JSON.
+invocations print byte-identical JSON.
 
 Exit codes: 0 on success, 1 when a verification-style check fails or a
 computation raises a RuntimeError (a StabilizationError included), 2 on
@@ -22,9 +22,8 @@ from .exactcx import QC
 from .homalg import (ExtensionDatum, build_extension, ext1_dim, ext_dims,
                      flop_point_analysis, free_complex_cohomology, hom_dim, psi_sphere)
 from .paths import relations
-from .reps import (Representation, StabilityParams, check_rep, flop_K, is_stable,
-                   make_catalog_rep, stable_dimvector_scan)
-from .tables import m1b_table
+from .reps import Representation, StabilityParams, check_rep, flop_K, is_stable, make_catalog_rep
+from .tables import table_sphere0, table_sphere1, table_sphere_m, table_torus
 from .truncated import truncated_algebra
 
 
@@ -118,14 +117,15 @@ def _load_scene(ns, config):
 
 def _table_by_name(name):
     if name in ("sphere0", "L0"):
-        return m1b_table("sphere0")
+        return table_sphere0()
     if name in ("sphere1", "L1"):
-        return m1b_table("sphere1")
-    if name.startswith("torus"):
-        rho = jsonio.parse_frac(name.split(":")[1]) if ":" in name else 1
-        return m1b_table("torus", rho=rho)
+        return table_sphere1()
+    if name == "torus":
+        return table_torus(1)
+    if name.startswith("torus:"):
+        return table_torus(jsonio.parse_frac(name.split(":", 1)[1]))
     if name.startswith("sphere:"):
-        return m1b_table("sphere_m", m=int(name.split(":")[1]))
+        return table_sphere_m(int(name.split(":")[1]))
     raise CliError("unknown table %r (sphere0, sphere1, torus:RHO, sphere:M)" % name)
 
 
@@ -215,7 +215,7 @@ def cmd_stable(ns, config):
 
 def cmd_scan(ns, config):
     params = _load_params(ns, config)
-    counts = stable_dimvector_scan(params, ns.bound, with_counts=True)
+    counts = scan.scan_stable_dimvectors(params.chamber(), ns.bound, with_counts=True)
     items = sorted(counts.items())
     payload = {"bound": ns.bound, "chamber": params.chamber(), "backend": scan.backend_name(),
                "stable": [{"dims": list(d), "count": c} for d, c in items]}
@@ -228,7 +228,7 @@ def cmd_scan(ns, config):
 def cmd_psi(ns, config):
     obj = ns.object
     if obj.startswith("sphere:"):
-        r = psi_sphere(int(obj.split(":")[1]), seed=ns.seed)
+        r = psi_sphere(int(obj.split(":")[1]))
     elif obj.startswith("cone:"):
         mx, mz = _parse_fracs(obj.split(":")[1], 2)
         cls = ExtensionDatum({"x": ((mx,),), "z": ((mz,),), "y": (), "w": ()})
@@ -335,7 +335,6 @@ def cmd_verify_all(ns, config):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized internals")
     common.add_argument("--config", help="JSON file with defaults (z0, z1, scene)")
 
     p = argparse.ArgumentParser(prog="conifold-flop",

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from . import linalg
 from .paths import SRC, TGT, FreePathElement
+from .reps import Representation
 from .truncated import TruncatedAlgebra, truncated_algebra
 
 
@@ -195,8 +196,6 @@ class _DegreeCohomology:
 
 def _cohomology_rep(dc):
     """The cohomology Representation of one degree's `_DegreeCohomology`."""
-    from .reps import Representation
-
     entries = []  # (s, u, index within reps)
     for (s, u), d in sorted(dc.data.items()):
         for i in range(len(d["reps"])):

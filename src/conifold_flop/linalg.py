@@ -170,18 +170,6 @@ def in_span(basis, vec):
     return not independent(basis, (vec,), len(vec))
 
 
-def span_intersect(a, b, ncols):
-    """Intersection of two row spans via the kernel of the stacked system,
-    on integer rows throughout: scaling a row keeps its span."""
-    a = [integer_row(row) for row in a]
-    b = [[-x for x in integer_row(row)] for row in b]
-    if not a or not b:
-        return ()
-    # coefficients (s, t) with s.A = t.B: kernel of [A^T | -B^T]
-    combos = nullspace(tuple(zip(*a, *b)), len(a) + len(b))
-    return row_space(mat_mul([integer_row(c[:len(a)]) for c in combos], a), ncols)
-
-
 def solve_matrix(a, b, ncols):
     """One solution x (as column list) of a x = b, or None; a is (r x ncols)."""
     r, _ = shape(a, ncols)

@@ -16,7 +16,6 @@ algebra (the noncommutative crepant resolution of the conifold).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 ARROWS = "xyzw"
@@ -39,28 +38,6 @@ def word_source(word: str) -> int:
 
 def word_target(word: str) -> int:
     return TGT[word[0]]
-
-
-@dataclass(frozen=True)
-class Path:
-    """A composable arrow word; ``word[i+1]`` is applied before ``word[i]``."""
-
-    word: str
-
-    def __post_init__(self):
-        if not is_composable(self.word):
-            raise ValueError("not a composable word: %r" % self.word)
-
-    @property
-    def source(self):
-        return word_source(self.word)
-
-    @property
-    def target(self):
-        return word_target(self.word)
-
-    def __len__(self):
-        return len(self.word)
 
 
 class FreePathElement:

@@ -306,8 +306,8 @@ def exact_subrep_candidates(r: Representation) -> tuple:
 
     pairs = _radical_chain(ri)  # V itself is dropped with the trivial pairs below
     # socle chain
-    s0 = linalg.span_intersect(linalg.nullspace(ri.mx, d0), linalg.nullspace(ri.mz, d0), d0)
-    s1 = linalg.span_intersect(linalg.nullspace(ri.my, d1), linalg.nullspace(ri.mw, d1), d1)
+    s0 = linalg.row_space(linalg.nullspace(ri.mx + ri.mz, d0), d0)
+    s1 = linalg.row_space(linalg.nullspace(ri.my + ri.mw, d1), d1)
     pairs.append((s0, s1))
     pairs += [_closure_up(ri, (vec,), ()) for vec in s0]
     pairs += [_closure_up(ri, (), (vec,)) for vec in s1]
@@ -606,19 +606,7 @@ def verify_witness(r: Representation, witness, params: StabilityParams) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# chamber scan and K-theory flop
-
-
-def stable_dimvector_scan(params: StabilityParams, bound: int, with_counts=False):
-    """Dimension vectors (d0 + d1 <= bound) admitting a stable nilpotent
-    representation over GF(2); exhaustive, see the scan module."""
-    from . import scan
-
-    params.require_off_wall()
-    counts = scan.scan_stable_dimvectors(params.chamber(), bound, with_counts=with_counts)
-    if with_counts:
-        return counts
-    return set(counts)
+# K-theory flop
 
 
 def flop_K(d) -> tuple:

@@ -164,23 +164,6 @@ def table_sphere_m(m: int) -> FreeComplex:
     return FreeComplex(gens + low_gens, {**diff, **low_diff})
 
 
-def m1b_table(target: str, rho=None, m=None) -> FreeComplex:
-    """Catalog lookup: sphere0 | sphere1 | torus (rho) | sphere_m (m)."""
-    if target == "sphere0":
-        return table_sphere0()
-    if target == "sphere1":
-        return table_sphere1()
-    if target == "torus":
-        if rho is None:
-            raise ValueError("torus table needs the holonomy ratio rho")
-        return table_torus(rho)
-    if target == "sphere_m":
-        if m is None:
-            raise ValueError("sphere_m table needs the index m")
-        return table_sphere_m(m)
-    raise ValueError("unknown catalog target %r" % target)
-
-
 def catalog_tables(rho=2, ms=(2, 3)):
     """The shipped tables exercised by the verification suite."""
     out = {"sphere0": table_sphere0(), "sphere1": table_sphere1(),

@@ -20,7 +20,7 @@ from .freecomplex import d_squared_ideal_check
 from .homalg import ext_dims, flop_point_analysis, free_complex_cohomology, hom_dim, iso_check, psi_spheres
 from .paths import FreePathElement
 from .reps import (flop_K, is_stable, make_catalog_rep, scale_arrow, stability_params,
-                   stable_dimvector_scan, stable_families, verify_witness)
+                   stable_families, verify_witness)
 from .tables import catalog_tables, table_sphere_m, table_torus, table_sphere0
 from .truncated import truncated_algebra
 
@@ -98,7 +98,7 @@ def check_stability_classification():
 
 def check_scan(bound=5):
     for params in (CHAMBER_PLUS, CHAMBER_MINUS):
-        got = stable_dimvector_scan(params, bound)
+        got = set(scan.scan_stable_dimvectors(params.chamber(), bound))
         if got != EXPECTED_SCAN:
             return False, "chamber %+d gave %r" % (params.chamber(), sorted(got))
     return True, "bound %d, both chambers, backend %s" % (bound, scan.backend_name())

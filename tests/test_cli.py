@@ -1,8 +1,11 @@
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -153,6 +156,11 @@ def test_bad_inputs_exit_two(capsys):
     assert main(["flop", "--point", "1/0,1", "--z0", "1,1", "--z1", "-1,2"]) == 2
     assert main(["stable", "--kind", "point:1:1", "--z0", "1e3,1", "--z1", "-1,2"]) == 2
     assert capsys.readouterr().err.count("error: ") == 8
+    # a table name is torus or torus:RHO exactly, not any name starting with torus
+    assert main(["psi", "--object", "table:torusXYZ"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown table 'torusXYZ'")
+    assert main(["scan", "--bound", "3", "--z0", "1,1", "--z1", "1,1"]) == 2
+    assert capsys.readouterr().err == "error: parameters lie on the wall arg z0 = arg z1\n"
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
     assert exc.value.code == 2
@@ -393,3 +401,54 @@ def test_config_file_keeps_exit_code_contract(payload, argv):
         with open(path, "w") as fh:
             json.dump(payload, fh)
         _run_keeping_contract(argv + ["--config", path])
+
+
+_CHAMBERS = (["--z0", "-1,2", "--z1", "1,1"], ["--z0", "1,1", "--z1", "-1,2"])
+_PINNED_KINDS = ["simple:0", "simple:1", "point:1:2", "point:1:0", "point:0:1", "point:1:-1",
+                 "point-flopped:1:2", "point-flopped:0:1", "vplus:1", "vplus:2", "vplus:3",
+                 "vplus:4", "vminus:0", "vminus:1", "vminus:2", "vminus:3", "vplus-dag:2",
+                 "vplus-dag:3", "vminus-dag:1", "vminus-dag:2"]
+_PINNED_TABLES = ["sphere0", "L0", "sphere1", "L1", "torus", "torus:3", "torus:1/2",
+                  "sphere:2", "sphere:3", "sphere:4", "sphere:5", "sphere:6"]
+_PINNED_ARGV = (
+    [["scan", "--bound", "5", *ch] for ch in _CHAMBERS]
+    + [["psi", "--object", "sphere:%d" % k] for k in range(-5, 6)]
+    + [["psi", "--object", "table:" + t, "--n", n] for t in _PINNED_TABLES for n in ("6", "7")]
+    + [["ext", "--from", "simple:%d" % v, "--to", k, "--higher"]
+       for v in (0, 1) for k in ("simple:0", "simple:1", "point:1:2", "vplus:3", "vminus:2")]
+    + [["stable", "--kind", k, *ch] for k in _PINNED_KINDS for ch in _CHAMBERS])
+_PINNED = [argv + mode for argv in _PINNED_ARGV for mode in ([], ["--json"])]
+_VERIFY_ALL_ARGV = ["verify-all", "--json"]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _cli_record(argv):
+    """(exit code, sha256 of stdout, sha256 of stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return [code, _sha256(out.getvalue()), _sha256(err.getvalue())]
+
+
+def _verify_all_sha256():
+    """The pin of `verify-all --json` that the layer benchmark checks."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.VERIFY_ALL_SHA256
+
+
+def test_cli_outputs_are_pinned():
+    # tests/data/cli_outputs.json maps " ".join(argv) to the _cli_record of
+    # each invocation in _PINNED; a change meant to alter an output
+    # rewrites that entry from _cli_record
+    with open(Path(__file__).resolve().parent / "data" / "cli_outputs.json") as fh:
+        want = json.load(fh)
+    assert sorted(want) == sorted(" ".join(argv) for argv in _PINNED)
+    for argv in _PINNED:
+        assert _cli_record(argv) == want[" ".join(argv)], argv
+    assert _cli_record(_VERIFY_ALL_ARGV) == [0, _verify_all_sha256(), _sha256("")]

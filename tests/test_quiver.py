@@ -4,7 +4,7 @@ from functools import lru_cache
 import pytest
 
 from conifold_flop import linalg
-from conifold_flop.paths import (POTENTIAL, SRC, TGT, FreePathElement, Path, Potential,
+from conifold_flop.paths import (POTENTIAL, SRC, TGT, FreePathElement, Potential,
                                  cyclic_derivative, fpe, is_composable, relations, word_source,
                                  word_target)
 from conifold_flop.truncated import MAX_CUTOFF, TruncatedAlgebra, _words_from, truncated_algebra
@@ -18,11 +18,8 @@ def test_relation_words_composable():
 
 
 def test_path_endpoints():
-    p = Path("xyz")
-    assert p.source == 0 and p.target == 1
+    assert word_source("xyz") == 0 and word_target("xyz") == 1
     assert word_source("yzw") == 1 and word_target("yzw") == 0
-    with pytest.raises(ValueError):
-        Path("xz")  # z cannot feed into x: both start at v0
 
 
 def test_xy_is_composable_but_xz_is_not():

@@ -379,6 +379,19 @@ def test_exact_candidates_pinned_and_closed(kind, args):
             assert arrow_closed(module, w0, w1)
 
 
+def _span_intersect(a, b, ncols):
+    """Intersection of two row spans via the kernel of the stacked system,
+    on integer rows throughout: the route the exact candidates took for the
+    socle before they took the common kernel of the stacked arrows."""
+    a = [linalg.integer_row(row) for row in a]
+    b = [[-x for x in linalg.integer_row(row)] for row in b]
+    if not a or not b:
+        return ()
+    # coefficients (s, t) with s.A = t.B: kernel of [A^T | -B^T]
+    combos = linalg.nullspace(tuple(zip(*a, *b)), len(a) + len(b))
+    return linalg.row_space(linalg.mat_mul([linalg.integer_row(c[:len(a)]) for c in combos], a), ncols)
+
+
 def _preimage(m, target_basis, ncols):
     """Basis of {v : m v in row span of target_basis}; m is (r x ncols)."""
     t = [linalg.integer_row(row) for row in target_basis]
@@ -397,10 +410,10 @@ def _closure_down_oracle(r, upper0, upper1):
     while True:
         n0 = w0
         for m in (r.mx, r.mz):
-            n0 = linalg.span_intersect(n0, _preimage(m, w1, d0), d0)
+            n0 = _span_intersect(n0, _preimage(m, w1, d0), d0)
         n1 = w1
         for m in (r.my, r.mw):
-            n1 = linalg.span_intersect(n1, _preimage(m, n0, d1), d1)
+            n1 = _span_intersect(n1, _preimage(m, n0, d1), d1)
         if len(n0) == len(w0) and len(n1) == len(w1):
             return n0, n1
         w0, w1 = n0, n1
@@ -486,10 +499,10 @@ def _assert_seeds_taken_once_per_matrix_keep_the_seed_set(r):
     # every word's image and kernel, with no word skipped, closed upwards in
     # the module and, through their annihilators, in the dual; and the socle
     # lines closed upwards
-    s0 = linalg.span_intersect(linalg.nullspace(r.mx, r.dims[0]), linalg.nullspace(r.mz, r.dims[0]),
-                               r.dims[0])
-    s1 = linalg.span_intersect(linalg.nullspace(r.my, r.dims[1]), linalg.nullspace(r.mw, r.dims[1]),
-                               r.dims[1])
+    s0 = _span_intersect(linalg.nullspace(r.mx, r.dims[0]), linalg.nullspace(r.mz, r.dims[0]),
+                         r.dims[0])
+    s1 = _span_intersect(linalg.nullspace(r.my, r.dims[1]), linalg.nullspace(r.mw, r.dims[1]),
+                         r.dims[1])
     want = {("module", (vec,), ()) for vec in s0} | {("module", (), (vec,)) for vec in s1}
     for v, seed in _fraction_seeds(r):
         for tag, basis in (("module", seed), ("dual", _ann(seed, r.dims[v]))):
@@ -628,8 +641,8 @@ def _fraction_candidates(r):
     full = (linalg.identity(d0), linalg.identity(d1))
     seeds = _fraction_seeds(r)
     pairs = _fraction_radical_chain(r)
-    s0 = linalg.span_intersect(linalg.nullspace(r.mx, d0), linalg.nullspace(r.mz, d0), d0)
-    s1 = linalg.span_intersect(linalg.nullspace(r.my, d1), linalg.nullspace(r.mw, d1), d1)
+    s0 = _span_intersect(linalg.nullspace(r.mx, d0), linalg.nullspace(r.mz, d0), d0)
+    s1 = _span_intersect(linalg.nullspace(r.my, d1), linalg.nullspace(r.mw, d1), d1)
     pairs.append((s0, s1))
     for v, basis in ((0, s0), (1, s1)):
         for vec in basis:

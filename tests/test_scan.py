@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conifold_flop import scan
-from conifold_flop.reps import stability_params, stable_dimvector_scan
+from conifold_flop.reps import stability_params
 
 CH1 = stability_params(-1, 2, 1, 1)
 CH2 = stability_params(1, 1, -1, 2)
@@ -24,8 +24,8 @@ def test_scan_bound_4_pure():
 
 
 def test_scan_bound_5_exists_mode():
-    assert stable_dimvector_scan(CH1, 5) == EXPECTED5
-    assert stable_dimvector_scan(CH2, 5) == EXPECTED5
+    assert set(scan.scan_stable_dimvectors(CH1.chamber(), 5)) == EXPECTED5
+    assert set(scan.scan_stable_dimvectors(CH2.chamber(), 5)) == EXPECTED5
 
 
 def test_degenerate_dims():
@@ -52,7 +52,7 @@ def test_bad_arguments():
     with pytest.raises(ValueError):
         scan.scan_stable_dimvectors(1, 6)
     with pytest.raises(ValueError, match=r"bound must be in 1\.\.5"):
-        stable_dimvector_scan(CH1, 6)
+        scan.scan_stable_dimvectors(CH1.chamber(), 6)
 
 
 def test_schur_filter_blocks_twisted_forms():

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from conifold_flop import tables
+from conifold_flop import cli, tables
 from conifold_flop.freecomplex import (FCGen, FreeComplex, ModuleSlices, StabilizationError,
                                        d_squared_ideal_check, extend_resolution)
 from conifold_flop.paths import FreePathElement, fpe
-from conifold_flop.tables import (catalog_tables, m1b_table, table_sphere0,
-                                  table_sphere_m, table_torus)
+from conifold_flop.tables import (catalog_tables, table_sphere0, table_sphere1, table_sphere_m,
+                                  table_torus)
 from conifold_flop.truncated import truncated_algebra
 
 
@@ -100,15 +100,14 @@ def test_sphere_m_range():
         table_sphere_m(7)
 
 
-def test_m1b_table_dispatch():
-    assert m1b_table("sphere0").by_name["pt"].vertex == 0
-    assert m1b_table("sphere1").by_name["pt"].vertex == 1
-    assert "a11" in m1b_table("torus", rho=3).by_name
-    assert "c4" in m1b_table("sphere_m", m=5).by_name
-    with pytest.raises(ValueError):
-        m1b_table("nonsense")
-    with pytest.raises(ValueError):
-        m1b_table("torus")
+def test_cli_table_names_reach_the_table_functions():
+    named = {"sphere0": table_sphere0(), "L0": table_sphere0(), "sphere1": table_sphere1(),
+             "L1": table_sphere1(), "torus": table_torus(1), "torus:3": table_torus(3),
+             "sphere:5": table_sphere_m(5)}
+    for name, want in named.items():
+        got = cli._table_by_name(name)
+        assert (got.gens, got.diff) == (want.gens, want.diff)
+    assert cli.main(["psi", "--object", "table:nonsense"]) == 2
 
 
 @pytest.mark.slow
