@@ -125,7 +125,7 @@ def _table_by_name(name):
     if name.startswith("torus:"):
         return table_torus(jsonio.parse_frac(name.split(":", 1)[1]))
     if name.startswith("sphere:"):
-        return table_sphere_m(int(name.split(":")[1]))
+        return table_sphere_m(int(name.split(":", 1)[1]))
     raise CliError("unknown table %r (sphere0, sphere1, torus:RHO, sphere:M)" % name)
 
 
@@ -228,9 +228,9 @@ def cmd_scan(ns, config):
 def cmd_psi(ns, config):
     obj = ns.object
     if obj.startswith("sphere:"):
-        r = psi_sphere(int(obj.split(":")[1]))
+        r = psi_sphere(int(obj.split(":", 1)[1]))
     elif obj.startswith("cone:"):
-        mx, mz = _parse_fracs(obj.split(":")[1], 2)
+        mx, mz = _parse_fracs(obj.split(":", 1)[1], 2)
         cls = ExtensionDatum({"x": ((mx,),), "z": ((mz,),), "y": (), "w": ()})
         r, _, _ = build_extension(make_catalog_rep("simple", 0), make_catalog_rep("simple", 1), cls)
     elif obj.startswith("table:"):

@@ -1,8 +1,8 @@
 """Lossless JSON forms: rationals as "p/q" strings, complex values as
 [re, im] pairs, words over "xyzw".  Encoders sort everything so equal
-inputs give byte-identical output.  The representation, stability, arc
-and scene decoders read outside input: a missing key or a value of the
-wrong shape raises ValueError."""
+inputs give byte-identical output.  The representation, arc and scene
+decoders read outside input: a missing key or a value of the wrong shape
+raises ValueError."""
 
 from __future__ import annotations
 
@@ -10,9 +10,8 @@ import json
 from fractions import Fraction
 
 from .arcs import PLArc, SceneConfig
-from .exactcx import QC
 from .paths import FreePathElement
-from .reps import Representation, StabilityParams, StabilityVerdict
+from .reps import Representation, StabilityVerdict
 
 
 def frac_str(x) -> str:
@@ -69,12 +68,6 @@ def rep_from_json(data) -> Representation:
     if not all(type(d) is int and d >= 0 for d in dims):
         raise ValueError("dims must be two nonnegative integers, got %r" % (dims,))
     return Representation(dims, *(matrix_from_json(_field(data, a)) for a in "xzyw"))
-
-
-def params_from_json(data) -> StabilityParams:
-    z0, z1 = (_seq(_field(data, k), k, 2) for k in ("z0", "z1"))
-    return StabilityParams(QC(parse_frac(z0[0]), parse_frac(z0[1])),
-                           QC(parse_frac(z1[0]), parse_frac(z1[1])))
 
 
 def verdict_to_json(v: StabilityVerdict):

@@ -19,10 +19,8 @@ looks the images of each tuple it tests up there.  Its composition
 tables (``pab``, ``pba`` and the memoized ``qa``/``qb``) are filled by
 linearity: a product of GF(2) matrices is linear in each factor, so each
 row is spanned from the products with the unit codes 1 << k, one XOR per
-entry.  The subspaces of each GF(2)^dim are listed once (``_subspaces``),
-and the tables of each dimension vector are built once (``_tables``), with
-their memos: both chambers scan the same cells, so the second chamber
-reuses what the first built.
+entry.  The subspaces of each GF(2)^dim are listed once (``_subspaces``);
+the tables of a dimension vector, with their memos, live for one call.
 
 Nilpotency is read off the four loops yx, yz, wx and wz at vertex 0,
 entries of the composition table ``pba``: a tuple satisfying the
@@ -43,10 +41,22 @@ The group G = GL(V0) x GL(V1) acts on the tuples by change of basis and
 preserves the relations, nilpotency, stability and the endomorphism
 algebra.  So ``y`` runs only over its rank normal forms, one per rank,
 and count mode weights each fibre by the number of matrices of that rank.
-Exists mode visits the ranks in the order where witnesses sit: ascending
-when the vertex-0 simple destabilizes (chamber +1, where x and z carry the
-module and y is small), descending otherwise (chamber -1, where y and w
-carry it).  The order changes how soon a witness is found, never a result.
+The ranks run from high to low, where the witnesses of chamber -1 sit: y
+and w carry the module there.  The order changes how soon a witness is
+found, never a result.
+
+Both chambers are scanned with the destabilizing pairs of chamber -1,
+which changes no count.  The dual module ``reps._dual`` (x' = y^T,
+z' = w^T, y' = x^T, w' = z^T) is an involution that keeps the dims; it
+transposes each relation into another (yzw = wzy into z'w'x' = x'w'z')
+and each path into a path, so it is a bijection on relation-satisfying
+nilpotent tuples.  It keeps dim End: (f0, f1) intertwines a tuple exactly
+when (f0^T, f1^T) intertwines its dual.  It maps a closed pair (U0, U1)
+of dims e to the closed pair (U0^perp, U1^perp) of dims d - e, which
+flips the sign of e0 d1 - e1 d0.  So a tuple is stable in chamber +1
+exactly when its dual is stable in chamber -1, and count(+1, d) =
+count(-1, d) in every cell.  ``scan_dims`` stays correct for any
+destabilizing set; the tests enumerate chamber +1 with it directly.
 
 The loop order prunes aggressively: the relation xyz = zyx constrains
 (x, z) given y alone, so its solution table is reused across all w.
@@ -55,13 +65,13 @@ Four sub-dimension vectors are decided on one pair of arrows out of one
 vertex.  A closed pair of dims (1, 0) is a common kernel vector of x and
 z; (0, 1) one of y and w; (d0, d1 - 1) is a hyperplane of V1 holding the
 images of x and z, so it exists exactly when im x + im z != V1; and
-(d0 - 1, d1) exists exactly when im y + im w != V0.  When these dims
-destabilize, the kernel drops a pair (x, z), or a w against y, whose
-``_simple_masks`` meet before it tests the relations: ``_stable`` would
-find that closed pair, so no count changes.  By counting dimensions, two
-maps V0 -> V1 share a kernel vector and two maps V1 -> V0 miss part of V0
-once d0 > 2 d1; then, or in the mirror case d1 > 2 d0, ``scan_dims``
-returns 0 before it builds the tables.
+(d0 - 1, d1) exists exactly when im y + im w != V0.  When (0, 1) or
+(d0 - 1, d1) destabilizes, as in chamber -1, the kernel drops a w against
+y whose ``_simple_masks`` meet before it tests the relations: ``_stable``
+would find that closed pair, so no count changes.  By counting
+dimensions, two maps V0 -> V1 share a kernel vector and two maps V1 -> V0
+miss part of V0 once d0 > 2 d1; then, or in the mirror case d1 > 2 d0,
+``scan_dims`` returns 0 before it builds the tables.
 """
 
 from __future__ import annotations
@@ -167,13 +177,6 @@ class _Tables:
 
 
 @lru_cache(maxsize=None)
-def _tables(d0, d1):
-    """The `_Tables` of (d0, d1), memos included, built once and shared by
-    both chambers; the scan bound d0 + d1 <= 5 keeps them small."""
-    return _Tables(d0, d1)
-
-
-@lru_cache(maxsize=None)
 def _subspaces(dim):
     """All subspaces of GF(2)^dim: (dim, membership mask over vectors, basis),
     the reduced-echelon bases of ``reps._subspaces_gfp`` packed into bits.
@@ -230,8 +233,9 @@ def _end_dim(rx, rz, ry, rw, d0, d1):
     return d0 * d0 + d1 * d1 - _gfp_rank(rows, 4 * d0 * d1, 2)
 
 
-def _rank_forms(d0, d1, ascending):
-    """Rank normal forms of y : V1 -> V0 with the sizes of their orbits.
+def _rank_forms(d0, d1):
+    """Rank normal forms of y : V1 -> V0 with the sizes of their orbits,
+    from the highest rank to 0.
 
     Under (g0, g1) : y -> g0 y g1^-1 the orbit of a d0 x d1 matrix over
     GF(2) is fixed by its rank r; the representative has the unit vector
@@ -239,13 +243,13 @@ def _rank_forms(d0, d1, ascending):
     rank-r matrix: prod_{i<r} (2^d0 - 2^i)(2^d1 - 2^i) / (2^r - 2^i).
     """
     forms = []
-    for r in range(min(d0, d1) + 1):
+    for r in range(min(d0, d1), -1, -1):
         code = sum(1 << (i * (d1 + 1)) for i in range(r))
         size = 1
         for i in range(r):
             size = size * ((1 << d0) - (1 << i)) * ((1 << d1) - (1 << i)) // ((1 << r) - (1 << i))
         forms.append((code, size))
-    return forms if ascending else forms[::-1]
+    return forms
 
 
 def _simple_masks(img, src, tgt, kernel, cokernel):
@@ -277,7 +281,7 @@ def scan_dims(d0, d1, destab, count_all=True):
     if (d0 > 2 * d1 and ((1, 0) in destab or (d0 - 1, d1) in destab)
             or d1 > 2 * d0 and ((0, 1) in destab or (d0, d1 - 1) in destab)):
         return 0
-    t = _tables(d0, d1)
+    t = _Tables(d0, d1)
     subs0 = _subspaces(d0)
     subs1 = _subspaces(d1)
     pairs_by_dims = {}
@@ -292,21 +296,19 @@ def scan_dims(d0, d1, destab, count_all=True):
     codesA, codesB = t.codesA, t.codesB
     pab, pba, nil = t.pab, t.pba, t.nil
     imgA, imgB = t.imgA, t.imgB
-    # a pair whose masks meet has a closed pair of dims (1, 0), (d0, d1 - 1),
-    # (0, 1) or (d0 - 1, d1), whichever of them destabilize
-    maskA = _simple_masks(imgA, d0, d1, (1, 0) in destab, (d0, d1 - 1) in destab)
+    # a pair (y, w) whose masks meet has a closed pair of dims (0, 1) or
+    # (d0 - 1, d1), whichever of them destabilize
     maskB = _simple_masks(imgB, d1, d0, (0, 1) in destab, (d0 - 1, d1) in destab)
-    # witnesses sit at low rank of y when the vertex-0 simple destabilizes
-    for y, orbit in _rank_forms(d0, d1, ascending=(1, 0) in destab):
+    for y, orbit in _rank_forms(d0, d1):
         pba_y = pba[y]
         ay, my = imgB[y], maskB[y]
         fibre = 0
         # rel xyz = zyx depends on (x, y, z) only; index solutions by z
         s1 = {}
         for x in codesA:
-            qx, mx = t.qa(pab[x][y]), maskA[x]
+            qx = t.qa(pab[x][y])
             for z in codesA:
-                if not mx & maskA[z] and qx[z] == t.qa(pab[z][y])[x]:
+                if qx[z] == t.qa(pab[z][y])[x]:
                     s1.setdefault(z, []).append(x)
         for w in codesB:
             if my & maskB[w]:
@@ -362,6 +364,7 @@ def scan_stable_dimvectors(chamber: int, bound: int, with_counts=False):
     Returns {dims: number of stable representations} (dims with at least
     one).  ``with_counts=False`` stops each dimension vector at the first
     stable representation, which does not change the returned key set.
+    Both chambers are scanned as chamber -1 (module docstring).
     """
     if chamber not in (1, -1):
         raise ValueError("chamber must be +1 or -1")
@@ -371,8 +374,7 @@ def scan_stable_dimvectors(chamber: int, bound: int, with_counts=False):
     for total in range(1, bound + 1):
         for d0 in range(total + 1):
             d1 = total - d0
-            destab = destabilizing_pairs(chamber, d0, d1)
-            n = scan_dims(d0, d1, destab, count_all=with_counts)
+            n = scan_dims(d0, d1, destabilizing_pairs(-1, d0, d1), count_all=with_counts)
             if n:
                 results[(d0, d1)] = n
     return results

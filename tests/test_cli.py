@@ -159,6 +159,10 @@ def test_bad_inputs_exit_two(capsys):
     # a table name is torus or torus:RHO exactly, not any name starting with torus
     assert main(["psi", "--object", "table:torusXYZ"]) == 2
     assert capsys.readouterr().err.startswith("error: unknown table 'torusXYZ'")
+    # every field of --object is read, so junk after the last one is an error
+    for obj in ("sphere:3:junk", "cone:1,2:junk", "table:sphere:5:junk"):
+        assert main(["psi", "--object", obj]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
     assert main(["scan", "--bound", "3", "--z0", "1,1", "--z1", "1,1"]) == 2
     assert capsys.readouterr().err == "error: parameters lie on the wall arg z0 = arg z1\n"
     with pytest.raises(SystemExit) as exc:
@@ -175,8 +179,9 @@ def test_ainfty_check(capsys):
     ("rep_from_json", {"dims": [1, 1]}),
     ("rep_from_json", {"dims": [1], "x": [], "z": [], "y": [], "w": []}),
     ("rep_from_json", {"dims": [1, 1], "x": ["1"], "z": [["1"]], "y": [["1"]], "w": [["1"]]}),
-    ("params_from_json", {"z0": ["-1", "2"]}),
-    ("params_from_json", {"z0": ["-1"], "z1": ["1", "1"]}),
+    ("rep_from_json", {"dims": [1, -1], "x": [], "z": [], "y": [], "w": []}),
+    ("rep_from_json", {"dims": [1, 2], "x": [["1"], ["1", "0"]], "z": [["0"], ["0"]],
+                       "y": [["0", "0"]], "w": [["0", "0"]]}),
     ("arc_from_json", {"points": [["-3", "0"], ["1"]]}),
     ("arc_from_json", [["-3", "0"], ["-1", "0"]]),
     ("scene_from_json", {"a": "-3", "b": "-1"}),
@@ -200,6 +205,8 @@ _SELF_CROSSING = {"points": [["-4", "0"], ["-3", "2"], ["-2", "-2"], ["-4", "1"]
     (["arc", "--op", "flop", "--arc"], _SELF_CROSSING),
     (["arc", "--op", "twist", "--arc"], _WRONG_ENDPOINT),
     (["arc", "--op", "twist", "--arc"], _SELF_CROSSING),
+    (["stable", "--kind", "point:1:1", "--config"], {"z0": ["-1", "2"]}),
+    (["stable", "--kind", "point:1:1", "--config"], {"z0": ["-1"], "z1": ["1", "1"]}),
 ])
 def test_malformed_json_files_exit_two(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"

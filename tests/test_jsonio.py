@@ -20,13 +20,6 @@ def test_rep_roundtrip():
     assert jsonio.rep_from_json(jsonio.rep_to_json(p)) == p
 
 
-def test_params_from_json():
-    p = stability_params(Fraction(-1, 2), 2, 1, Fraction(1, 3))
-    assert jsonio.params_from_json({"z0": ["-1/2", "2"], "z1": ["1", "1/3"]}) == p
-    with pytest.raises(ValueError, match="z1"):
-        jsonio.params_from_json({"z0": ["-1/2", "2"], "z1": ["1"]})
-
-
 def test_verdict_serialization():
     ch2 = stability_params(1, 1, -1, 2)
     v = is_stable(make_catalog_rep("vplus", 2), ch2)

@@ -926,6 +926,21 @@ def test_duality_invariants_on_quadruples(r):
     _assert_duality_invariants(r)
 
 
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_exact_verdicts_swap_chambers_under_duality(seed):
+    # the duality the GF(2) scan relies on, on exact verdicts: the catalog
+    # modules (seed None) and the workload's conjugates of them
+    if seed is None:
+        modules = [make_catalog_rep(kind, *args) for kind, args in CATALOG]
+    else:
+        modules = [module for _, module in WORKLOADS._lattice_prepare(seed)]
+    assert len(modules) == 19
+    for r in modules:
+        dual = reps._dual(r)
+        for params, flipped in ((CH1, CH2), (CH2, CH1)):
+            assert is_stable(r, params).kind == is_stable(dual, flipped).kind
+
+
 # --- K-theory ------------------------------------------------------------------
 
 

@@ -69,20 +69,44 @@ def _gl_order(d):
     return out
 
 
+_CELLS5 = [(d0, t - d0) for t in range(1, 6) for d0 in range(t + 1)]
+
+
+def _scan_chamber(chamber, bound, with_counts):
+    """The kernel run directly with the destabilizing pairs of ``chamber``
+    on every cell d0 + d1 <= bound: for chamber +1 an enumeration of its
+    own, independent of the duality that ``scan_stable_dimvectors`` uses."""
+    out = {}
+    for d0, d1 in _CELLS5:
+        if d0 + d1 <= bound:
+            n = scan.scan_dims(d0, d1, scan.destabilizing_pairs(chamber, d0, d1), count_all=with_counts)
+            if n:
+                out[(d0, d1)] = n
+    return out
+
+
 @pytest.fixture(scope="module")
 def counts4():
-    return {ch: scan.scan_stable_dimvectors(ch, 4, with_counts=True)
-            for ch in (1, -1)}
+    return {ch: _scan_chamber(ch, 4, True) for ch in (1, -1)}
+
+
+@pytest.mark.parametrize("with_counts", [True, False])
+def test_chamber_plus_oracle_matches_the_scan(with_counts):
+    # every cell of bound 5, chamber +1 enumerated directly, against the
+    # scan of either chamber; both leave out the cells that count 0
+    oracle = _scan_chamber(1, 5, with_counts)
+    for chamber in (1, -1):
+        assert scan.scan_stable_dimvectors(chamber, 5, with_counts=with_counts) == oracle
 
 
 @pytest.mark.parametrize("chamber", [1, -1])
 def test_orbit_reduction_matches_full_enumeration(chamber, counts4, monkeypatch):
     # every y code as its own form with weight 1 is the unreduced scan
-    def every_y(d0, d1, ascending):
+    def every_y(d0, d1):
         return [(y, 1) for y in range(1 << (d0 * d1))]
 
     monkeypatch.setattr(scan, "_rank_forms", every_y)
-    assert scan.scan_stable_dimvectors(chamber, 4, with_counts=True) == counts4[chamber]
+    assert _scan_chamber(chamber, 4, True) == counts4[chamber]
 
 
 @pytest.mark.parametrize("chamber", [1, -1])
@@ -96,6 +120,8 @@ def test_chamber_duality(counts4):
     # swapping x <-> y and z <-> w swaps the vertices and maps W to -W
     swapped = {(d1, d0): n for (d0, d1), n in counts4[1].items()}
     assert counts4[-1] == swapped
+    # the module duality keeps the dims and swaps the chambers
+    assert counts4[1] == counts4[-1]
 
 
 def test_counts_divisible_by_group_order(counts4):
@@ -105,7 +131,7 @@ def test_counts_divisible_by_group_order(counts4):
             assert n % (_gl_order(d0) * _gl_order(d1)) == 0
 
 
-@pytest.mark.parametrize("d0,d1", [(d0, t - d0) for t in range(1, 6) for d0 in range(t + 1)])
+@pytest.mark.parametrize("d0,d1", _CELLS5)
 def test_image_tables_match_apply_tables(d0, d1):
     t = scan._Tables(d0, d1)
     assert len(t.imgA) == len(t.imgB) == 1 << (d0 * d1)
@@ -114,7 +140,7 @@ def test_image_tables_match_apply_tables(d0, d1):
         assert t.imgB[c] == scan._apply_tables(scan._rows_of(c, d0, d1), d1, d0)
 
 
-@pytest.mark.parametrize("d0,d1", [(d0, t - d0) for t in range(1, 6) for d0 in range(t + 1)])
+@pytest.mark.parametrize("d0,d1", _CELLS5)
 def test_composition_tables_match_direct_products(d0, d1):
     # the tables are spanned from unit codes; each entry is one product
     t = scan._Tables(d0, d1)
@@ -146,13 +172,13 @@ def test_subspaces_cached_value_is_immutable(dim):
 
 @pytest.mark.parametrize("d0,d1", [(1, 1), (2, 3), (3, 2), (2, 2), (1, 4)])
 def test_rank_forms_partition_all_matrices(d0, d1):
-    forms = scan._rank_forms(d0, d1, ascending=True)
+    forms = scan._rank_forms(d0, d1)
     assert len(forms) == min(d0, d1) + 1
     assert sum(size for _, size in forms) == 1 << (d0 * d1)
-    for r, (code, _) in enumerate(forms):
+    # from the highest rank down to 0
+    for r, (code, _) in zip(range(min(d0, d1), -1, -1), forms):
         rows = scan._rows_of(code, d0, d1)
         assert len(_reduce_basis(list(rows))) == r
-    assert scan._rank_forms(d0, d1, ascending=False) == forms[::-1]
 
 
 # --- oracle: nilpotency by the radical chain on packed vectors ---------------
@@ -196,11 +222,12 @@ def _relations_hold(rx, rz, ry, rw):
             and word(rw, rx, ry) == word(ry, rx, rw) and word(rx, ry, rz) == word(rz, ry, rx))
 
 
-def _simple_destabilizes(images, d0, d1, destab):
+def _simple_destabilizes(images, d0, d1, destab, sides=("xz", "yw")):
     """Whether a closed pair of dims (1, 0), (0, 1), (d0, d1 - 1) or
     (d0 - 1, d1) lies in ``destab``: a common kernel vector of x and z, or
     of y and w, or images of x and z (of y and w) spanning less than V1
-    (than V0).  Ranks by Gaussian elimination on the image vectors."""
+    (than V0).  ``sides`` limits the test to the pairs of those arrows.
+    Ranks by Gaussian elimination on the image vectors."""
     ax, az, ay, aw = images
 
     def common_kernel(a, b, src):
@@ -209,18 +236,25 @@ def _simple_destabilizes(images, d0, d1, destab):
     def rank(a, b, src):
         return len(_reduce_basis([m[1 << i] for m in (a, b) for i in range(src)]))
 
-    return ((1, 0) in destab and common_kernel(ax, az, d0)
-            or (0, 1) in destab and common_kernel(ay, aw, d1)
-            or (d0, d1 - 1) in destab and rank(ax, az, d0) < d1
-            or (d0 - 1, d1) in destab and rank(ay, aw, d1) < d0)
+    return ("xz" in sides and ((1, 0) in destab and common_kernel(ax, az, d0)
+                               or (d0, d1 - 1) in destab and rank(ax, az, d0) < d1)
+            or "yw" in sides and ((0, 1) in destab and common_kernel(ay, aw, d1)
+                                  or (d0 - 1, d1) in destab and rank(ay, aw, d1) < d0))
+
+
+def _forced(d0, d1, destab):
+    """The cells where ``scan_dims`` returns 0 before the tables."""
+    return (d0 > 2 * d1 and ((1, 0) in destab or (d0 - 1, d1) in destab)
+            or d1 > 2 * d0 and ((0, 1) in destab or (d0, d1 - 1) in destab))
 
 
 @pytest.mark.parametrize("chamber", [1, -1])
 def test_loop_rule_matches_radical_chain(chamber, monkeypatch):
     # the kernel hands every tuple passing its relation, loop and simple
     # filters to _stable; those must be exactly the relation-satisfying
-    # tuples (y in its rank forms) that the radical chain finds nilpotent
-    # and that have no destabilizing simple sub or quotient
+    # tuples (y in its rank forms) of the cells it does not decide early
+    # that the radical chain finds nilpotent and that have no destabilizing
+    # simple sub or quotient on the side of y and w
     seen = set()
 
     def record(ax, az, ay, aw, pairs_by_dims, destab):
@@ -228,15 +262,17 @@ def test_loop_rule_matches_radical_chain(chamber, monkeypatch):
         return False
 
     monkeypatch.setattr(scan, "_stable", record)
-    assert scan.scan_stable_dimvectors(chamber, 4, with_counts=True) == {}
+    assert _scan_chamber(chamber, 4, True) == {}
     expected, satisfying, simple = set(), 0, 0
     for total in range(1, 5):
         for d0 in range(total + 1):
             d1 = total - d0
             destab = scan.destabilizing_pairs(chamber, d0, d1)
+            if _forced(d0, d1, destab):
+                continue
             rows_a = [scan._rows_of(c, d1, d0) for c in range(1 << (d0 * d1))]
             rows_b = [scan._rows_of(c, d0, d1) for c in range(1 << (d0 * d1))]
-            for y, _ in scan._rank_forms(d0, d1, ascending=True):
+            for y, _ in scan._rank_forms(d0, d1):
                 ry = rows_b[y]
                 for rx, rz, rw in itertools.product(rows_a, rows_a, rows_b):
                     if not _relations_hold(rx, rz, ry, rw):
@@ -246,12 +282,14 @@ def test_loop_rule_matches_radical_chain(chamber, monkeypatch):
                               scan._apply_tables(ry, d1, d0), scan._apply_tables(rw, d1, d0))
                     if not _nilpotent(*images, d0, d1):
                         continue
-                    if _simple_destabilizes(images, d0, d1, destab):
+                    if _simple_destabilizes(images, d0, d1, destab, sides=("yw",)):
                         simple += 1
                     else:
                         expected.add(tuple(map(tuple, images)))
     assert len(expected) + simple < satisfying  # the rule has tuples to reject
-    assert simple  # and so has the simple filter
+    # and so has the simple filter, in chamber -1 only: in chamber +1, (0, 1)
+    # and (d0 - 1, d1) destabilize only in the cells decided early
+    assert bool(simple) == (chamber < 0)
     assert seen == expected
 
 
@@ -273,25 +311,24 @@ def nilpotent_tuples4():
 
 @pytest.mark.parametrize("chamber", [1, -1])
 def test_simple_filter_drops_only_unstable_tuples(chamber, nilpotent_tuples4):
-    # the kernel's masks meet exactly on the tuples with a destabilizing
-    # simple sub or quotient, and _stable rejects each of them; in the cells
-    # that return before the tables, every tuple is such a tuple
+    # the kernel's masks on (y, w) meet exactly on the tuples with a
+    # destabilizing simple sub or quotient on that side, and _stable rejects
+    # each of them; in the cells that return before the tables, every tuple
+    # has a destabilizing simple sub or quotient, on one side or the other
     dropped = 0
     for (d0, d1), (t, tuples) in nilpotent_tuples4.items():
         destab = scan.destabilizing_pairs(chamber, d0, d1)
-        forced = (d0 > 2 * d1 and ((1, 0) in destab or (d0 - 1, d1) in destab)
-                  or d1 > 2 * d0 and ((0, 1) in destab or (d0, d1 - 1) in destab))
-        mask_a = scan._simple_masks(t.imgA, d0, d1, (1, 0) in destab, (d0, d1 - 1) in destab)
+        forced = _forced(d0, d1, destab)
         mask_b = scan._simple_masks(t.imgB, d1, d0, (0, 1) in destab, (d0 - 1, d1) in destab)
         pairs = {(e0, e1): [(m0, b0, m1, b1) for k0, m0, b0 in scan._subspaces(d0) if k0 == e0
                             for k1, m1, b1 in scan._subspaces(d1) if k1 == e1]
                  for e0, e1 in destab}
         for x, z, y, w in tuples:
             images = (t.imgA[x], t.imgA[z], t.imgB[y], t.imgB[w])
-            masked = bool(mask_a[x] & mask_a[z] or mask_b[y] & mask_b[w])
-            assert masked == _simple_destabilizes(images, d0, d1, destab)
-            assert masked or not forced
-            if masked:
+            masked = bool(mask_b[y] & mask_b[w])
+            assert masked == _simple_destabilizes(images, d0, d1, destab, sides=("yw",))
+            assert _simple_destabilizes(images, d0, d1, destab) or not forced
+            if masked or forced:
                 dropped += 1
                 assert not scan._stable(*images, pairs, destab)
     assert dropped
@@ -304,37 +341,18 @@ def test_forced_cells_return_before_the_tables(monkeypatch):
     def no_tables(d0, d1):
         raise Built
 
-    # the builder is cached per dimension vector: with its cache cleared,
     # every cell that reaches the tables calls the patched class
     monkeypatch.setattr(scan, "_Tables", no_tables)
-    scan._tables.cache_clear()
-    try:
-        for chamber in (1, -1):
-            early = set()
-            for total in range(1, 6):
-                for d0 in range(total + 1):
-                    destab = scan.destabilizing_pairs(chamber, d0, total - d0)
-                    try:
-                        assert scan.scan_dims(d0, total - d0, destab) == 0
-                    except Built:
-                        continue
-                    early.add((d0, total - d0))
-            assert early == {(0, 2), (0, 3), (0, 4), (0, 5), (2, 0), (3, 0), (4, 0), (5, 0),
-                             (1, 3), (3, 1), (1, 4), (4, 1)}
-    finally:
-        scan._tables.cache_clear()
-
-
-def test_both_chambers_share_one_set_of_tables():
-    # the 8 cells per chamber that reach the tables build them once; the
-    # second chamber reuses them
-    scan._tables.cache_clear()
-    try:
-        for chamber in (1, -1):
-            assert set(scan.scan_stable_dimvectors(chamber, 5)) == EXPECTED5
-        assert scan._tables.cache_info()[:2] == (8, 8)  # (hits, misses)
-    finally:
-        scan._tables.cache_clear()
+    for chamber in (1, -1):
+        early = set()
+        for d0, d1 in _CELLS5:
+            try:
+                assert scan.scan_dims(d0, d1, scan.destabilizing_pairs(chamber, d0, d1)) == 0
+            except Built:
+                continue
+            early.add((d0, d1))
+        assert early == {(0, 2), (0, 3), (0, 4), (0, 5), (2, 0), (3, 0), (4, 0), (5, 0),
+                         (1, 3), (3, 1), (1, 4), (4, 1)}
 
 
 # --- oracle: the GF(2) End dimension from packed intertwining equations --------
