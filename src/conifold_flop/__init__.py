@@ -17,4 +17,4 @@ from .reps import (Representation, StabilityParams, StabilityVerdict, central_ch
 from .homalg import (ExtensionDatum, ModuleMap, build_extension, ext1, ext_dims,
                      flop_point_analysis, free_complex_cohomology, hom, iso_check,
                      psi_sphere)
-from .arcs import PLArc, SceneConfig, catalog_arc, dehn_twist_map, flop_map, invariants, phase_order
+from .arcs import PLArc, SceneConfig, catalog_arc, dehn_twist_map, flop_map, invariants

@@ -423,28 +423,3 @@ def dehn_twist_map(arc: PLArc, cfg: SceneConfig = DEFAULT_SCENE, inverse: bool =
     """Full-turn twist supported on the annulus; the inner disk and the
     outside are pointwise fixed."""
     return _staircase_map(arc, cfg, F(-2) if inverse else F(2))
-
-
-# ---------------------------------------------------------------------------
-# the formal phase comparator for the sphere family
-
-
-def phase_order(i: int, j: int) -> str:
-    """'greater', 'less' or 'unspecified' for the phases of the i-th and
-    j-th spheres: the zeroth is maximal, the first minimal, each chain is
-    ordered downward, and cross-chain pairs are left unspecified."""
-    if i == j:
-        raise ValueError("indices must differ")
-    if i == 0:
-        return "greater"
-    if j == 0:
-        return "less"
-    if i == 1:
-        return "less"
-    if j == 1:
-        return "greater"
-    if i >= 2 and j >= 2:
-        return "greater" if i < j else "less"
-    if i <= -1 and j <= -1:
-        return "greater" if i < j else "less"
-    return "unspecified"

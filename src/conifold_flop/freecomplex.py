@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import linalg
 from .paths import SRC, TGT, FreePathElement
 from .reps import Representation
-from .truncated import TruncatedAlgebra, truncated_algebra
+from .truncated import TruncatedAlgebra, _normal_word, counts, truncated_algebra
 
 
 @dataclass(frozen=True)
@@ -93,49 +93,49 @@ class StabilizationError(RuntimeError):
 class ModuleSlices:
     """Slices of the free module on ``gens`` over a truncated algebra.
 
-    Basis elements are pairs (generator index, class word) where the class
-    word starts at the generator's vertex; the pair sits in the slice
-    (s, u) with s = internal degree of the generator plus word length and
-    u the word's target vertex.
+    Basis elements are pairs (generator index, counts) where the class with
+    those arrow counts starts at the generator's vertex; the pair sits in
+    the slice (s, u) with s = internal degree of the generator plus the
+    class length and u the class's target vertex.
     """
 
     def __init__(self, A: TruncatedAlgebra, gens, s_max: int):
-        self.A = A
         self.gens = tuple(gens)
         self.s_max = s_max
         self.basis = {}
         for gi, g in enumerate(self.gens):
             for u in (0, 1):
-                for length, word in A.basis[(g.vertex, u)]:
+                for length, cls in A.basis[(g.vertex, u)]:
                     s = g.internal + length
                     if s > s_max:
                         continue
-                    self.basis.setdefault((s, u), []).append((gi, word))
+                    self.basis.setdefault((s, u), []).append((gi, cls))
 
     def slice_dim(self, s, u):
         return len(self.basis.get((s, u), ()))
 
     def differential_matrix(self, fc: FreeComplex, target: "ModuleSlices", s, u):
-        """Matrix (rows = source slice basis) of d into target slice (s, u).
-        Integral coefficients are stored as ints."""
+        """Rows, one per source slice basis element, of d into target slice
+        (s, u).  Integral coefficients are stored as ints."""
         src = self.basis.get((s, u), ())
         tgt = target.basis.get((s, u), ())
         tindex = {entry: i for i, entry in enumerate(tgt)}
         out_index = {h.name: i for i, h in enumerate(target.gens)}
         rows = []
-        for gi, word in src:
+        for gi, cls in src:
             g = self.gens[gi]
             vec = [0] * len(tgt)
             for coeff, out_name in fc.diff[g.name]:
                 oi = out_index[out_name]
                 for w2, c2 in coeff.coeffs.items():
-                    combined = word + w2  # w2 acts first; empty word is the idempotent
-                    rep = target.A.class_of(combined) if combined else ""
-                    if rep is None:
+                    # w2 acts first: the product's class adds the counts, and
+                    # past the cutoff it has no basis element
+                    i = tindex.get((oi, tuple(a + b for a, b in zip(cls, counts(w2)))))
+                    if i is None:
                         raise StabilizationError("slice product overflowed the cutoff")
-                    vec[tindex[(oi, rep)]] += c2.numerator if c2.denominator == 1 else c2
+                    vec[i] += c2.numerator if c2.denominator == 1 else c2
             rows.append(tuple(vec))
-        return tuple(rows), src, tgt
+        return tuple(rows)
 
     def arrow_image(self, arrow, s, u, vec):
         """Postcomposition by an arrow u -> u' on a slice vector; returns
@@ -147,11 +147,13 @@ class ModuleSlices:
         tgt = self.basis.get((s + 1, u2), ())
         tindex = {entry: i for i, entry in enumerate(tgt)}
         out = [Fraction(0)] * len(tgt)
-        for c, (gi, word) in zip(vec, src):
+        unit = counts(arrow)
+        for c, (gi, cls) in zip(vec, src):
             if c == 0:
                 continue
-            # the class may be in the algebra but its slice above the window
-            i = tindex.get((gi, self.A.class_of(arrow + word)))
+            # the class may be past the cutoff, or in the algebra but its
+            # slice above the window
+            i = tindex.get((gi, tuple(a + b for a, b in zip(cls, unit))))
             if i is None:
                 raise StabilizationError("arrow action left the window")
             out[i] += c
@@ -239,7 +241,7 @@ def graded_cohomology(fc: FreeComplex, cutoff: int, s_max=None):
     @functools.cache
     def matrix(k, s, u):
         """Slice matrix (s, u) of d from degree k to degree k + 1."""
-        return module(k).differential_matrix(fc, module(k + 1), s, u)[0]
+        return module(k).differential_matrix(fc, module(k + 1), s, u)
 
     out = {}
     for k in fc.degrees():
@@ -270,7 +272,7 @@ def _kernel_slices(fc, A, k, s_max):
     """Kernel of d on the degree-k module, per slice, as vectors."""
     slices = ModuleSlices(A, fc.gens_of_degree(k), s_max)
     above = ModuleSlices(A, fc.gens_of_degree(k + 1), s_max)
-    return slices, _kernels(slices, lambda s, u: slices.differential_matrix(fc, above, s, u)[0])
+    return slices, _kernels(slices, lambda s, u: slices.differential_matrix(fc, above, s, u))
 
 
 def _minimal_generators(slices, kernels):
@@ -293,18 +295,19 @@ def _minimal_generators(slices, kernels):
 def _syzygy_step(slices, mins, degree):
     """One generator of homological ``degree`` per minimal kernel generator
     (s, u, vec), named syz{degree}_{index}, with its differential row
-    read off ``vec`` in the basis of ``slices``.  Returns (gens, diff)."""
+    read off ``vec`` in the basis of ``slices``, each class written as its
+    normal word.  Returns (gens, diff)."""
     gens, diff = [], {}
     for idx, (s, u, vec) in enumerate(mins):
         name = "syz%d_%d" % (degree, idx)
         gens.append(FCGen(name, u, degree, s))
         rows = {}
-        for c, (gi, word) in zip(vec, slices.basis[(s, u)]):
+        for c, (gi, cls) in zip(vec, slices.basis[(s, u)]):
             if c == 0:
                 continue
-            out_name = slices.gens[gi].name
-            acc = rows.get(out_name, FreePathElement())
-            rows[out_name] = acc + FreePathElement({word: c})
+            out = slices.gens[gi]
+            acc = rows.get(out.name, FreePathElement())
+            rows[out.name] = acc + FreePathElement({_normal_word(out.vertex, cls): c})
         diff[name] = [(e, out_name) for out_name, e in sorted(rows.items())]
     return gens, diff
 

@@ -301,11 +301,12 @@ def free_complex_cohomology(fc: FreeComplex, cutoff: int):
 
     The window needs no check against the cutoff + 1 algebra:
     - if every generator has internal degree >= -3, a window element
-      (generator g, word) has length s - g.internal <= cutoff, so over the
-      cutoff + 1 algebra the window has the same basis in the same order
-      and every product the window forms has the same class (a class is
-      its source and arrow counts); a product past the cutoff makes
-      `class_of` return None, and the window raises `StabilizationError`;
+      (generator g, class) has length s - g.internal <= cutoff, so over
+      the cutoff + 1 algebra the window has the same basis in the same
+      order and every product the window forms has the same class (a
+      class is its source and arrow counts, and a product adds the
+      counts); a product past the cutoff has no count vector in the
+      basis, and the window raises `StabilizationError`;
     - otherwise let g have the least internal degree, i < -3.  A
       differential entry lowers the internal degree by its length, which
       is positive, so no entry leaves g, and its words of length cutoff are

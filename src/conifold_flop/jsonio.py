@@ -89,9 +89,12 @@ def arc_to_json(arc: PLArc):
 
 def arc_from_json(data) -> PLArc:
     points = _seq(_field(data, "points"), "points")
+    orientation = data.get("orientation", 1)
+    if type(orientation) is not int:  # True == 1 and 1.0 == 1 would pass PLArc
+        raise ValueError("orientation must be the integer 1 or -1, got %r" % (orientation,))
     return PLArc(tuple((parse_frac(x), parse_frac(y))
                        for x, y in (_seq(p, "point", 2) for p in points)),
-                 data.get("orientation", 1))
+                 orientation)
 
 
 def scene_from_json(data) -> SceneConfig:

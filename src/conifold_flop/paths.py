@@ -66,10 +66,6 @@ class FreePathElement:
     def from_word(cls, word, coeff=1):
         return cls({word: Fraction(coeff)})
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def is_zero(self):
         return not self.coeffs
 

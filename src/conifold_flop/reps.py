@@ -24,7 +24,7 @@ from functools import lru_cache
 from . import linalg
 from .exactcx import QC, admissible, cross
 from .paths import SRC, TGT, relations
-from .truncated import _words_from
+from .truncated import normal_words
 
 SCAN_PRIMES = (2, 3, 5)
 MAX_SCAN_DIM = 4
@@ -50,6 +50,12 @@ class Representation:
             rows, cols = linalg.shape(m, c)
             if rows != r or (rows and cols != c):
                 raise ValueError("%s must be %dx%d" % (name, r, c))
+
+    def __hash__(self):
+        # hashed on first use and kept: the module caches look modules up by value
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.dims, self.mx, self.mz, self.my, self.mw)))
+        return self._hash
 
     def matrix(self, arrow):
         return {"x": self.mx, "z": self.mz, "y": self.my, "w": self.mw}[arrow]
@@ -274,10 +280,12 @@ def _annihilator(basis, n):
 @lru_cache(maxsize=MODULE_CACHE_SIZE)
 def exact_subrep_candidates(r: Representation) -> tuple:
     """Proper nonzero subrepresentations found by exact seeds: kernels and
-    images of all path actions up to length 4 (taken once per distinct
-    (target vertex, matrix) pair), radical and socle layers, socle
-    coordinate lines, and coordinate-line closures.  Seeds are deduplicated
-    by vertex and canonical row space; each seed S at v gives the smallest
+    images of the path actions up to length 4 (one normal word per class,
+    as the words of a class act alike on ``r``, which `is_stable` has
+    checked to satisfy the relations; taken once per distinct (target
+    vertex, matrix) pair), radical and socle layers, socle coordinate
+    lines, and coordinate-line closures.  Seeds are deduplicated by
+    vertex and canonical row space; each seed S at v gives the smallest
     subrepresentation containing (S, 0) and the largest inside (S, V), the
     annihilator of the dual's smallest one containing (Ann S, 0).  It runs
     on the integer module `_integerize(r)`; the bases are canonical
@@ -288,10 +296,11 @@ def exact_subrep_candidates(r: Representation) -> tuple:
     seeds = set()  # (vertex, reduced row-echelon basis)
     for src in (0, 1):
         n = r.dims[src]
-        # each word acts through its suffix w[1:], one length shorter
+        # a word acts through its suffix w[1:], also a normal word: dropping
+        # the first letter leaves x before z and w before y at each vertex
         action, distinct = {}, set()
         for length in range(1, 5):
-            for word in _words_from(src, length):
+            for word in normal_words(src, length):
                 m = ri.matrix(word[0])
                 if length > 1:
                     m = linalg.mat_mul(m, action[word[1:]], bcols=n)
@@ -503,12 +512,9 @@ def is_stable(r: Representation, params: StabilityParams) -> StabilityVerdict:
     unexplained = sorted(flagged - equal_phase_dims)
     if unexplained:
         return StabilityVerdict("undetermined", primes=tuple(used), flagged=tuple(unexplained))
-    if flagged:
-        sub = sorted(flagged & equal_phase_dims)[0]
-        return StabilityVerdict("semistable_only", primes=tuple(used), witness_dims=sub)
-    if equal_phase_dims:
-        sub = sorted(equal_phase_dims)[0]
-        return StabilityVerdict("semistable_only", primes=tuple(used), witness_dims=sub)
+    if equal_phase_dims:  # the flags, if any, are all equal-phase dimension vectors
+        return StabilityVerdict("semistable_only", primes=tuple(used),
+                                witness_dims=min(flagged or equal_phase_dims))
     # no rational destabilizer; a stable verdict still requires scalar
     # endomorphisms, otherwise the module is a twisted form of equal-phase
     # pieces that splits after a field extension

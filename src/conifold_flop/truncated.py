@@ -9,9 +9,10 @@ statement that paths with the same ends and the same arrow counts agree
 e0.A.e0 = k[yx, yz, wx, wz]/(yx.wz - yz.wx), the coordinate ring of the
 conifold (Van den Bergh, Duke Math. J. 122, 2004).  So the basis of each
 homogeneous component is written down directly: one class per count
-vector, represented by its normal word (`_normal_word`), the
-lexicographically least composable word with those counts.  Products of
-classes whose total length exceeds the cutoff are zero.
+vector, so the class of a product adds the counts of its factors.  The
+classes are listed in the order of their normal words (`_normal_word`),
+the lexicographically least composable words with those counts.
+Products of classes whose total length exceeds the cutoff are zero.
 
 The test oracle, in `tests/test_quiver.py`, is the union-find of the
 words under the relation substitutions; it checks the basis and every
@@ -20,23 +21,16 @@ class through `MAX_CUTOFF`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .paths import SRC, TGT, FreePathElement, is_composable
+from .paths import SRC, FreePathElement, is_composable
 
 MAX_CUTOFF = 12
 
 
-def _words_from(source, length):
-    """All composable words of given length starting at ``source``."""
-    if length == 0:
-        return [""]
-    outs = {0: "xz", 1: "yw"}
-    words = [a for a in outs[source]]
-    for _ in range(length - 1):
-        words = [a + w for w in words for a in outs[TGT[w[0]]]]
-    return words
+def counts(word):
+    """The arrow counts (x, z, y, w) of a word."""
+    return tuple(word.count(a) for a in "xzyw")
 
 
 def _normal_word(source, counts):
@@ -53,46 +47,48 @@ def _normal_word(source, counts):
     return "".join(word)
 
 
+def classes(source, length):
+    """The count vectors of the classes of paths of ``length`` from
+    ``source``, in the order of their normal words."""
+    # arrows leaving vertex 0 (x or z) and vertex 1 (y or w)
+    n_xz, n_yw = (length + 1 - source) // 2, (length + source) // 2
+    return sorted(((x, n_xz - x, n_yw - w, w) for x in range(n_xz + 1) for w in range(n_yw + 1)),
+                  key=lambda c: _normal_word(source, c))
+
+
+@lru_cache(maxsize=None)
+def normal_words(source, length):
+    """The normal words of the classes of paths of ``length`` from
+    ``source``, in the order of `classes`."""
+    return tuple(_normal_word(source, c) for c in classes(source, length))
+
+
 class TruncatedAlgebra:
     """Paths of length <= N modulo the relation ideal, with exact basis.
 
-    Basis elements are the normal words of the classes, indexed per
-    (source, target) pair; the two vertex idempotents are the empty words
-    at v0 and v1.
+    Basis elements are the classes, as (length, count vector) per
+    (source, target) pair; the two vertex idempotents are the zero count
+    vectors at v0 and v1.
     """
 
     def __init__(self, cutoff: int):
         if not 0 <= cutoff <= MAX_CUTOFF:
             raise ValueError("cutoff must be in 0..%d" % MAX_CUTOFF)
         self.cutoff = cutoff
-        # (source, target) -> ordered list of (length, representative)
+        # (source, target) -> ordered list of (length, counts)
         self.basis = {(s, t): [] for s in (0, 1) for t in (0, 1)}
-        self._index = {}
         for source in (0, 1):
             for length in range(cutoff + 1):
                 target = source if length % 2 == 0 else 1 - source
-                # arrows leaving vertex 0 (x or z) and vertex 1 (y or w)
-                n_xz, n_yw = (length + 1 - source) // 2, (length + source) // 2
-                reps = sorted(_normal_word(source, (x, n_xz - x, n_yw - w, w))
-                              for x in range(n_xz + 1) for w in range(n_yw + 1))
-                for rep in reps:
-                    self._index[(source, rep)] = len(self.basis[(source, target)])
-                    self.basis[(source, target)].append((length, rep))
+                self.basis[(source, target)] += [(length, c) for c in classes(source, length)]
 
-    def class_of(self, word: str, source=None):
-        """Normal word of a word's class, or None if length > cutoff.
-
-        ``source`` disambiguates the empty word (a vertex idempotent).
-        """
-        if word == "":
-            if source is None:
-                raise ValueError("idempotent needs an explicit source vertex")
-            return ""
+    def class_of(self, word: str):
+        """(source, counts) of a word's class, or None if length > cutoff."""
         if not is_composable(word):
             raise ValueError("non-composable word %r" % word)
         if len(word) > self.cutoff:
             return None
-        return _normal_word(SRC[word[-1]], tuple(word.count(a) for a in "xzyw"))
+        return SRC[word[-1]], counts(word)
 
     def dims(self):
         """dict (source, target, length) -> dimension of that component."""
@@ -106,32 +102,16 @@ class TruncatedAlgebra:
     def dim(self, source, target, length):
         return self.dims().get((source, target, length), 0)
 
-    def reduce(self, element: FreePathElement, grading=None):
-        """Coordinates of the coset of ``element`` in the basis of its
-        (source, target) component.  Raises if a word exceeds the cutoff."""
-        if element.is_zero():
-            if grading is None:
-                return ()
-            return tuple(Fraction(0) for _ in self.basis[grading])
-        g = element.grading()
-        if g is None:
-            raise ValueError("element mixes (source, target) gradings")
-        if grading is not None and grading != g:
-            raise ValueError("element grading %r does not match %r" % (g, grading))
-        coords = [Fraction(0)] * len(self.basis[g])
-        for word, coeff in element.coeffs.items():
-            rep = self.class_of(word)
-            if rep is None:
-                raise ValueError("word %r longer than cutoff %d" % (word, self.cutoff))
-            coords[self._index[(SRC[word[-1]], rep)]] += coeff
-        return tuple(coords)
-
     def is_zero(self, element: FreePathElement) -> bool:
-        """True iff the element reduces to the zero coset (words over the
-        cutoff would be dropped by the quotient, so they are rejected)."""
-        if element.is_zero():
-            return True
-        return all(c == 0 for c in self.reduce(element))
+        """True iff the coefficients of each class sum to zero (words over
+        the cutoff would be dropped by the quotient, so they are rejected)."""
+        sums = {}
+        for word, coeff in element.coeffs.items():
+            c = self.class_of(word)
+            if c is None:
+                raise ValueError("word %r longer than cutoff %d" % (word, self.cutoff))
+            sums[c] = sums.get(c, 0) + coeff
+        return not any(sums.values())
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from conifold_flop import arcs, jsonio, verify
 from conifold_flop.arcs import (CATALOG_RANGE, DEFAULT_SCENE, DegenerateArc, PLArc,
                                 SceneConfig, SPHERE_INVARIANTS, _orient, _segments_cross,
                                 catalog_arc, dehn_twist_map, flop_map, invariants, make_arc,
-                                phase_order, refine)
+                                refine)
 
 F = Fraction
 CFG = DEFAULT_SCENE
@@ -398,20 +398,6 @@ def test_map_identity_outside_untouched_region():
     arc = make_arc(far, 0, 0)
     out = dehn_twist_map(arc, far)
     assert invariants(out, far).tuple() == invariants(arc, far).tuple()
-
-
-def test_phase_order_rules():
-    assert phase_order(0, 5) == "greater"
-    assert phase_order(5, 0) == "less"
-    assert phase_order(2, 3) == "greater"
-    assert phase_order(3, 2) == "less"
-    assert phase_order(1, 4) == "less"
-    assert phase_order(4, 1) == "greater"
-    assert phase_order(-2, -1) == "greater"
-    assert phase_order(-2, 3) == "unspecified"
-    assert phase_order(2, -3) == "unspecified"
-    with pytest.raises(ValueError):
-        phase_order(2, 2)
 
 
 def _fraction_rotation(t):

@@ -205,6 +205,7 @@ _SELF_CROSSING = {"points": [["-4", "0"], ["-3", "2"], ["-2", "-2"], ["-4", "1"]
     (["arc", "--op", "flop", "--arc"], _SELF_CROSSING),
     (["arc", "--op", "twist", "--arc"], _WRONG_ENDPOINT),
     (["arc", "--op", "twist", "--arc"], _SELF_CROSSING),
+    (["arc", "--op", "flop", "--arc"], {"points": [["-4", "0"], ["-2", "0"]], "orientation": True}),
     (["stable", "--kind", "point:1:1", "--config"], {"z0": ["-1", "2"]}),
     (["stable", "--kind", "point:1:1", "--config"], {"z0": ["-1"], "z1": ["1", "1"]}),
 ])
@@ -423,7 +424,8 @@ _PINNED_ARGV = (
     + [["psi", "--object", "table:" + t, "--n", n] for t in _PINNED_TABLES for n in ("6", "7")]
     + [["ext", "--from", "simple:%d" % v, "--to", k, "--higher"]
        for v in (0, 1) for k in ("simple:0", "simple:1", "point:1:2", "vplus:3", "vminus:2")]
-    + [["stable", "--kind", k, *ch] for k in _PINNED_KINDS for ch in _CHAMBERS])
+    + [["stable", "--kind", k, *ch] for k in _PINNED_KINDS for ch in _CHAMBERS]
+    + [["truncate", "--n", str(n)] for n in range(13)] + [["relations"], ["mc"]])
 _PINNED = [argv + mode for argv in _PINNED_ARGV for mode in ([], ["--json"])]
 _VERIFY_ALL_ARGV = ["verify-all", "--json"]
 

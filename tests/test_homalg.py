@@ -16,7 +16,7 @@ from conifold_flop.paths import SRC, TGT, fpe, relations
 from conifold_flop.reps import is_stable, make_catalog_rep, rep, scale_arrow, stability_params
 from conifold_flop.tables import (catalog_tables, table_sphere0, table_sphere1, table_sphere_m,
                                   table_torus)
-from conifold_flop.truncated import truncated_algebra
+from conifold_flop.truncated import _normal_word, truncated_algebra
 
 CH1 = stability_params(-1, 2, 1, 1)
 CH2 = stability_params(1, 1, -1, 2)
@@ -496,20 +496,23 @@ def test_second_window_repeats_the_first(cutoff):
         assert graded_cohomology(fc, cutoff) == graded_cohomology(fc, cutoff + 1, s_max=cutoff - 3)
 
 
-def _fraction_matrix(src, fc, tgt, s, u):
+def _fraction_matrix(A, src, fc, tgt, s, u):
     """The body ``ModuleSlices.differential_matrix`` had before it stored
-    integral coefficients as ints: Fraction entries throughout."""
+    integral coefficients as ints and added count vectors: Fraction entries
+    throughout, and the class of each product read off the concatenation
+    of its words."""
     index = {entry: i for i, entry in enumerate(tgt.basis.get((s, u), ()))}
     rows = []
-    for gi, word in src.basis.get((s, u), ()):
+    for gi, cls in src.basis.get((s, u), ()):
+        word = _normal_word(src.gens[gi].vertex, cls)
         vec = [Fraction(0)] * len(index)
         for coeff, out_name in fc.diff[src.gens[gi].name]:
             oi = next(i for i, h in enumerate(tgt.gens) if h.name == out_name)
             for w2, c2 in coeff.coeffs.items():
-                rep = tgt.A.class_of(word + w2) if word + w2 else ""
+                rep = A.class_of(word + w2)
                 if rep is None:
                     raise StabilizationError("slice product overflowed the cutoff")
-                vec[index[(oi, rep)]] += c2
+                vec[index[(oi, rep[1])]] += c2
         rows.append(tuple(vec))
     return tuple(rows)
 
@@ -522,9 +525,9 @@ def _cohomology_per_degree(fc, cutoff):
     out = {}
     for k in fc.degrees():
         slices, above, below = (ModuleSlices(A, fc.gens_of_degree(j), s_max) for j in (k, k + 1, k - 1))
-        kernels = freecomplex._kernels(slices, lambda s, u: _fraction_matrix(slices, fc, above, s, u))
+        kernels = freecomplex._kernels(slices, lambda s, u: _fraction_matrix(A, slices, fc, above, s, u))
         dc = freecomplex._DegreeCohomology(slices, kernels, below,
-                                           lambda s, u: _fraction_matrix(below, fc, slices, s, u))
+                                           lambda s, u: _fraction_matrix(A, below, fc, slices, s, u))
         r = freecomplex._cohomology_rep(dc)
         if r.dims != (0, 0):
             out[k] = r
@@ -545,8 +548,8 @@ def test_slice_matrices_hold_ints_where_integral():
         for k in fc.degrees():
             src, tgt = (ModuleSlices(A, fc.gens_of_degree(j), 3) for j in (k, k + 1))
             for s, u in src.basis:
-                rows, _, _ = src.differential_matrix(fc, tgt, s, u)
-                assert rows == _fraction_matrix(src, fc, tgt, s, u)
+                rows = src.differential_matrix(fc, tgt, s, u)
+                assert rows == _fraction_matrix(A, src, fc, tgt, s, u)
                 assert all(type(c) is int for row in rows for c in row if c.denominator == 1)
 
 

@@ -35,6 +35,17 @@ def test_arc_roundtrip():
     assert back == arc
 
 
+@pytest.mark.parametrize("orientation", [True, 1.0, -1.0])
+def test_arc_orientation_must_be_an_int(orientation):
+    # each compares equal to 1 or -1, so only the type tells them apart
+    data = jsonio.arc_to_json(catalog_arc("S", 1, DEFAULT_SCENE))
+    data["orientation"] = orientation
+    with pytest.raises(ValueError, match="orientation"):
+        jsonio.arc_from_json(data)
+    data["orientation"] = int(orientation)
+    assert jsonio.arc_from_json(data).orientation == int(orientation)
+
+
 def test_scene_from_json():
     data = {"a": "-4", "b": "-2", "r1": "3/2", "r2": "5/2", "eps": "1/8"}
     assert jsonio.scene_from_json(data) == DEFAULT_SCENE

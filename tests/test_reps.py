@@ -14,7 +14,8 @@ from conifold_flop.reps import (StabilityParams, arrow_closed, central_charge, c
                                 exact_subrep_candidates, flop_K, is_stable, make_catalog_rep,
                                 rep, scale_arrow, stability_params, stable_families,
                                 subrep_scan_Fp, verify_witness)
-from conifold_flop.truncated import _words_from
+from conifold_flop.truncated import normal_words
+from test_quiver import _words_from
 
 CH1 = stability_params(-1, 2, 1, 1)
 CH2 = stability_params(1, 1, -1, 2)
@@ -614,17 +615,19 @@ def test_closure_up_matches_fractions_on_quadruples(r):
     _assert_closure_up_matches_fractions(r)
 
 
-def _fraction_seeds(r):
+def _fraction_seeds(r, words=normal_words):
     """The seeds of the exact candidates, (vertex, canonical basis): the
-    image and kernel of every word, each word taken, and the coordinate
-    lines."""
+    image and kernel of each of ``words(source, length)`` for the lengths
+    1..4, each word taken, and the coordinate lines.  Each word acts
+    through its suffix, so the normal words of the classes, the default,
+    must be closed under suffixes."""
     full = (linalg.identity(r.dims[0]), linalg.identity(r.dims[1]))
     seeds = set()
     for src in (0, 1):
         n = r.dims[src]
         action = {"": full[src]}
         for length in range(1, 5):
-            for word in _words_from(src, length):
+            for word in words(src, length):
                 m = linalg.mat_mul(r.matrix(word[0]), action[word[1:]], bcols=n)
                 action[word] = m
                 tgt = TGT[word[0]]
@@ -714,6 +717,25 @@ def test_integer_module_matches_fractions_on_rational_points():
     for mu in ((Fraction(1, 2), 3), (Fraction(-4, 9), Fraction(5, 6))):
         for kind in ("point", "point_flopped"):
             _assert_integer_module_matches_fractions(make_catalog_rep(kind, *mu))
+
+
+def _valid_modules():
+    """The catalog modules and their shears, the subrep-lattice conjugates
+    of the seeds 0..2, and the rational points."""
+    for kind, args in CATALOG:
+        r = make_catalog_rep(kind, *args)
+        yield from (r, _sheared(r))
+    for seed in (0, 1, 2):
+        yield from (module for _, module in WORKLOADS._lattice_prepare(seed))
+    for mu in ((Fraction(1, 2), 3), (Fraction(-4, 9), Fraction(5, 6))):
+        yield from (make_catalog_rep(kind, *mu) for kind in ("point", "point_flopped"))
+
+
+def test_class_words_give_the_seeds_of_all_words_on_valid_modules():
+    # on a module satisfying the relations the words of a class act alike
+    for r in _valid_modules():
+        assert reps._valid(r)
+        assert _fraction_seeds(r, _words_from) == _fraction_seeds(r)
 
 
 CHECK_REP_CHAINS = [(kind, (m,)) for kind in ("vplus", "vplus_dag") for m in range(1, 9)] + [
