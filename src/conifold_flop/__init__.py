@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 from .paths import POTENTIAL, FreePathElement, Potential, cyclic_derivative, relations
 from .truncated import TruncatedAlgebra, truncated_algebra
 from .exactcx import QC, phase_lt
-from .ainfty import AInftyTable, mc_expand, mk_eval, stasheff_check
+from .ainfty import AInftyTable, mc_expand, stasheff_check
 from .freecomplex import FCGen, FreeComplex, d_squared_ideal_check
 from .reps import (Representation, StabilityParams, StabilityVerdict, central_charge,
                    check_rep, flop_K, is_stable, make_catalog_rep, stability_params,

@@ -13,18 +13,21 @@ Sign conventions (fixed here once, validated by ``stasheff_check``):
   inputs left of the inner operation);
 * units are strict: m2(unit, a) = a, m2(a, unit) = (-1)^{deg a} a, and m3
   and higher vanish on any tuple containing a unit;
-* pulling a path coefficient out of slot j contributes
-  (-1)^(len(coeff) * reduced degree of each generator it passes), which is
-  positive whenever the inputs pair arrows with the degree-1 generators.
+* the b-deformed operations (``deformed``) pull the arrow coefficients of
+  b = xX + yY + zZ + wW out in reverse order, m_k(u1 A1, ..., uk Ak) =
+  uk...u1 m_k(A1, ..., Ak), with no Koszul sign: that sign is
+  (-1)^(len(coeff) * reduced degree of each generator it passes), and every
+  b slot holds a degree-1 generator, whose reduced degree is 0.
+
+The Maurer-Cartan expansion and both sphere tables of ``tables`` are read
+off ``deformed``, so the structure constants live only in m2 and m3 here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import product
 
-from .paths import FreePathElement, fpe, word_source, word_target, cyclic_derivative, POTENTIAL
+from .paths import FreePathElement, cyclic_derivative, POTENTIAL
 
 GENERATORS = ("unit0", "unit1", "pt0", "pt1", "X", "Y", "Z", "W", "Xbar", "Ybar", "Zbar", "Wbar")
 
@@ -94,59 +97,6 @@ class AInftyTable:
 
 
 TABLE = AInftyTable()
-
-
-def mk_eval(args, table: AInftyTable = TABLE):
-    """Evaluate m_k on coefficient-weighted generators.
-
-    ``args`` is a sequence of (coefficient, generator) pairs whose branes
-    compose; a coefficient is either a plain rational (no path attached)
-    or a FreePathElement whose words run between the vertices of the
-    generator's branes.  The coefficients are multiplied in reverse order,
-    m_k(u1 A1, ..., uk Ak) = (+-) uk...u1 m_k(A1, ..., Ak).  Returns a
-    dict generator -> FreePathElement, or generator -> Fraction when no
-    path coefficients are involved at all.
-    """
-    if not 1 <= len(args) <= 6:
-        raise ValueError("arity must be between 1 and 6")
-    gens = tuple(g for _, g in args)
-    if not table.composable(gens):
-        raise ValueError("branes do not compose: %r" % (gens,))
-    terms = []  # per slot: list of (word or "", scalar)
-    for coeff, gen in args:
-        if isinstance(coeff, FreePathElement):
-            for word in coeff.coeffs:
-                if (word_source(word), word_target(word)) != BRANES[gen]:
-                    raise ValueError("coefficient %r does not match branes of %s" % (word, gen))
-            terms.append(list(coeff.coeffs.items()))
-        else:
-            terms.append([("", Fraction(coeff))])
-    hit = table.apply(gens)
-    if hit is None:
-        return {}
-    sign0, target_gen = hit
-    reduced = [DEGREE[g] - 1 for g in gens]
-    scalar_acc = Fraction(0)
-    path_acc = FreePathElement()
-    for choice in product(*terms):
-        words = [w for w, _ in choice]
-        scalar = Fraction(1)
-        for _, c in choice:
-            scalar *= c
-        koszul = sum(len(words[j]) * sum(reduced[:j]) for j in range(len(words)))
-        term = sign0 * (-1) ** (koszul % 2) * scalar
-        word = "".join(reversed(words))
-        if word == "":
-            scalar_acc += term
-        else:
-            path_acc = path_acc + FreePathElement({word: term})
-    if not path_acc.is_zero() and scalar_acc != 0:
-        raise ValueError("mixed scalar and path output on %s" % target_gen)
-    if scalar_acc != 0:
-        return {target_gen: scalar_acc}
-    if path_acc.is_zero():
-        return {}
-    return {target_gen: path_acc}
 
 
 def _tuples(arity):
@@ -242,22 +192,41 @@ def stasheff_check(max_arity: int = 6, table: AInftyTable = TABLE) -> StasheffRe
     return StasheffReport(True, sum(counts[1:]))
 
 
-def mc_expand(table: AInftyTable = TABLE):
+def deformed(tail=()):
+    """sum_k m_{k+len(tail)}(b, ..., b, *tail) over k >= 1 slots of
+    b = xX + yY + zZ + wW, as {generator: FreePathElement}.
+
+    Each term is read off ``TABLE.apply``: the b slots choose (arrow,
+    generator) pairs from ``B_PAIRS``, and a composable tuple with a
+    nonzero entry (sign, output) adds sign times the arrow word reversed,
+    m_k(u1 A1, ..., uk Ak) = uk...u1 m_k(A1, ..., Ak).  No Koszul sign
+    enters: every b slot holds a degree-1 generator, whose reduced degree
+    is 0.  Only m2 and m3 are nonzero, so k + len(tail) is 2 or 3.
+    ``deformed(())`` is the Maurer-Cartan expansion and ``deformed((g,))``
+    the deformed differential m1^{b,0}(g) on CF(L0 + L1, L).
+    """
+    total = {}
+    # (arrow word, generators): each pass adds a b slot on the left, whose
+    # arrow goes last in the reversed word, and keeps the composable chains
+    chains = [("", tuple(tail))]
+    for _ in range(3 - len(tail)):
+        chains = [(word + a, (g,) + gens) for word, gens in chains for a, g in B_PAIRS
+                  if not gens or BRANES[g][1] == BRANES[gens[0]][0]]
+        for word, gens in chains:
+            hit = TABLE.apply(gens)
+            if hit is not None:
+                sign, gen = hit
+                total[gen] = total.get(gen, FreePathElement()) + FreePathElement({word: sign})
+    return {g: c for g, c in total.items() if not c.is_zero()}
+
+
+def mc_expand():
     """Components of sum_k m_k(b, ..., b) for b = xX + yY + zZ + wW.
 
     Returns a dict over the degree-2 generators; any component off those
     generators would be a structure error and raises.
     """
-    total = {}
-    for arity in (1, 2, 3):
-        for combo in product(B_PAIRS, repeat=arity):
-            gens = tuple(g for _, g in combo)
-            if not table.composable(gens):
-                continue
-            part = mk_eval([(fpe(a), g) for a, g in combo], table)
-            for gen, coeff in part.items():
-                total[gen] = total.get(gen, FreePathElement()) + coeff
-    total = {g: c for g, c in total.items() if not c.is_zero()}
+    total = deformed(())
     bad = [g for g in total if DEGREE[g] != 2]
     if bad:
         raise RuntimeError("Maurer-Cartan expansion leaked onto %r" % bad)
@@ -266,9 +235,9 @@ def mc_expand(table: AInftyTable = TABLE):
     return total
 
 
-def mc_matches_relations(table: AInftyTable = TABLE) -> bool:
+def mc_matches_relations() -> bool:
     """The deformation equation cuts out exactly the quiver relations:
     the coefficient on each degree-2 generator is minus the cyclic
     derivative of the potential at the matching arrow."""
-    comps = mc_expand(table)
+    comps = mc_expand()
     return all(comps[BAR_OF_ARROW[a]] == -cyclic_derivative(POTENTIAL, a) for a in "xyzw")

@@ -227,18 +227,6 @@ def invariants(arc: PLArc, cfg: SceneConfig = DEFAULT_SCENE) -> ArcInvariants:
     return ArcInvariants(ray, seg, start)
 
 
-def refine(arc: PLArc, pieces: int = 2) -> PLArc:
-    """Subdivide every segment into equal rational pieces; the invariants
-    are unchanged."""
-    pts = [arc.points[0]]
-    for p, q in arc.segments():
-        for i in range(1, pieces):
-            t = F(i, pieces)
-            pts.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        pts.append(q)
-    return PLArc(tuple(pts), arc.orientation)
-
-
 # ---------------------------------------------------------------------------
 # catalog arcs
 

@@ -23,7 +23,7 @@ from .homalg import (ExtensionDatum, build_extension, ext1_dim, ext_dims,
                      flop_point_analysis, free_complex_cohomology, hom_dim, psi_sphere)
 from .paths import relations
 from .reps import Representation, StabilityParams, check_rep, flop_K, is_stable, make_catalog_rep
-from .tables import table_sphere0, table_sphere1, table_sphere_m, table_torus
+from .tables import table_sphere, table_sphere_m, table_torus
 from .truncated import truncated_algebra
 
 
@@ -116,10 +116,8 @@ def _load_scene(ns, config):
 
 
 def _table_by_name(name):
-    if name in ("sphere0", "L0"):
-        return table_sphere0()
-    if name in ("sphere1", "L1"):
-        return table_sphere1()
+    if name in ("sphere0", "L0", "sphere1", "L1"):
+        return table_sphere(int(name[-1]))
     if name == "torus":
         return table_torus(1)
     if name.startswith("torus:"):

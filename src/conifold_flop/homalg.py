@@ -5,9 +5,9 @@ analysis of point modules.
 Everything is exact linear algebra: hom spaces solve the intertwining
 system, first extensions solve the cocycle-mod-coboundary system attached
 to the four relations, and higher Ext groups of a vertex simple are the
-cohomology of Hom(P_*, m) for its shipped minimal projective resolution,
-the sphere table `tables.table_sphere0` or `tables.table_sphere1`, built
-on the integer module of m.
+cohomology of Hom(P_*, m) for its minimal projective resolution, the
+sphere table `tables.table_sphere(v)` that the deformed Floer differential
+of the A-infinity structure gives, built on the integer module of m.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .freecomplex import FreeComplex, graded_cohomology
 from .paths import SRC, TGT, relations
 from .reps import (Representation, StabilityParams, _integerize, arrow_layout, central_charge,
                    check_rep, flop_K, intertwiner_matrix, is_stable, make_catalog_rep)
-from .tables import table_sphere0, table_sphere1
+from .tables import table_sphere
 
 @dataclass(frozen=True)
 class ModuleMap:
@@ -288,7 +288,7 @@ def ext_dims(vertex: int, m: Representation):
     chk = check_rep(m)
     if not (chk["relations_ok"] and chk["nilpotent"]):
         raise ValueError("target module must satisfy the relations and be nilpotent")
-    return _hom_complex_dims((table_sphere0, table_sphere1)[vertex](), _integerize(m))
+    return _hom_complex_dims(table_sphere(vertex), _integerize(m))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ def parse_frac(s) -> Fraction:
     # entry such as "1e10000000" would stall the decoder
     if isinstance(s, str) and ("e" in s or "E" in s):
         raise ValueError("expected a rational p/q without an exponent, got %r" % (s,))
+    if isinstance(s, bool):  # Fraction reads true and false as 1 and 0
+        raise ValueError("expected a rational p/q, got %r" % (s,))
     try:
         return Fraction(s)
     except (TypeError, ZeroDivisionError, OverflowError):  # OverflowError: an infinite float

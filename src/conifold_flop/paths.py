@@ -72,13 +72,6 @@ class FreePathElement:
     def words(self):
         return sorted(self.coeffs, key=lambda w: (len(w), w))
 
-    def grading(self):
-        """(source, target) if homogeneous, else None.  Zero has no grading."""
-        pairs = {(word_source(w), word_target(w)) for w in self.coeffs}
-        if len(pairs) == 1:
-            return pairs.pop()
-        return None
-
     def __add__(self, other):
         data = dict(self.coeffs)
         for w, c in other.coeffs.items():

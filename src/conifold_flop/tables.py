@@ -1,13 +1,15 @@
 """Catalog of deformed differential tables.
 
 Each table is the endomorphism-deformed Floer complex of a catalog object
-(the two spheres, the holonomy tori, the higher spheres), shipped as a
-FreeComplex whose top rows follow the computed differentials, with all
-area weights specialized to 1.  The sphere and torus tables are complete
-minimal resolutions of their cohomology modules: the two sphere tables
-resolve the vertex simples, and `homalg.ext_dims` reads its higher Ext
-groups off them.  The higher-sphere tables
-ship the characteristic top rows
+(the two spheres, the holonomy tori, the higher spheres) as a
+FreeComplex, with all area weights specialized to 1.  The two sphere
+tables are derived: `table_sphere` reads each row off the b-deformed
+operation `ainfty.deformed`, so they rest on the A-infinity structure
+constants, and they are the minimal projective resolutions of the vertex
+simples that `homalg.ext_dims` reads its higher Ext groups off.  The
+torus tables are shipped as complete minimal resolutions of their
+cohomology modules.  The higher-sphere tables ship the characteristic
+top rows
 
     d(r_i) = z c_i - x c_{i+1},   d(p_i) = yx c_i,   d(q_i) = wz c_i
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .ainfty import BRANES, DEGREE, GENERATORS, deformed
 from .freecomplex import FCGen, FreeComplex
 from .paths import FreePathElement, fpe
 
@@ -33,40 +36,19 @@ def _f(d):
     return FreePathElement(d)
 
 
-def table_sphere0() -> FreeComplex:
-    """Complex of the sphere at vertex 0; cohomology is the vertex simple."""
-    gens = [
-        FCGen("unit", 0, 0, 4),
-        FCGen("Y", 1, 1, 3), FCGen("W", 1, 1, 3),
-        FCGen("Xbar", 1, 2, 1), FCGen("Zbar", 1, 2, 1),
-        FCGen("pt", 0, 3, 0),
-    ]
-    diff = {
-        "unit": [(fpe("y"), "Y"), (fpe("w"), "W")],
-        "Y": [(_f({"xw": 1}), "Zbar"), (_f({"zw": -1}), "Xbar")],
-        "W": [(_f({"zy": 1}), "Xbar"), (_f({"xy": -1}), "Zbar")],
-        "Xbar": [(fpe("x"), "pt")],
-        "Zbar": [(fpe("z"), "pt")],
-    }
-    return FreeComplex(gens, diff)
-
-
-def table_sphere1() -> FreeComplex:
-    """Mirror-image complex of the sphere at vertex 1 (swap x<->y, z<->w)."""
-    gens = [
-        FCGen("unit", 1, 0, 4),
-        FCGen("X", 0, 1, 3), FCGen("Z", 0, 1, 3),
-        FCGen("Ybar", 0, 2, 1), FCGen("Wbar", 0, 2, 1),
-        FCGen("pt", 1, 3, 0),
-    ]
-    diff = {
-        "unit": [(fpe("x"), "X"), (fpe("z"), "Z")],
-        "X": [(_f({"yz": 1}), "Wbar"), (_f({"wz": -1}), "Ybar")],
-        "Z": [(_f({"wx": 1}), "Ybar"), (_f({"yx": -1}), "Wbar")],
-        "Ybar": [(fpe("y"), "pt")],
-        "Wbar": [(fpe("w"), "pt")],
-    }
-    return FreeComplex(gens, diff)
+@lru_cache(maxsize=None)
+def table_sphere(v: int) -> FreeComplex:
+    """Complex CF(L0 + L1, L_v) of the sphere at vertex v with the deformed
+    differential m1^{b,0}; its cohomology is the vertex simple.  The
+    generators are the A-infinity generators g whose branes end at v,
+    sorted by degree; g sits at vertex BRANES[g][0] with internal degree
+    (4, 3, 1, 0)[degree], the length of its paths down to the point class,
+    and its row is `ainfty.deformed((g,))`."""
+    if v not in (0, 1):
+        raise ValueError("sphere vertex must be 0 or 1")
+    names = sorted((g for g in GENERATORS if BRANES[g][1] == v), key=DEGREE.get)
+    gens = [FCGen(g, BRANES[g][0], DEGREE[g], (4, 3, 1, 0)[DEGREE[g]]) for g in names]
+    return FreeComplex(gens, {g: [(c, h) for h, c in deformed((g,)).items()] for g in names})
 
 
 def table_torus(rho) -> FreeComplex:
@@ -166,7 +148,7 @@ def table_sphere_m(m: int) -> FreeComplex:
 
 def catalog_tables(rho=2, ms=(2, 3)):
     """The shipped tables exercised by the verification suite."""
-    out = {"sphere0": table_sphere0(), "sphere1": table_sphere1(),
+    out = {"sphere0": table_sphere(0), "sphere1": table_sphere(1),
            "torus(%s)" % Fraction(rho): table_torus(rho)}
     for m in ms:
         out["sphere_%d" % m] = table_sphere_m(m)

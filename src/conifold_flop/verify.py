@@ -21,7 +21,7 @@ from .homalg import ext_dims, flop_point_analysis, free_complex_cohomology, hom_
 from .paths import FreePathElement
 from .reps import (flop_K, is_stable, make_catalog_rep, scale_arrow, stability_params,
                    stable_families, verify_witness)
-from .tables import catalog_tables, table_sphere_m, table_torus, table_sphere0
+from .tables import catalog_tables, table_sphere, table_sphere_m, table_torus
 from .truncated import truncated_algebra
 
 CHAMBER_PLUS = stability_params(-1, 2, 1, 1)    # arg z0 > arg z1
@@ -62,7 +62,7 @@ def check_cohomology():
         "sphere_2": make_catalog_rep("vplus", 2),
         "sphere_3": make_catalog_rep("vplus", 3),
     }
-    tables = {"sphere0": table_sphere0(), "torus": table_torus(2),
+    tables = {"sphere0": table_sphere(0), "torus": table_torus(2),
               "sphere_2": table_sphere_m(2), "sphere_3": table_sphere_m(3)}
     for cutoff in (6, 7):
         for name, fc in tables.items():

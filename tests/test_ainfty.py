@@ -1,10 +1,10 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from conifold_flop.ainfty import (AInftyTable, B_PAIRS, BRANES, DEGREE, GENERATORS, StasheffReport,
-                                  _tuples, mc_expand, mc_matches_relations, mk_eval, stasheff_check)
+from conifold_flop.ainfty import (TABLE, AInftyTable, B_PAIRS, BRANES, DEGREE, GENERATORS,
+                                  StasheffReport, _tuples, deformed, mc_expand, mc_matches_relations,
+                                  stasheff_check)
 from conifold_flop.paths import POTENTIAL, FreePathElement, cyclic_derivative, fpe
 
 
@@ -16,32 +16,28 @@ def test_generator_degrees():
 
 
 def test_m2_pairings():
-    assert mk_eval([(1, "X"), (1, "Xbar")]) == {"pt0": Fraction(-1)}
-    assert mk_eval([(1, "Zbar"), (1, "Z")]) == {"pt1": Fraction(1)}
-    assert mk_eval([(1, "Ybar"), (1, "Y")]) == {"pt0": Fraction(1)}
-    assert mk_eval([(1, "W"), (1, "Wbar")]) == {"pt1": Fraction(-1)}
-    assert mk_eval([(1, "X"), (1, "Zbar")]) == {}
+    assert TABLE.apply(("X", "Xbar")) == (-1, "pt0")
+    assert TABLE.apply(("Zbar", "Z")) == (1, "pt1")
+    assert TABLE.apply(("Ybar", "Y")) == (1, "pt0")
+    assert TABLE.apply(("W", "Wbar")) == (-1, "pt1")
+    assert TABLE.apply(("X", "Zbar")) is None
 
 
 def test_unit_axioms():
-    assert mk_eval([(1, "unit0"), (1, "X")]) == {"X": Fraction(1)}
-    assert mk_eval([(1, "X"), (1, "unit1")]) == {"X": Fraction(-1)}
-    assert mk_eval([(1, "unit0"), (1, "unit0")]) == {"unit0": Fraction(1)}
-    assert mk_eval([(1, "unit0"), (1, "X"), (1, "Y")]) == {}
+    assert TABLE.apply(("unit0", "X")) == (1, "X")
+    assert TABLE.apply(("X", "unit1")) == (-1, "X")
+    assert TABLE.apply(("unit0", "unit0")) == (1, "unit0")
+    assert TABLE.apply(("unit0", "X", "Y")) is None
 
 
 def test_coefficient_rule_reverses_words():
-    out = mk_eval([(fpe("x"), "X"), (fpe("y"), "Y"), (fpe("z"), "Z")])
-    assert out == {"Wbar": fpe("zyx")}
-    out = mk_eval([(fpe("z"), "Z"), (fpe("y"), "Y"), (fpe("x"), "X")])
-    assert out == {"Wbar": FreePathElement({"xyz": -1})}
+    # m3(xX, yY, Z) = yx m3(X, Y, Z) = yx Wbar and m3(xX, wW, Z) = wx m3(X, W, Z) = -wx Ybar
+    assert deformed(("Z",)) == {"Wbar": fpe("yx"), "Ybar": FreePathElement({"wx": -1})}
 
 
-def test_coefficient_grading_enforced():
+def test_apply_rejects_non_composable_branes():
     with pytest.raises(ValueError):
-        mk_eval([(fpe("y"), "X")])  # y runs v1 -> v0, X sits over v0 -> v1
-    with pytest.raises(ValueError):
-        mk_eval([(1, "X"), (1, "Z")])  # branes do not compose
+        TABLE.apply(("X", "Z"))  # X ends on sphere 1, Z starts on sphere 0
 
 
 def test_stasheff_passes():

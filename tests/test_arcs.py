@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conifold_flop import arcs, jsonio, verify
 from conifold_flop.arcs import (CATALOG_RANGE, DEFAULT_SCENE, DegenerateArc, PLArc,
                                 SceneConfig, SPHERE_INVARIANTS, _orient, _segments_cross,
-                                catalog_arc, dehn_twist_map, flop_map, invariants, make_arc,
-                                refine)
+                                catalog_arc, dehn_twist_map, flop_map, invariants, make_arc)
 
 F = Fraction
 CFG = DEFAULT_SCENE
@@ -333,6 +332,18 @@ def test_subdivision_matches_recomputed_levels(monkeypatch):
         radii2 = arcs._ring_radii2(cfg, rings)
         assert (arcs._subdivide_for_zones(arc.points, cfg.center, radii2)
                 == _subdivide_by_recomputed_levels(arc, cfg, radii2))
+
+
+def refine(arc: PLArc, pieces: int = 2) -> PLArc:
+    """Subdivide every segment into equal rational pieces; the invariants
+    are unchanged."""
+    pts = [arc.points[0]]
+    for p, q in arc.segments():
+        for i in range(1, pieces):
+            t = F(i, pieces)
+            pts.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        pts.append(q)
+    return PLArc(tuple(pts), arc.orientation)
 
 
 @pytest.mark.parametrize("pieces", [3, 5, 7])

@@ -186,6 +186,8 @@ def test_ainfty_check(capsys):
     ("arc_from_json", [["-3", "0"], ["-1", "0"]]),
     ("scene_from_json", {"a": "-3", "b": "-1"}),
     ("scene_from_json", {"a": "-3", "b": "1/0", "r1": "2", "r2": "3/2", "eps": "1/8"}),
+    ("matrix_from_json", [[True]]),
+    ("scene_from_json", {"a": "-4", "b": "-2", "r1": "3/2", "r2": "5/2", "eps": True}),
 ])
 def test_malformed_json_raises_value_error(loader, data):
     with pytest.raises(ValueError):
@@ -208,6 +210,7 @@ _SELF_CROSSING = {"points": [["-4", "0"], ["-3", "2"], ["-2", "-2"], ["-4", "1"]
     (["arc", "--op", "flop", "--arc"], {"points": [["-4", "0"], ["-2", "0"]], "orientation": True}),
     (["stable", "--kind", "point:1:1", "--config"], {"z0": ["-1", "2"]}),
     (["stable", "--kind", "point:1:1", "--config"], {"z0": ["-1"], "z1": ["1", "1"]}),
+    (["stable", "--kind", "point:1:1", "--config"], {"z0": [True, "2"], "z1": ["1", "1"]}),
 ])
 def test_malformed_json_files_exit_two(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"

@@ -14,8 +14,7 @@ from conifold_flop.homalg import (ExtensionDatum, build_extension, ext1, ext1_di
                                   is_module_map, iso_check, psi_sphere, psi_spheres)
 from conifold_flop.paths import SRC, TGT, fpe, relations
 from conifold_flop.reps import is_stable, make_catalog_rep, rep, scale_arrow, stability_params
-from conifold_flop.tables import (catalog_tables, table_sphere0, table_sphere1, table_sphere_m,
-                                  table_torus)
+from conifold_flop.tables import catalog_tables, table_sphere, table_sphere_m, table_torus
 from conifold_flop.truncated import _normal_word, truncated_algebra
 
 CH1 = stability_params(-1, 2, 1, 1)
@@ -158,15 +157,6 @@ def test_ext_dims_totals():
     assert ext_dims(1, S0) == (0, 2, 2, 0)
 
 
-def test_ext_dims_match_hom_and_ext1():
-    for a in (S0, S1):
-        for b in (S0, S1):
-            v = 0 if a.dims == (1, 0) else 1
-            d = ext_dims(v, b)
-            assert d[0] == hom_dim(a, b)
-            assert d[1] == ext1_dim(a, b)
-
-
 def test_ext_dims_against_point():
     pt = make_catalog_rep("point", 1, 1)
     d = ext_dims(0, pt)
@@ -229,6 +219,15 @@ def _assert_ext_dims_match_oracle(m):
 LATTICE_KINDS = ([("vplus", m) for m in range(1, 5)] + [("vplus_dag", m) for m in range(1, 5)]
                  + [("vminus", n) for n in range(4)] + [("vminus_dag", n) for n in range(4)]
                  + [("point", 1, 1), ("point", 1, 2), ("point_flopped", 1, 2)])
+
+
+@pytest.mark.parametrize("kind", LATTICE_KINDS + [("psi", k) for k in range(-5, 6)],
+                         ids=lambda kind: ":".join(map(str, kind)))
+def test_ext_dims_match_hom_and_ext1(kind):
+    # the 3-Calabi-Yau duality Ext^i(S_v, M) = Ext^(3-i)(M, S_v)^* in all four degrees
+    m = psi_sphere(kind[1]) if kind[0] == "psi" else make_catalog_rep(*kind)
+    for v, s in ((0, S0), (1, S1)):
+        assert ext_dims(v, m) == (hom_dim(s, m), ext1_dim(s, m), ext1_dim(m, s), hom_dim(m, s))
 
 
 @pytest.mark.parametrize("kind", LATTICE_KINDS)
@@ -309,7 +308,7 @@ def test_ext_dims_on_the_integer_module_match_the_fraction_body(kind, monkeypatc
     monkeypatch.setattr(homalg, "_hom_complex_dims", record)
     for m in (r, _sheared(r), _scaled(r), _scaled(_sheared(r))):
         # the Fraction body: the complex built on m as given
-        want = tuple(real(table(), m) for table in (table_sphere0, table_sphere1))
+        want = tuple(real(table_sphere(v), m) for v in (0, 1))
         assert (ext_dims(0, m), ext_dims(1, m)) == want
     assert len(seen) == 8
     assert all(type(c) is int for m in seen for a in "xzyw" for row in m.matrix(a) for c in row)
@@ -317,9 +316,9 @@ def test_ext_dims_on_the_integer_module_match_the_fraction_body(kind, monkeypatc
 
 def test_cohomology_of_catalog_tables():
     for cutoff in (6, 7):
-        h = free_complex_cohomology(table_sphere0(), cutoff)
+        h = free_complex_cohomology(table_sphere(0), cutoff)
         assert set(h) == {0} and iso_check(h[0], S0)
-        h = free_complex_cohomology(table_sphere1(), cutoff)
+        h = free_complex_cohomology(table_sphere(1), cutoff)
         assert set(h) == {0} and iso_check(h[0], S1)
         h = free_complex_cohomology(table_torus(2), cutoff)
         assert set(h) == {0} and iso_check(h[0], make_catalog_rep("point", 1, 2))
@@ -335,7 +334,7 @@ def test_cohomology_ratio_tracks_rho():
 
 
 def test_cohomology_stable_through_cutoff_eight():
-    for fc, target in ((table_sphere0(), S0), (table_torus(2), make_catalog_rep("point", 1, 2))):
+    for fc, target in ((table_sphere(0), S0), (table_torus(2), make_catalog_rep("point", 1, 2))):
         h = free_complex_cohomology(fc, 8)
         assert set(h) == {0} and iso_check(h[0], target)
 
@@ -578,7 +577,7 @@ def _shifted(fc, lowest):
 
 
 def _deep_complexes():
-    tables = [table_sphere0(), table_sphere1(), table_torus(2), table_sphere_m(2), table_sphere_m(3)]
+    tables = [table_sphere(0), table_sphere(1), table_torus(2), table_sphere_m(2), table_sphere_m(3)]
     yield FreeComplex([FCGen("g", 0, 3, -4)], {})
     # the deep generator's only entries come in from generators at -2
     yield FreeComplex([FCGen("g", 0, 3, -4), FCGen("f0", 0, 2, -2), FCGen("f1", 0, 2, -2)],

@@ -5,9 +5,10 @@ import pytest
 from conifold_flop import cli, tables
 from conifold_flop.freecomplex import (FCGen, FreeComplex, ModuleSlices, StabilizationError,
                                        d_squared_ideal_check, extend_resolution)
+from conifold_flop.homalg import _hom_complex_dims, free_complex_cohomology, iso_check
 from conifold_flop.paths import FreePathElement, fpe
-from conifold_flop.tables import (catalog_tables, table_sphere0, table_sphere1, table_sphere_m,
-                                  table_torus)
+from conifold_flop.reps import make_catalog_rep
+from conifold_flop.tables import catalog_tables, table_sphere, table_sphere_m, table_torus
 from conifold_flop.truncated import truncated_algebra
 
 
@@ -15,24 +16,83 @@ def _row(fc, name):
     return {out: coeff for coeff, out in fc.diff[name]}
 
 
-def test_sphere0_rows_match_the_computed_differential():
-    fc = table_sphere0()
-    assert _row(fc, "unit") == {"Y": fpe("y"), "W": fpe("w")}
-    assert _row(fc, "Y") == {"Zbar": fpe("xw"), "Xbar": FreePathElement({"zw": -1})}
-    assert _row(fc, "W") == {"Xbar": fpe("zy"), "Zbar": FreePathElement({"xy": -1})}
-    assert _row(fc, "Xbar") == {"pt": fpe("x")}
-    assert _row(fc, "Zbar") == {"pt": fpe("z")}
-    assert _row(fc, "pt") == {}
+# The sphere tables as they were written out by hand before `table_sphere`
+# derived them from the A-infinity structure: the generators as (name,
+# vertex, degree, internal degree) and the rows {input: {output: {word: coeff}}}.
+HAND_SPHERES = {
+    0: ([("unit", 0, 0, 4), ("Y", 1, 1, 3), ("W", 1, 1, 3), ("Xbar", 1, 2, 1), ("Zbar", 1, 2, 1),
+         ("pt", 0, 3, 0)],
+        {"unit": {"Y": {"y": 1}, "W": {"w": 1}},
+         "Y": {"Zbar": {"xw": 1}, "Xbar": {"zw": -1}},
+         "W": {"Xbar": {"zy": 1}, "Zbar": {"xy": -1}},
+         "Xbar": {"pt": {"x": 1}},
+         "Zbar": {"pt": {"z": 1}}}),
+    1: ([("unit", 1, 0, 4), ("X", 0, 1, 3), ("Z", 0, 1, 3), ("Ybar", 0, 2, 1), ("Wbar", 0, 2, 1),
+         ("pt", 1, 3, 0)],
+        {"unit": {"X": {"x": 1}, "Z": {"z": 1}},
+         "X": {"Wbar": {"yz": 1}, "Ybar": {"wz": -1}},
+         "Z": {"Ybar": {"wx": 1}, "Wbar": {"yx": -1}},
+         "Ybar": {"pt": {"y": 1}},
+         "Wbar": {"pt": {"w": 1}}}),
+}
+
+
+def _hand_sphere(v):
+    """The hand table of vertex ``v``, its unit and point class named as in
+    the A-infinity algebra (unit0, pt0, ...)."""
+    gens, rows = HAND_SPHERES[v]
+
+    def name(g):
+        return g + str(v) if g in ("unit", "pt") else g
+
+    return FreeComplex([FCGen(name(g), *rest) for g, *rest in gens],
+                       {name(g): [(FreePathElement(c), name(h)) for h, c in row.items()]
+                        for g, row in rows.items()})
+
+
+@pytest.mark.parametrize("v", (0, 1))
+def test_sphere_rows_match_the_hand_rows_up_to_one_sign_per_degree(v):
+    hand, fc = _hand_sphere(v), table_sphere(v)
+    assert fc.gens == hand.gens
+    signs = {}
+    for g in fc.gens:
+        row, want = _row(fc, g.name), _row(hand, g.name)
+        assert set(row) == set(want)
+        for out, coeff in want.items():
+            sign = signs.setdefault(g.degree, 1 if row[out] == coeff else -1)
+            assert row[out] == sign * coeff
+    # a sign per degree is a change of generator signs: the complexes are isomorphic
+    assert signs == {0: {0: -1, 1: 1, 2: -1}, 1: {0: -1, 1: -1, 2: -1}}[v]
+
+
+@pytest.mark.parametrize("v", (0, 1))
+def test_sphere_tables_agree_with_the_hand_tables(v):
+    hand, fc = _hand_sphere(v), table_sphere(v)
+    simple = make_catalog_rep("simple", v)
+    for cutoff in (6, 7, 8):
+        assert d_squared_ideal_check(fc, cutoff)
+        h = free_complex_cohomology(fc, cutoff)
+        assert h == free_complex_cohomology(hand, cutoff)
+        assert set(h) == {0} and iso_check(h[0], simple)
+    for kind in (("simple", 0), ("simple", 1), ("vplus", 2), ("vminus", 1), ("point", 1, 1),
+                 ("point", 1, 2), ("point_flopped", 1, 2)):
+        m = make_catalog_rep(*kind)
+        assert _hom_complex_dims(fc, m) == _hom_complex_dims(hand, m)
+
+
+def test_sphere_vertex_range():
+    with pytest.raises(ValueError):
+        table_sphere(2)
 
 
 def test_d_squared_entries_of_sphere0():
-    fc = table_sphere0()
+    fc = table_sphere(0)
     entries = fc.d_squared_entries()
-    # d(d(unit)) lands on the degree-2 generators with relation coefficients
-    assert entries[("unit", "Xbar")] == FreePathElement({"wzy": 1, "yzw": -1})
-    assert entries[("unit", "Zbar")] == FreePathElement({"yxw": 1, "wxy": -1})
+    # d(d(unit0)) lands on the degree-2 generators with relation coefficients
+    assert entries[("unit0", "Xbar")] == FreePathElement({"yzw": 1, "wzy": -1})
+    assert entries[("unit0", "Zbar")] == FreePathElement({"wxy": 1, "yxw": -1})
     # and d(d(Y)), d(d(W)) push relation combinations onto the point class
-    assert entries[("Y", "pt")] == FreePathElement({"xwz": 1, "zwx": -1})
+    assert entries[("Y", "pt0")] == FreePathElement({"zwx": 1, "xwz": -1})
 
 
 def test_d_squared_check_all_catalog():
@@ -41,9 +101,9 @@ def test_d_squared_check_all_catalog():
 
 
 def test_d_squared_check_rejects_sign_flip():
-    fc = table_sphere0()
+    fc = table_sphere(0)
     diff = {g.name: list(fc.diff[g.name]) for g in fc.gens}
-    diff["Xbar"] = [(FreePathElement({"x": -1}), "pt")]
+    diff["Xbar"] = [(fpe("x"), "pt0")]  # the derived row is -x pt0
     mutated = FreeComplex(fc.gens, diff)
     assert not d_squared_ideal_check(mutated, 8)
 
@@ -101,8 +161,8 @@ def test_sphere_m_range():
 
 
 def test_cli_table_names_reach_the_table_functions():
-    named = {"sphere0": table_sphere0(), "L0": table_sphere0(), "sphere1": table_sphere1(),
-             "L1": table_sphere1(), "torus": table_torus(1), "torus:3": table_torus(3),
+    named = {"sphere0": table_sphere(0), "L0": table_sphere(0), "sphere1": table_sphere(1),
+             "L1": table_sphere(1), "torus": table_torus(1), "torus:3": table_torus(3),
              "sphere:5": table_sphere_m(5)}
     for name, want in named.items():
         got = cli._table_by_name(name)
@@ -112,9 +172,6 @@ def test_cli_table_names_reach_the_table_functions():
 
 @pytest.mark.slow
 def test_sphere_m_larger_indices_cohere():
-    from conifold_flop.homalg import free_complex_cohomology, iso_check
-    from conifold_flop.reps import make_catalog_rep
-
     fc = table_sphere_m(4)
     assert d_squared_ideal_check(fc, 8)
     h = free_complex_cohomology(fc, 6)
