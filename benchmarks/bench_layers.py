@@ -31,7 +31,7 @@ import time
 # sha256 of the stdout of `conifold-flop verify-all --json`
 VERIFY_ALL_SHA256 = "f34c4625c5d4ad9b572ad00eb12e1c49066fc239d92b7770ebe738c349379d7e"
 # cold samples per criterion
-REPEAT = 3
+REPEAT = 9
 
 
 def _cores():

@@ -4,14 +4,20 @@ Matrices are tuples of row tuples; the empty matrix keeps its shape
 through explicit (rows, cols) arguments where it matters.  Entries are
 ints or Fractions.  `mat_mul` and `mat_vec` keep int inputs as ints: an
 entry of a product is a Fraction when one of its terms is, or when it has
-no terms.  The eliminations return Fractions, and those of `rref` and
-`independent` run on primitive integer rows: each row is first scaled to
-the integer row with coprime entries on the same ray (`integer_row`), and
-a row is cleared against a pivot row by cross-multiplication, ``a * row -
-f * pivot_row``, followed by division by its content (the gcd of its
-entries).  A reduced row echelon form is unique, so `rref` divides each
-surviving row by its pivot once at the end and returns the same
-Fractions as elimination over Fraction would.
+no terms.
+
+Every elimination runs on primitive integer rows: each row is first
+scaled to the integer row with coprime entries on the same ray
+(`integer_row`), and a row is cleared against a pivot row by
+cross-multiplication, ``a * row - f * pivot_row``, followed by division by
+its content (the gcd of its entries).  `echelon` returns the reduced
+echelon form in that shape, each row primitive with a positive pivot,
+which is canonical for the row span: two matrices have the same `echelon`
+exactly when their rows span the same space.  `annihilator` is the
+`echelon` of the kernel.  A reduced row echelon form is unique, so `rref`
+divides each row of `echelon` by its pivot (`monic`) and returns the same
+Fractions as elimination over Fraction would; `row_space` and `nullspace`
+build on it, and `rank` counts the rows of `echelon`.
 """
 
 from __future__ import annotations
@@ -74,10 +80,21 @@ def integer_row(row):
     """The integer row with coprime entries on the same ray as ``row`` (a
     positive multiple of it); a zero row stays zero.  Entries are ints or
     Fractions."""
-    den = lcm(*[x.denominator for x in row])
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
-    return ints if g < 2 else [x // g for x in ints]
+    try:
+        g = gcd(*row)  # an int row; gcd refuses a Fraction
+        ints = row
+    except TypeError:
+        den = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
+    return list(ints) if g < 2 else [x // g for x in ints]
+
+
+def integer_matrix(m):
+    """``m`` times the lcm of the denominators of its entries: a matrix of
+    ints."""
+    den = lcm(*(c.denominator for row in m for c in row))
+    return tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in m)
 
 
 def _clear(row, pivot_row, c):
@@ -90,34 +107,56 @@ def _clear(row, pivot_row, c):
     return out if g < 2 else [x // g for x in out]
 
 
-def rref(rows, ncols=None):
-    """Reduced row echelon form; returns (rows_without_zero_rows, pivot_cols),
-    the rows as tuples of Fractions."""
+def _pivot(row):
+    return next(j for j, x in enumerate(row) if x)
+
+
+def echelon(rows, ncols=None):
+    """The reduced row echelon form of ``rows`` (ints or Fractions) as
+    tuples of ints, zero rows dropped: each row primitive, with a positive
+    pivot entry and zeros in the pivot columns of the other rows."""
     m = [integer_row(r) for r in rows]
     if not m:
-        return (), ()
+        return ()
     cols = len(m[0]) if ncols is None else ncols
-    pivots = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, len(m)):
+            if m[pivot][c]:
+                break
+        else:
             continue
         m[r], m[pivot] = m[pivot], m[r]
+        if m[r][c] < 0:
+            m[r] = [-x for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 m[i] = _clear(m[i], m[r], c)
-        pivots.append(c)
         r += 1
         if r == len(m):
             break
-    out = tuple(tuple(Fraction(x, row[p]) if x else ZERO for x in row)
-                for row, p in zip(m, pivots))
-    return out, tuple(pivots)
+    return tuple(tuple(row) for row in m[:r])
+
+
+def monic(rows):
+    """Each row of an `echelon` form divided by its pivot entry: the rows
+    of the reduced row echelon form, as Fractions."""
+    out = []
+    for row in rows:
+        a = row[_pivot(row)]
+        out.append(tuple(Fraction(x, a) if x else ZERO for x in row))
+    return tuple(out)
+
+
+def rref(rows, ncols=None):
+    """Reduced row echelon form; returns (rows_without_zero_rows, pivot_cols),
+    the rows as tuples of Fractions."""
+    ech = echelon(rows, ncols)
+    return monic(ech), tuple(map(_pivot, ech))
 
 
 def rank(rows, ncols=None):
-    return len(rref(rows, ncols)[0])
+    return len(echelon(rows, ncols))
 
 
 def row_space(rows, ncols=None):
@@ -139,26 +178,58 @@ def nullspace(m, ncols=None):
     return tuple(basis)
 
 
-def independent(basis, vectors, ncols):
+def annihilator(rows, ncols):
+    """The `echelon` of {v : row . v = 0 for every row}: the kernel of the
+    matrix ``rows``, the row span of `nullspace`, in ints.
+
+    One elimination gives it, on the columns taken in reverse order.  There
+    the kernel vector of a free column j of the echelon form is nonzero at j
+    and at pivot columns before j only.  Back in the given order, j is its
+    first nonzero entry, and no other such vector is nonzero at j, so these
+    vectors, each scaled to a primitive row with a positive leading entry,
+    are the reduced echelon form of the kernel.
+    """
+    ech = echelon([row[::-1] for row in rows], ncols)
+    pivots = [_pivot(row) for row in ech]
+    out = []
+    for j in reversed(range(ncols)):
+        if j in pivots:
+            continue
+        # v[j] = l and v[p] = -row[j] * l / row[p] for each pivot p, with l
+        # the lcm of the pivot entries that the division needs
+        l = lcm(*(row[p] for row, p in zip(ech, pivots) if row[j]))
+        v = [0] * ncols
+        v[j] = l
+        for row, p in zip(ech, pivots):
+            if row[j]:
+                v[p] = -row[j] * (l // row[p])
+        g = gcd(*v)
+        out.append(tuple(x // g for x in reversed(v)))
+    return tuple(out)
+
+
+def independent(basis, vectors, ncols, form=None):
     """The members of ``vectors``, in input order and as given, that lie
     outside the row span of ``basis`` and of the members kept before them.
 
     One echelon form of primitive integer rows grows as rows are accepted:
     each stored row is 0 at the pivots of the rows stored before it, so
-    every query is a single reduction.
+    every query is a single reduction.  ``form``, a list of (pivot column,
+    row) pairs, is that form: pass the same list to later calls to grow one
+    span across them without absorbing it again.
     """
-    echelon = []  # (pivot column, row)
+    form = [] if form is None else form
 
     def absorb(vec):
         v = integer_row(vec)
-        for p, row in echelon:
+        for p, row in form:
             if v[p]:
                 v = _clear(v, row, p)
-        p = next((j for j in range(ncols) if v[j]), None)
-        if p is None:
-            return False
-        echelon.append((p, v))
-        return True
+        for p in range(ncols):
+            if v[p]:
+                form.append((p, v))
+                return True
+        return False
 
     for vec in basis:
         absorb(vec)

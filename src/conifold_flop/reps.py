@@ -9,25 +9,28 @@ nonzero subrepresentation has strictly smaller phase.  Negative verdicts
 come with an exact rational witness subspace, a closure of a kernel or
 image seed (upward, or downward as the annihilator of an upward closure
 in the dual module); positive verdicts rest on exhaustive finite-field
-subspace scans, escalating through the primes 2, 3, 5 until the flagged
-dimension vectors are explained.
+subspace scans (`gfp.subrep_scan_Fp`), escalating through the primes 2,
+3, 5 until the flagged dimension vectors are explained.
+
+The chamber-free work (validity, the exact candidates, End(r)) runs on
+the integer module `_integerize(r)` and on canonical integer row spans,
+the `linalg.echelon` forms: every seed, layer, closure and annihilator is
+one, and only the returned candidates become Fraction bases.  End(r)
+takes one rank modulo a large prime before any exact rank (`_end_dim`).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
+from . import gfp, linalg
 from .exactcx import QC, admissible, cross
+from .gfp import SCAN_PRIMES, subrep_scan_Fp
 from .paths import SRC, TGT, relations
 from .truncated import normal_words
 
-SCAN_PRIMES = (2, 3, 5)
-MAX_SCAN_DIM = 4
 # modules whose chamber-free facts (validity, exact candidates, End
 # dimension) are kept, keyed by the frozen Representation value
 MODULE_CACHE_SIZE = 128
@@ -47,8 +50,7 @@ class Representation:
         d0, d1 = self.dims
         for name, m, r, c in (("mx", self.mx, d1, d0), ("mz", self.mz, d1, d0),
                               ("my", self.my, d0, d1), ("mw", self.mw, d0, d1)):
-            rows, cols = linalg.shape(m, c)
-            if rows != r or (rows and cols != c):
+            if len(m) != r or any(len(row) != c for row in m):
                 raise ValueError("%s must be %dx%d" % (name, r, c))
 
     def __hash__(self):
@@ -123,34 +125,51 @@ def make_catalog_rep(kind: str, *params) -> Representation:
     raise ValueError("unknown catalog kind %r" % kind)
 
 
-def relations_hold(r: Representation) -> bool:
-    if 0 in r.dims:
-        return True
+@lru_cache(maxsize=None)
+def _relation_terms() -> tuple:
+    """Each relation c1 * w1 + c2 * w2 as (w1, w2, a, b) with ints a and b
+    and a * w1 = b * w2."""
+    out = []
     for rel in relations():
         (w1, c1), (w2, c2) = sorted(rel.coeffs.items())
-        if linalg.mat_scale(c1, r.word_action(w1)) != linalg.mat_scale(-c2, r.word_action(w2)):
-            return False
+        out.append((w1, w2, c1.numerator * c2.denominator, -c2.numerator * c1.denominator))
+    return tuple(out)
+
+
+def relations_hold(r: Representation) -> bool:
+    """The relations as matrix identities; on an integer module (such as
+    `_integerize(r)`) they multiply and compare ints only."""
+    if 0 in r.dims:
+        return True
+    for w1, w2, a, b in _relation_terms():
+        for row1, row2 in zip(r.word_action(w1), r.word_action(w2)):
+            if any(a * x != b * y for x, y in zip(row1, row2)):
+                return False
     return True
 
 
 def _images(mats, basis):
     """The images of the rows of ``basis`` under each of ``mats``, a list
-    that spans the image.  Each row is scaled by `linalg.integer_row`
-    first, so integer matrices give int images."""
-    rows = [linalg.integer_row(v) for v in basis]
-    return [linalg.mat_vec(m, v) for m in mats for v in rows]
+    that spans the image: int images of int rows under integer matrices."""
+    return [linalg.mat_vec(m, v) for m in mats for v in basis]
+
+
+def _unit_rows(n):
+    """The standard basis of Q^n: the `linalg.echelon` form of the whole
+    space."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _radical_chain(r: Representation):
     """The descending layers V > sum_a im(a) > ... as canonical (basis at
-    v0, basis at v1) pairs, from V itself to the first layer that no
-    longer shrinks."""
+    v0, basis at v1) pairs of `linalg.echelon` forms, from V itself to the
+    first layer that no longer shrinks."""
     d0, d1 = r.dims
-    chain = [(linalg.identity(d0), linalg.identity(d1))]
+    chain = [(_unit_rows(d0), _unit_rows(d1))]
     while True:
         u0, u1 = chain[-1]
-        n0 = linalg.row_space(_images((r.my, r.mw), u1), d0)
-        n1 = linalg.row_space(_images((r.mx, r.mz), u0), d1)
+        n0 = linalg.echelon(_images((r.my, r.mw), u1), d0)
+        n1 = linalg.echelon(_images((r.mx, r.mz), u0), d1)
         if (n0, n1) == (u0, u1):
             return chain
         chain.append((n0, n1))
@@ -176,10 +195,11 @@ def _valid(r: Representation) -> bool:
 
 @lru_cache(maxsize=MODULE_CACHE_SIZE)
 def _integerize(r: Representation) -> Representation:
-    """``r`` with each arrow scaled by the lcm of its denominators: a module
-    whose four matrices hold Python ints.  Validity, the exact candidates,
-    End(r), the GF(p) scans and `homalg.ext_dims` all read their arrows
-    from this one copy.
+    """``r`` with each arrow scaled by the lcm of its denominators
+    (`linalg.integer_matrix`): a module whose four matrices hold Python
+    ints.  Validity, the exact candidates, End(r) and `homalg.ext_dims`
+    read their arrows from this one copy, and the GF(p) scans scale each
+    arrow in the same way.
 
     Scaling an arrow by a nonzero number changes none of them.  Every term
     of a cyclic derivative uses the same three arrows, so each relation is
@@ -189,11 +209,7 @@ def _integerize(r: Representation) -> Representation:
     maps commutes with an arrow exactly when it commutes with a nonzero
     multiple of it, so End(r) stays.
     """
-    mats = []
-    for m in (r.mx, r.mz, r.my, r.mw):
-        den = math.lcm(*(c.denominator for row in m for c in row))
-        mats.append(tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in m))
-    return Representation(r.dims, *mats)
+    return Representation(r.dims, *map(linalg.integer_matrix, (r.mx, r.mz, r.my, r.mw)))
 
 
 def scale_arrow(r: Representation, arrow: str, scalar) -> Representation:
@@ -254,14 +270,19 @@ def central_charge(r: Representation, p: StabilityParams) -> QC:
 
 
 def _closure_up(r, seed0, seed1):
-    """The smallest subrepresentation containing the seeds; each pass maps
-    only the rows it accepted last, one `linalg.independent` per vertex."""
-    into, span = ((r.my, r.mw), (r.mx, r.mz)), ([], [])
-    new = [[linalg.integer_row(v) for v in seed] for seed in (seed0, seed1)]
-    while any(new := [linalg.independent(span[v], new[v], r.dims[v]) for v in (0, 1)]):
-        span = [span[v] + list(new[v]) for v in (0, 1)]
-        new = [_images(into[v], new[1 - v]) for v in (0, 1)]
-    return tuple(linalg.row_space(span[v], r.dims[v]) for v in (0, 1))
+    """The smallest subrepresentation containing the seeds, as a pair of
+    `linalg.echelon` forms.  One echelon form per vertex grows across the
+    passes through `linalg.independent`, and each pass maps only the rows
+    that the last one stored."""
+    into, form = ((r.my, r.mw), (r.mx, r.mz)), ([], [])
+    new = (seed0, seed1)
+    while True:
+        start = [len(f) for f in form]
+        for v in (0, 1):
+            linalg.independent((), new[v], r.dims[v], form[v])
+        if start == [len(f) for f in form]:
+            return tuple(linalg.echelon([row for _, row in f], n) for f, n in zip(form, r.dims))
+        new = [_images(into[v], [row for _, row in form[1 - v][start[1 - v]:]]) for v in (0, 1)]
 
 
 def _dual(r):
@@ -271,10 +292,6 @@ def _dual(r):
     d0, d1 = r.dims
     t = linalg.transpose
     return Representation(r.dims, t(r.my, d1), t(r.mw, d1), t(r.mx, d0), t(r.mz, d0))
-
-
-def _annihilator(basis, n):
-    return linalg.row_space(linalg.nullspace(basis, n), n)
 
 
 @lru_cache(maxsize=MODULE_CACHE_SIZE)
@@ -288,12 +305,13 @@ def exact_subrep_candidates(r: Representation) -> tuple:
     vertex and canonical row space; each seed S at v gives the smallest
     subrepresentation containing (S, 0) and the largest inside (S, V), the
     annihilator of the dual's smallest one containing (Ann S, 0).  It runs
-    on the integer module `_integerize(r)`; the bases are canonical
-    Fraction RREFs.  Cached per module value, so the result is a tuple."""
+    on the integer module `_integerize(r)` and on `linalg.echelon` forms;
+    only the candidates returned become canonical Fraction RREFs.  Cached
+    per module value, so the result is a tuple."""
     ri = _integerize(r)
     dual = _dual(ri)
     d0, d1 = r.dims
-    seeds = set()  # (vertex, reduced row-echelon basis)
+    seeds = set()  # (vertex, echelon form)
     for src in (0, 1):
         n = r.dims[src]
         # a word acts through its suffix w[1:], also a normal word: dropping
@@ -308,149 +326,34 @@ def exact_subrep_candidates(r: Representation) -> tuple:
                 tgt = TGT[word[0]]
                 if (tgt, m) not in distinct:
                     distinct.add((tgt, m))
-                    seeds.add((tgt, linalg.row_space(linalg.transpose(m, n), r.dims[tgt])))
-                    seeds.add((src, linalg.row_space(linalg.nullspace(m, n), n)))
+                    seeds.add((tgt, linalg.echelon(linalg.transpose(m, n), r.dims[tgt])))
+                    seeds.add((src, linalg.annihilator(m, n)))
     for v in (0, 1):
-        seeds.update((v, (row,)) for row in linalg.identity(r.dims[v]))
+        seeds.update((v, (row,)) for row in _unit_rows(r.dims[v]))
 
     pairs = _radical_chain(ri)  # V itself is dropped with the trivial pairs below
     # socle chain
-    s0 = linalg.row_space(linalg.nullspace(ri.mx + ri.mz, d0), d0)
-    s1 = linalg.row_space(linalg.nullspace(ri.my + ri.mw, d1), d1)
+    s0 = linalg.annihilator(ri.mx + ri.mz, d0)
+    s1 = linalg.annihilator(ri.my + ri.mw, d1)
     pairs.append((s0, s1))
-    pairs += [_closure_up(ri, (vec,), ()) for vec in s0]
-    pairs += [_closure_up(ri, (), (vec,)) for vec in s1]
+    # the seed pairs closed upwards in the module and in the dual; a socle
+    # line is an echelon form too, so it meets an equal seed in the set
+    up = {((vec,), ()) for vec in s0} | {((), (vec,)) for vec in s1}
+    down = set()
     for v, seed in seeds:
         lower, ann = [(), ()], [(), ()]
-        lower[v], ann[v] = seed, _annihilator(seed, r.dims[v])
-        pairs.append(_closure_up(ri, *lower))
-        pairs.append(tuple(map(_annihilator, _closure_up(dual, *ann), r.dims)))
+        lower[v], ann[v] = seed, linalg.annihilator(seed, r.dims[v])
+        up.add(tuple(lower))
+        down.add(tuple(ann))
+    pairs += [_closure_up(ri, *lower) for lower in up]
+    pairs += [tuple(map(linalg.annihilator, _closure_up(dual, *ann), r.dims)) for ann in down]
 
-    seen = {}
+    seen = set()
     for w0, w1 in pairs:
-        e0, e1 = len(w0), len(w1)
-        if (e0, e1) in ((0, 0), (d0, d1)):
-            continue
-        seen[(e0, e1, w0, w1)] = (w0, w1)
-    return tuple(sorted(seen.values(), key=lambda p: (len(p[0]) + len(p[1]), len(p[0]), p)))
-
-
-# ---------------------------------------------------------------------------
-# finite-field scans
-
-
-def _mod_matrix(m, p):
-    """The int matrix ``m`` (an arrow of `_integerize`) reduced mod p."""
-    return tuple(tuple(c % p for c in row) for row in m)
-
-
-def _subspaces_gfp(dim, p):
-    """All subspaces of GF(p)^dim as reduced-echelon bases (tuples of rows)."""
-    out = [()]
-    for k in range(1, dim + 1):
-        for pivots in itertools.combinations(range(dim), k):
-            free_pos = []
-            for i, pc in enumerate(pivots):
-                for j in range(pc + 1, dim):
-                    if j not in pivots:
-                        free_pos.append((i, j))
-            for fill in itertools.product(range(p), repeat=len(free_pos)):
-                basis = [[0] * dim for _ in range(k)]
-                for i, pc in enumerate(pivots):
-                    basis[i][pc] = 1
-                for (i, j), val in zip(free_pos, fill):
-                    basis[i][j] = val
-                out.append(tuple(tuple(row) for row in basis))
-    return out
-
-
-def _gfp_rank(rows, ncols, p):
-    """Rank over GF(p) of integer rows by forward elimination."""
-    m = [[c % p for c in row] for row in rows]
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        for i in range(r + 1, len(m)):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
-
-
-def _gaussian_binomial(n, k, p):
-    """Number of k-dimensional subspaces of GF(p)^n."""
-    num = den = 1
-    for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
-
-
-def _interval_counts(out_a, out_b, in_c, in_d, ds, dt, p):
-    """Closed pairs counted over the subspaces W of the source vertex s.
-
-    ``out_a``, ``out_b`` map V_s -> V_t and ``in_c``, ``in_d`` map
-    V_t -> V_s.  For fixed W the closed partners W' at t are exactly
-    the interval U <= W' <= P with U = a(W) + b(W) and P the common
-    preimage of W under c and d; P is the kernel of the functionals
-    f.c, f.d for f in the annihilator of W.  Yields ((dim W, dim W'),
-    count) for every nonempty interval level.
-    """
-    for w in _subspaces_gfp(ds, p):
-        pivots = [next(j for j, c in enumerate(row) if c) for row in w]
-        # annihilator of W: one functional per non-pivot column
-        ann = []
-        for j in range(ds):
-            if j not in pivots:
-                f = [0] * ds
-                f[j] = 1
-                for row, pc in zip(w, pivots):
-                    f[pc] = -row[j] % p
-                ann.append(f)
-        cond = [[sum(f[i] * m[i][j] for i in range(ds)) % p for j in range(dt)]
-                for m in (in_c, in_d) for f in ann]
-        images = [[sum(m[i][j] * v[j] for j in range(ds)) % p for i in range(dt)]
-                  for m in (out_a, out_b) for v in w]
-        if any(sum(g[j] * u[j] for j in range(dt)) % p for g in cond for u in images):
-            continue  # U is not inside P
-        lo = _gfp_rank(images, dt, p)
-        hi = dt - _gfp_rank(cond, dt, p)
-        for j in range(hi - lo + 1):
-            yield (len(w), lo + j), _gaussian_binomial(hi - lo, j, p)
-
-
-def subrep_scan_Fp(r: Representation, p: int):
-    """Exhaustive count of arrow-closed subspace pairs over GF(p).
-
-    The arrows are those of `_integerize(r)`.  A pair (W0, W1) is closed
-    exactly when x(W0) + z(W0) <= W1 and W1 lies in the common preimage of
-    W0 under y and w, so the scan enumerates the subspaces of the smaller
-    vertex only and counts the closed partners at the other vertex by
-    Gaussian binomials over that interval.  Returns the sorted list of
-    realized (dim vector, count) pairs, the zero and full pairs included:
-    a list, not a tuple, as the subrep-lattice workload tells scans from
-    verdicts (tuples) by type.
-    """
-    if p not in SCAN_PRIMES:
-        raise ValueError("p must be one of %r" % (SCAN_PRIMES,))
-    d0, d1 = r.dims
-    if d0 > MAX_SCAN_DIM or d1 > MAX_SCAN_DIM:
-        raise ValueError("vertex dimensions above %d are not scanned" % MAX_SCAN_DIM)
-    ri = _integerize(r)
-    mx, mz, my, mw = (_mod_matrix(ri.matrix(a), p) for a in "xzyw")
-    counts = {}
-    if d0 <= d1:
-        found = _interval_counts(mx, mz, my, mw, d0, d1, p)
-    else:
-        found = (((k0, k1), n) for (k1, k0), n in _interval_counts(my, mw, mx, mz, d1, d0, p))
-    for key, n in found:
-        counts[key] = counts.get(key, 0) + n
-    return sorted(counts.items())
+        if (len(w0), len(w1)) not in ((0, 0), (d0, d1)):
+            seen.add((w0, w1))
+    cands = [(linalg.monic(w0), linalg.monic(w1)) for w0, w1 in seen]
+    return tuple(sorted(cands, key=lambda p: (len(p[0]) + len(p[1]), len(p[0]), p)))
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +435,16 @@ def _end_dim(r: Representation) -> int:
     """dim End(r), the Schur test of a stable verdict: the nullity of the
     intertwiner map of `_integerize(r)` with itself.  Its equations, the
     columns of the matrix, are eliminated: over Q that is about twice as
-    fast as the rows."""
+    fast as the rows.
+
+    The rank modulo `gfp.LARGE_PRIME` comes first.  It is at most the rank
+    over Q, and End(r) holds the scalars, so a nullity of 1 modulo the
+    prime is the nullity over Q; any other nullity is taken over Q."""
     n = r.dims[0] ** 2 + r.dims[1] ** 2
     ri = _integerize(r)
     rows = tuple(row for row in zip(*intertwiner_matrix(ri, ri)) if any(row))
+    if n - gfp.rank(rows, n, gfp.LARGE_PRIME) == 1:
+        return 1
     return n - linalg.rank(rows, n)
 
 

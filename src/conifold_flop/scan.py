@@ -79,7 +79,8 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 
-from .reps import Representation, _gfp_rank, _subspaces_gfp, intertwiner_matrix
+from .gfp import _subspaces_gfp, rank
+from .reps import Representation, intertwiner_matrix
 
 
 def backend_name() -> str:
@@ -179,7 +180,7 @@ class _Tables:
 @lru_cache(maxsize=None)
 def _subspaces(dim):
     """All subspaces of GF(2)^dim: (dim, membership mask over vectors, basis),
-    the reduced-echelon bases of ``reps._subspaces_gfp`` packed into bits.
+    the reduced-echelon bases of ``gfp._subspaces_gfp`` packed into bits.
     Cached per dimension, so the value is a tuple."""
     subs = []
     for rows in _subspaces_gfp(dim, 2):
@@ -230,7 +231,7 @@ def _end_dim(rx, rz, ry, rw, d0, d1):
 
     r = Representation((d0, d1), unpack(rx, d0), unpack(rz, d0), unpack(ry, d1), unpack(rw, d1))
     rows = [row for row in intertwiner_matrix(r, r) if any(row)]
-    return d0 * d0 + d1 * d1 - _gfp_rank(rows, 4 * d0 * d1, 2)
+    return d0 * d0 + d1 * d1 - rank(rows, 4 * d0 * d1, 2)
 
 
 def _rank_forms(d0, d1):

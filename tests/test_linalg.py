@@ -304,3 +304,83 @@ def test_eliminations_ignore_an_integer_rescaling(problem):
     int_basis = tuple(tuple(linalg.integer_row(row)) for row in basis)
     assert linalg.row_space(int_basis, ncols) == basis
     assert _all_fractions(linalg.row_space(int_basis, ncols))
+
+
+# --- integer echelon forms and annihilators -------------------------------------
+
+
+def _is_echelon(ech, ncols):
+    """Int rows, each primitive with a positive pivot, pivots ascending, and
+    every pivot column zero in the other rows."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in ech]
+    return (all(type(x) is int for row in ech for x in row)
+            and all(len(row) == ncols and gcd(*row) == 1 for row in ech)
+            and all(row[p] > 0 for row, p in zip(ech, pivots))
+            and pivots == sorted(set(pivots))
+            and all(other[p] == 0 for row, p in zip(ech, pivots) for other in ech if other is not row))
+
+
+@st.composite
+def _span_pairs(draw):
+    """(rows, others, ncols): ``others`` is the rows recombined (each row a
+    nonzero rational multiple of itself plus a multiple of another row, the
+    list reversed), so it spans the same space, or a second drawn matrix."""
+    rows, _, ncols = draw(_mixed_matrices())
+    if rows and draw(st.booleans()):
+        nonzero = st.sampled_from([-3, -1, Fraction(1, 2), 2, Fraction(-5, 3)])
+        k = len(rows)
+        # row i becomes c_i row_i + t_i row_{i+1}, and the last row stays a
+        # multiple of itself: a triangular, invertible recombination
+        coeffs = [(draw(nonzero), draw(_ENTRY) if i + 1 < k else 0) for i in range(k)]
+        others = [tuple(c * x + t * y for x, y in zip(rows[i], rows[(i + 1) % k]))
+                  for i, (c, t) in enumerate(coeffs)]
+        return rows, others[::-1], ncols
+    return rows, draw(st.lists(st.tuples(*[_ENTRY] * ncols), max_size=5)), ncols
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_span_pairs())
+def test_echelon_is_equal_exactly_when_the_spans_are(problem):
+    rows, others, ncols = problem
+    same_span = _rref_by_fractions(rows, ncols)[0] == _rref_by_fractions(others, ncols)[0]
+    assert (linalg.echelon(rows, ncols) == linalg.echelon(others, ncols)) == same_span
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mixed_matrices())
+def test_echelon_rows_are_primitive_with_a_positive_pivot(problem):
+    rows, _, ncols = problem
+    ech = linalg.echelon(rows, ncols)
+    assert _is_echelon(ech, ncols)
+    assert len(ech) == len(_rref_by_fractions(rows, ncols)[0])
+    # rref divides each echelon row by its pivot
+    red, pivots = linalg.rref(rows, ncols)
+    assert red == linalg.monic(ech) == _rref_by_fractions(rows, ncols)[0]
+    assert pivots == tuple(next(j for j, x in enumerate(row) if x) for row in ech)
+    assert all(row[p] == 1 for row, p in zip(red, pivots))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mixed_matrices())
+def test_annihilator_is_the_echelon_of_the_nullspace(problem):
+    rows, _, ncols = problem
+    ann = linalg.annihilator(rows, ncols)
+    assert _is_echelon(ann, ncols)
+    null = _nullspace_by_fractions(rows, ncols)
+    assert linalg.monic(ann) == linalg.row_space(linalg.nullspace(rows, ncols), ncols)
+    assert linalg.monic(ann) == _rref_by_fractions(null, ncols)[0]
+    assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows for v in ann)
+
+
+def test_echelon_edge_cases():
+    assert linalg.echelon(()) == () and linalg.echelon(((), ()), 0) == ()
+    assert linalg.echelon(((0, 0), (Fraction(0), 0)), 2) == ()
+    # a negative pivot and a content of 2 are both divided out
+    assert linalg.echelon(((-2, 4, 6),), 3) == ((1, -2, -3),)
+    assert linalg.echelon(((Fraction(-2, 7), Fraction(3, 11), 5),), 3) == ((22, -21, -385),)
+    assert linalg.annihilator((), 2) == ((1, 0), (0, 1))
+    assert linalg.annihilator(((1, 1),), 2) == ((1, -1),)
+    assert linalg.annihilator(((2, 3, 0),), 3) == ((3, -2, 0), (0, 0, 1))
+    assert linalg.annihilator(((1, 0), (0, 1)), 2) == ()
+    assert linalg.integer_matrix(((Fraction(1, 2), 1), (Fraction(2, 3), 0))) == ((3, 6), (4, 0))
+    assert linalg.integer_matrix(()) == ()

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conifold_flop import linalg, reps
+from conifold_flop import gfp, linalg, reps
 from conifold_flop.exactcx import QC, admissible, cross, phase_lt
 from conifold_flop.paths import SRC, TGT, relations
 from conifold_flop.reps import (StabilityParams, arrow_closed, central_charge, check_rep,
@@ -59,6 +59,16 @@ def test_vplus_one_is_the_vertex_simple():
 def test_point_rejects_double_zero():
     with pytest.raises(ValueError):
         make_catalog_rep("point", 0, 0)
+
+
+def test_ragged_arrow_matrices_are_refused():
+    z = ((0, 0), (0, 0))
+    with pytest.raises(ValueError, match="mx must be 2x2"):
+        reps.Representation((2, 2), ((1, 0), (0,)), z, z, z)
+    with pytest.raises(ValueError, match="mw must be 2x2"):
+        reps.Representation((2, 2), z, z, z, ((0, 0), (0, 0, 0)))
+    with pytest.raises(ValueError, match="my must be 2x1"):
+        rep((2, 1), [[0, 0]], [[0, 0]], [[0], []], [[0], [0]])
 
 
 def test_all_scalars_one_is_not_nilpotent():
@@ -249,10 +259,10 @@ def _gfp_closed(mats, w0, w1, p, dims):
 def _oracle_scan(r, p):
     """Brute force: test arrow closure on every pair of subspaces."""
     ri = reps._integerize(r)
-    mats = {a: reps._mod_matrix(ri.matrix(a), p) for a in "xzyw"}
+    mats = {a: gfp._mod_matrix(ri.matrix(a), p) for a in "xzyw"}
     counts = {}
-    for w0 in reps._subspaces_gfp(r.dims[0], p):
-        for w1 in reps._subspaces_gfp(r.dims[1], p):
+    for w0 in gfp._subspaces_gfp(r.dims[0], p):
+        for w1 in gfp._subspaces_gfp(r.dims[1], p):
             if _gfp_closed(mats, w0, w1, p, r.dims):
                 key = (len(w0), len(w1))
                 counts[key] = counts.get(key, 0) + 1
@@ -297,7 +307,7 @@ def test_subrep_scan_matches_pairwise_oracle_on_quadruples(r, p):
 def test_subspace_enumeration_counts():
     for p in (2, 3, 5):
         for d in range(5):
-            spaces = reps._subspaces_gfp(d, p)
+            spaces = gfp._subspaces_gfp(d, p)
             assert len(set(spaces)) == len(spaces)
             for k in range(d + 1):
                 assert sum(len(w) == k for w in spaces) == _gauss(d, k, p)
@@ -479,15 +489,21 @@ def test_closure_down_matches_oracle_on_quadruples(r):
     _assert_closure_down_matches_oracle(r)
 
 
+def _fraction_rref(pair, dims):
+    """A pair of bases (ints or Fractions) as canonical Fraction RREFs."""
+    return tuple(linalg.row_space(tuple(basis), n) for basis, n in zip(pair, dims))
+
+
 def _closure_up_calls(r):
     """The seeds that exact_subrep_candidates closes upwards, each tagged
-    with the module it is closed in, recorded on an uncached run."""
+    with the module it is closed in, recorded on an uncached run.  The run
+    passes integer echelon forms; they are recorded as Fraction RREFs."""
     ri = reps._integerize(r)  # cached: the same object the run reads
     calls = set()
     real = reps._closure_up
 
     def record(module, seed0, seed1):
-        calls.add(("module" if module is ri else "dual", tuple(seed0), tuple(seed1)))
+        calls.add(("module" if module is ri else "dual",) + _fraction_rref((seed0, seed1), r.dims))
         return real(module, seed0, seed1)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -595,11 +611,15 @@ def _fraction_closure_up(r, seed0, seed1):
 
 
 def _assert_closure_up_matches_fractions(r):
-    # every closure an uncached run takes, in the module and in the dual
+    # every closure an uncached run takes, in the module and in the dual; the
+    # closure is a pair of integer echelon forms, compared as Fraction RREFs
     ri, dual = reps._integerize(r), reps._dual(reps._integerize(r))
     for tag, seed0, seed1 in _closure_up_calls(r):
         module = ri if tag == "module" else dual
-        assert reps._closure_up(module, seed0, seed1) == _fraction_closure_up(module, seed0, seed1)
+        got = reps._closure_up(module, seed0, seed1)
+        assert all(type(x) is int for basis in got for row in basis for x in row)
+        assert got == tuple(map(linalg.echelon, got, r.dims))
+        assert _fraction_rref(got, r.dims) == _fraction_closure_up(module, seed0, seed1)
 
 
 @pytest.mark.parametrize("kind,args", CATALOG)
@@ -762,10 +782,12 @@ def test_integerize_scales_each_arrow_to_ints():
 
 
 class _IntegerOnly:
-    """Stands in for `linalg` inside `reps` and refuses a product whose
-    inputs are not all ints.  A product with an empty factor multiplies
-    nothing, so its other factor may hold the Fraction zeros of a product
-    with no terms."""
+    """Stands in for `linalg` inside `reps` and refuses a product or an
+    elimination whose inputs are not all ints.  A product with an empty
+    factor multiplies nothing, so its other factor may hold the Fraction
+    zeros of a product with no terms; an elimination may get such zeros
+    too (the word matrices of a module with a zero vertex), but no other
+    Fraction."""
 
     def __getattr__(self, name):
         return getattr(linalg, name)
@@ -773,6 +795,10 @@ class _IntegerOnly:
     @staticmethod
     def _ints(m):
         return all(type(x) is int for row in m for x in row)
+
+    @staticmethod
+    def _int_rows(m):
+        return all(type(x) is int or x == 0 for row in m for x in row)
 
     def mat_mul(self, a, b, bcols=None):
         assert not (a and b) or (self._ints(a) and self._ints(b)), "Fraction product"
@@ -786,6 +812,18 @@ class _IntegerOnly:
         assert self._ints(rows), "Fraction rows"
         return linalg.rank(rows, ncols)
 
+    def echelon(self, rows, ncols=None):  # seeds, layers and closures
+        assert self._int_rows(rows), "Fraction rows"
+        return linalg.echelon(rows, ncols)
+
+    def annihilator(self, rows, ncols):
+        assert self._int_rows(rows), "Fraction rows"
+        return linalg.annihilator(rows, ncols)
+
+    def independent(self, basis, vectors, ncols, form=None):  # the closures' echelon forms
+        assert self._int_rows(basis) and self._int_rows(vectors), "Fraction rows"
+        return linalg.independent(basis, vectors, ncols, form)
+
 
 @pytest.mark.parametrize("kind,args", CATALOG)
 def test_chamber_free_work_multiplies_ints_only(kind, args, monkeypatch):
@@ -794,6 +832,70 @@ def test_chamber_free_work_multiplies_ints_only(kind, args, monkeypatch):
     monkeypatch.setattr(reps, "linalg", _IntegerOnly())
     assert (exact_subrep_candidates.__wrapped__(r), reps._valid.__wrapped__(r),
             reps._end_dim.__wrapped__(r)) == want
+
+
+# --- the End dimension: one rank mod a large prime, then the exact rank ---------
+
+
+def _direct_sum(a, b):
+    """a + b with block-diagonal arrows."""
+    def block(ma, mb, cols_a, cols_b):
+        return [list(row) + [0] * cols_b for row in ma] + [[0] * cols_a + list(row) for row in mb]
+
+    (a0, a1), (b0, b1) = a.dims, b.dims
+    return rep((a0 + b0, a1 + b1), *(block(a.matrix(x), b.matrix(x), a0, b0) for x in "xz"),
+               *(block(a.matrix(x), b.matrix(x), a1, b1) for x in "yw"))
+
+
+def _end_dim_with_exact_ranks(r):
+    """(_end_dim of an uncached run, the number of exact ranks it took)."""
+    calls, exact = [], linalg.rank
+
+    def counted(rows, ncols=None):
+        calls.append(ncols)
+        return exact(rows, ncols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reps.linalg, "rank", counted)
+        e = reps._end_dim.__wrapped__(r)
+    return e, len(calls)
+
+
+@pytest.mark.parametrize("a,b,want", [
+    (("point", (1, 1)), ("point", (1, 1)), 4),
+    (("vplus", (2,)), ("vplus", (2,)), 4),
+    (("point", (1, 1)), ("point", (1, 2)), 2),
+    (("point", (1, 1)), ("vplus", (2,)), 3),
+])
+def test_end_dim_above_one_takes_the_exact_rank(a, b, want):
+    r = _direct_sum(make_catalog_rep(a[0], *a[1]), make_catalog_rep(b[0], *b[1]))
+    assert check_rep(r) == {"relations_ok": True, "nilpotent": True}
+    for module in (r, _sheared(r), _scaled(r)):
+        assert _end_dim_with_exact_ranks(module) == (want, 1)
+        assert _fraction_end_dim(module) == want
+
+
+@pytest.mark.parametrize("r,nullity_mod_p", [
+    # point(p : p) is S0 + S1 modulo p
+    (make_catalog_rep("point", gfp.LARGE_PRIME, gfp.LARGE_PRIME), 2),
+    # x of vplus(2) vanishes modulo p, where a copy of S1 splits off
+    (scale_arrow(make_catalog_rep("vplus", 2), "x", gfp.LARGE_PRIME), 3),
+])
+def test_end_dim_when_the_large_prime_divides_an_arrow(r, nullity_mod_p):
+    # modulo the prime the module splits, but over Q End is the scalars
+    n = r.dims[0] ** 2 + r.dims[1] ** 2
+    rows = tuple(zip(*reps.intertwiner_matrix(reps._integerize(r), reps._integerize(r))))
+    assert n - gfp.rank(rows, n, gfp.LARGE_PRIME) == nullity_mod_p
+    assert _end_dim_with_exact_ranks(r) == (1, 1)
+
+
+@pytest.mark.parametrize("kind,args", CATALOG)
+def test_end_dim_one_needs_no_exact_rank(kind, args):
+    # every catalog module is a brick: End is the scalars, read off the rank
+    # modulo the large prime alone
+    r = make_catalog_rep(kind, *args)
+    for module in (r, _sheared(r), _scaled(r)):
+        assert _end_dim_with_exact_ranks(module) == (1, 0)
 
 
 # --- per-module caches ----------------------------------------------------------
