@@ -247,10 +247,7 @@ def cmd_ext(ns, config):
     src = _parse_kind(ns.src)
     dst = _parse_kind(ns.dst)
     if ns.higher:
-        if src.dims not in ((1, 0), (0, 1)) or src.total_dim() != 1:
-            raise CliError("--higher needs a vertex simple as --from")
-        vertex = 0 if src.dims == (1, 0) else 1
-        dims = ext_dims(vertex, dst)
+        dims = ext_dims(src, dst)
         payload = {"ext_dims": list(dims), "total": sum(dims),
                    "euler": dims[0] - dims[1] + dims[2] - dims[3]}
         _emit(ns, payload, ["Ext^0..3 = %s, total %d" % (list(dims), sum(dims))])
@@ -373,7 +370,7 @@ def build_parser():
     s = sub.add_parser("ext", parents=[common], help="hom/ext1 or the full Ext dimensions")
     s.add_argument("--from", dest="src", required=True)
     s.add_argument("--to", dest="dst", required=True)
-    s.add_argument("--higher", action="store_true", help="Ext^0..3 of a vertex simple")
+    s.add_argument("--higher", action="store_true", help="Ext^0..3")
 
     s = sub.add_parser("flop", parents=[common], help="K-class flop or point-module analysis")
     s.add_argument("--dimvec")

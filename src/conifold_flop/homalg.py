@@ -2,12 +2,10 @@
 object-level transform sending catalog branes to modules, and the flop
 analysis of point modules.
 
-Everything is exact linear algebra: hom spaces solve the intertwining
-system, first extensions solve the cocycle-mod-coboundary system attached
-to the four relations, and higher Ext groups of a vertex simple are the
-cohomology of Hom(P_*, m) for its minimal projective resolution, the
-sphere table `tables.table_sphere(v)` that the deformed Floer differential
-of the A-infinity structure gives, built on the integer module of m.
+Everything is exact linear algebra on one Ext complex per pair of
+modules (`ext_dims`), C^0 -> C^1 -> C^2 -> C^3: Hom is the kernel of d^0,
+the intertwiner map, Ext^1 is ker d^1 / im d^0, and `ext_dims` takes the
+ranks of all three maps.
 """
 
 from __future__ import annotations
@@ -19,10 +17,10 @@ from fractions import Fraction
 from . import linalg
 from .exactcx import cross
 from .freecomplex import FreeComplex, graded_cohomology
-from .paths import SRC, TGT, relations
-from .reps import (Representation, StabilityParams, _integerize, arrow_layout, central_charge,
-                   check_rep, flop_K, intertwiner_matrix, is_stable, make_catalog_rep)
-from .tables import table_sphere
+from .paths import ARROWS, SRC, TGT
+from .reps import (Representation, StabilityParams, _relation_terms, _unit_rows, _valid,
+                   arrow_layout, central_charge, check_rep, flop_K, intertwiner_matrix,
+                   is_stable, make_catalog_rep)
 
 @dataclass(frozen=True)
 class ModuleMap:
@@ -86,39 +84,36 @@ def _xi_from_vector(layout, vec):
     return xi
 
 
-def ext1(m: Representation, n: Representation):
-    """Basis of Ext^1(m, n): cocycles of the relation system modulo the
-    coboundaries, the rows of the intertwiner matrix.  Returns a list of
-    ExtensionDatum."""
+def _relation_rows(m: Representation, n: Representation) -> tuple:
+    """d^1 of the Ext complex (`ext_dims`), a row per entry of C^2: the
+    relation a * w1 - b * w2 (`reps._relation_terms`) linearized, a word
+    u c v adding N_u . xi_c . M_v (an empty word acts as the identity)."""
     layout, total = arrow_layout(m, n)
     rows = []
-    for rel in relations():
-        (w1, c1), (w2, c2) = sorted(rel.coeffs.items())
+    for w1, w2, a, b in _relation_terms():
         src, tgt = SRC[w1[-1]], TGT[w1[0]]
-        # entry (i, j) of the off-diagonal block is linear in xi, one term
-        # per arrow position in each relation word
-        terms = []
-        for word, c in ((w1, c1), (w2, c2)):
-            for pos, a in enumerate(word):
-                pre = word[:pos]
-                suf = word[pos + 1:]
-                n_pre = n.word_action(pre) if pre else linalg.identity(n.dims[TGT[a]])
-                m_suf = m.word_action(suf) if suf else linalg.identity(m.dims[SRC[a]])
-                terms.append((c, n_pre, m_suf, layout[a]))
+        terms = [(c, n.word_action(w[:k]) if k else _unit_rows(n.dims[tgt]),
+                  m.word_action(w[k + 1:]) if w[k + 1:] else _unit_rows(m.dims[src]), layout[w[k]])
+                 for w, c in ((w1, a), (w2, -b)) for k in range(len(w))]
         for i in range(n.dims[tgt]):
             for j in range(m.dims[src]):
-                row = [Fraction(0)] * total
-                for c, n_pre, m_suf, (off, xr, xc) in terms:
-                    for p in range(xr):
-                        if n_pre[i][p] == 0:
-                            continue
-                        for q in range(xc):
-                            if m_suf[q][j] == 0:
-                                continue
-                            row[off + p * xc + q] += c * n_pre[i][p] * m_suf[q][j]
-                if any(x != 0 for x in row):
-                    rows.append(tuple(row))
-    cocycles = linalg.nullspace(tuple(rows), total)
+                row = [0] * total
+                for c, left, right, (off, _, cols) in terms:
+                    for p, x in enumerate(left[i]):
+                        if x:
+                            for q in range(cols):
+                                if right[q][j]:
+                                    row[off + p * cols + q] += c * x * right[q][j]
+                rows.append(tuple(row))
+    return tuple(rows)
+
+
+def ext1(m: Representation, n: Representation):
+    """Basis of Ext^1(m, n), as ExtensionDatum: the cocycles (ker d^1) that
+    `linalg.independent` keeps outside the coboundaries (im d^0), on m and
+    n as given, for `build_extension(m, n, datum)`."""
+    layout, total = arrow_layout(m, n)
+    cocycles = linalg.nullspace(_relation_rows(m, n), total)
     return [ExtensionDatum(_xi_from_vector(layout, v))
             for v in linalg.independent(intertwiner_matrix(m, n), cocycles, total)]
 
@@ -130,18 +125,12 @@ def ext1_dim(m, n):
 def build_extension(m: Representation, n: Representation, datum: ExtensionDatum):
     """Block representation with sub n and quotient m, arrow blocks
     [[N_a, xi_a], [0, M_a]].  Returns (rep, inclusion, projection)."""
-    mats = {}
+    mats = []
     for a in "xzyw":
-        src, tgt = SRC[a], TGT[a]
-        na, ma, xa = n.matrix(a), m.matrix(a), datum.matrix(a)
-        rows = []
-        for i in range(n.dims[tgt]):
-            rows.append(tuple(na[i]) + tuple(xa[i]))
-        for i in range(m.dims[tgt]):
-            rows.append(tuple(Fraction(0) for _ in range(n.dims[src])) + tuple(ma[i]))
-        mats[a] = tuple(rows)
-    e = Representation((n.dims[0] + m.dims[0], n.dims[1] + m.dims[1]),
-                       mats["x"], mats["z"], mats["y"], mats["w"])
+        zero = (Fraction(0),) * n.dims[SRC[a]]
+        mats.append(tuple(tuple(na) + tuple(xa) for na, xa in zip(n.matrix(a), datum.matrix(a)))
+                    + tuple(zero + tuple(ma) for ma in m.matrix(a)))
+    e = Representation((n.dims[0] + m.dims[0], n.dims[1] + m.dims[1]), *mats)
     if not check_rep(e)["relations_ok"]:
         raise ValueError("extension datum violates the cocycle condition")
     ids = [linalg.identity(d) for d in e.dims]
@@ -237,58 +226,60 @@ def psi_sphere(k: int):
 
 
 # ---------------------------------------------------------------------------
-# higher Ext of the vertex simples
+# Ext^0..3 of any pair of modules
 
 
-def _hom_complex_dims(res: FreeComplex, m: Representation):
-    """Ext dimensions of hom(P_*, m) for a resolution laid out in
-    homological degrees 3 (P_0) down to 0 (P_3)."""
-    levels = [res.gens_of_degree(3 - j) for j in range(4)]
-    hdims = [sum(m.dims[g.vertex] for g in lvl) for lvl in levels]
-    ranks = [0] * 5
-    for j in range(1, 4):
-        upper, lower = levels[j], levels[j - 1]
-        # delta_j : hom(P_{j-1}, m) -> hom(P_j, m)
-        rows = []
-        col_off = {g.name: sum(m.dims[h.vertex] for h in lower[:i]) for i, g in enumerate(lower)}
-        ncols = hdims[j - 1]
-        for g in upper:
-            block_rows = [[Fraction(0)] * ncols for _ in range(m.dims[g.vertex])]
-            for coeff, out_name in res.diff[g.name]:
-                h = res.by_name[out_name]
-                act = None
-                for word, c in coeff.coeffs.items():
-                    wa = linalg.mat_scale(c, m.word_action(word))
-                    act = wa if act is None else linalg.mat_add(act, wa)
-                if act is None:
-                    continue
-                off = col_off[out_name]
-                for i in range(m.dims[g.vertex]):
-                    for jj in range(m.dims[h.vertex]):
-                        block_rows[i][off + jj] += act[i][jj]
-            rows.extend(tuple(rr) for rr in block_rows)
-        ranks[j] = linalg.rank(tuple(rows), ncols)
-    return tuple(hdims[j] - ranks[j] - ranks[j + 1] for j in range(4))
+def _d2_rows(m: Representation, n: Representation) -> tuple:
+    """d^2 of the Ext complex (`ext_dims`), a row per entry of C^3:
+    d^2(chi)_v = sum_{s(a)=v} chi_a . M_a - sum_{t(a)=v} N_a . chi_a.  The
+    minus sign is the Ginzburg differential's; a plus sign breaks
+    d^2 d^1 = 0 only where all four arrows act, not on catalog modules."""
+    blocks, total = [], 0
+    for a in ARROWS:
+        blocks.append((total, m.dims[TGT[a]], SRC[a], m.matrix(a), n.matrix(a)))
+        total += n.dims[SRC[a]] * m.dims[TGT[a]]
+    rows = []
+    for v in (0, 1):
+        for p in range(n.dims[v]):
+            for q in range(m.dims[v]):
+                row = [0] * total
+                # no arrow is a loop: v is either its source or its target
+                for off, cols, src, ma, na in blocks:
+                    if src == v:  # entry (p, q) of chi_a . M_a
+                        for j in range(cols):
+                            row[off + p * cols + j] = ma[j][q]
+                    else:  # entry (p, q) of -N_a . chi_a
+                        for i, x in enumerate(na[p]):
+                            row[off + i * cols + q] = -x
+                rows.append(tuple(row))
+    return tuple(rows)
 
 
-def ext_dims(vertex: int, m: Representation):
-    """(dim Ext^0..3) of the vertex simple against m.  The sphere table of
-    the vertex is the simple's minimal projective resolution
-    0 -> P_v -> P_u^2 -> P_u^2 -> P_v (u the other vertex), and Hom(P_*, m)
-    is a complex only when m satisfies the relations.
-
-    The complex is built on the integer module `_integerize(m)`.  Scaling
-    an arrow a by c != 0 scales the potential by c, so a -> c.a is an
-    automorphism of the Jacobi algebra; it fixes both vertex idempotents,
-    so it fixes the simples, and `_integerize(m)` is m pulled back along
-    such an automorphism.  Pulling back is an exact autoequivalence, so the
-    Ext dimensions do not change."""
-    if vertex not in (0, 1):
-        raise ValueError("vertex must be 0 or 1")
-    chk = check_rep(m)
-    if not (chk["relations_ok"] and chk["nilpotent"]):
-        raise ValueError("target module must satisfy the relations and be nilpotent")
-    return _hom_complex_dims(table_sphere(vertex), _integerize(m))
+def ext_dims(m: Representation, n: Representation):
+    """(dim Ext^0..3)(m, n): the cohomology of the complex that the Ginzburg
+    resolution of the 3-Calabi-Yau Jacobi algebra gives, C^0 = C^3 =
+    (+)_v Hom(m_v, n_v), C^1 = (+)_a Hom(m_s(a), n_t(a)) and C^2 = (+)_a
+    Hom(m_t(a), n_s(a)) (relation d_a W, `paths.ARROWS` order), under the
+    intertwiner map, `_relation_rows` and `_d2_rows`.  Each arrow of both
+    modules is scaled by one integer, an automorphism of the algebra, which
+    keeps Ext; scaling each module on its own would not (`reps._integerize`
+    of both turns Hom(point(1, 2), point(1/2, 1)) = Q into 0)."""
+    if not (_valid(m) and _valid(n)):
+        raise ValueError("both modules must satisfy the relations and be nilpotent")
+    both = [(linalg.integer_matrix(m.matrix(a) + n.matrix(a)), m.dims[TGT[a]]) for a in "xzyw"]
+    m, n = (Representation(m.dims, *(s[:k] for s, k in both)),
+            Representation(n.dims, *(s[k:] for s, k in both)))
+    d0, d1, d2 = intertwiner_matrix(m, n), _relation_rows(m, n), _d2_rows(m, n)
+    c1 = arrow_layout(m, n)[1]
+    # d^1 d^0 and d^2 d^1, each row of the left map by its nonzero entries
+    for left, right in ((d1, d0), (d2, linalg.transpose(d1, c1))):
+        for row in left:
+            nz = [(k, x) for k, x in enumerate(row) if x]
+            if any(sum(x * col[k] for k, x in nz) for col in right):
+                raise RuntimeError("the Ext complex does not square to zero")
+    dims = (len(d0), c1, len(d1), len(d2))
+    ranks = (0, linalg.rank(d0, c1), linalg.rank(d1, c1), linalg.rank(d2, len(d1)), 0)
+    return tuple(dims[i] - ranks[i] - ranks[i + 1] for i in range(4))
 
 
 # ---------------------------------------------------------------------------

@@ -197,9 +197,9 @@ def _valid(r: Representation) -> bool:
 def _integerize(r: Representation) -> Representation:
     """``r`` with each arrow scaled by the lcm of its denominators
     (`linalg.integer_matrix`): a module whose four matrices hold Python
-    ints.  Validity, the exact candidates, End(r) and `homalg.ext_dims`
-    read their arrows from this one copy, and the GF(p) scans scale each
-    arrow in the same way.
+    ints.  Validity, the exact candidates and End(r) read their arrows
+    from this one copy, and the GF(p) scans scale each arrow in the same
+    way; `homalg.ext_dims` scales the arrows of two modules together.
 
     Scaling an arrow by a nonzero number changes none of them.  Every term
     of a cyclic derivative uses the same three arrows, so each relation is
@@ -249,10 +249,6 @@ class StabilityParams:
         if c == 0:
             raise ValueError("parameters lie on the wall arg z0 = arg z1")
         return -1 if c > 0 else 1
-
-    def require_off_wall(self):
-        if self.on_wall():
-            raise ValueError("parameters lie on the wall arg z0 = arg z1")
 
 
 def stability_params(z0re, z0im, z1re, z1im) -> StabilityParams:
@@ -372,9 +368,10 @@ class StabilityVerdict:
         return self.kind == "stable"
 
 
-def _destab_sign(sub_dims, dims, params):
-    """Sign of cross(Z(W), Z(V)): < 0 strictly bigger phase, 0 equal."""
-    c = (sub_dims[0] * dims[1] - sub_dims[1] * dims[0]) * cross(params.z0, params.z1)
+def _destab_sign(sub_dims, dims, c01):
+    """Sign of cross(Z(W), Z(V)), where c01 has the sign of cross(z0, z1):
+    < 0 strictly bigger phase, 0 equal."""
+    c = (sub_dims[0] * dims[1] - sub_dims[1] * dims[0]) * c01
     return (c > 0) - (c < 0)
 
 
@@ -387,7 +384,7 @@ def is_stable(r: Representation, params: StabilityParams) -> StabilityVerdict:
     vectors; flags that persist across all primes and are not matched by an
     exact equal-phase witness leave the verdict Undetermined.
     """
-    params.require_off_wall()
+    c01 = -params.chamber()  # raises on the wall
     if r.is_zero():
         raise ValueError("stability of the zero representation is undefined")
     if not _valid(r):
@@ -396,7 +393,7 @@ def is_stable(r: Representation, params: StabilityParams) -> StabilityVerdict:
     equal_phase_dims = set()
     for w0, w1 in exact_subrep_candidates(r):
         sub = (len(w0), len(w1))
-        s = _destab_sign(sub, dims, params)
+        s = _destab_sign(sub, dims, c01)
         if s < 0:
             return StabilityVerdict("unstable", witness_dims=sub, witness=(w0, w1))
         if s == 0:
@@ -407,7 +404,7 @@ def is_stable(r: Representation, params: StabilityParams) -> StabilityVerdict:
     for p in SCAN_PRIMES:
         realized = {d for d, _ in subrep_scan_Fp(r, p)}
         bad = {d for d in realized
-               if d not in ((0, 0), dims) and _destab_sign(d, dims, params) <= 0}
+               if d not in ((0, 0), dims) and _destab_sign(d, dims, c01) <= 0}
         flagged = bad if flagged is None else (flagged & bad)
         used.append(p)
         if not flagged - equal_phase_dims:
@@ -517,7 +514,7 @@ def verify_witness(r: Representation, witness, params: StabilityParams) -> bool:
     sub = (len(w0), len(w1))
     if sub in ((0, 0), r.dims):
         return False
-    return _destab_sign(sub, r.dims, params) <= 0
+    return _destab_sign(sub, r.dims, cross(params.z0, params.z1)) <= 0
 
 
 # ---------------------------------------------------------------------------

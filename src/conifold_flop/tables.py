@@ -6,8 +6,8 @@ FreeComplex, with all area weights specialized to 1.  The two sphere
 tables are derived: `table_sphere` reads each row off the b-deformed
 operation `ainfty.deformed`, so they rest on the A-infinity structure
 constants, and they are the minimal projective resolutions of the vertex
-simples that `homalg.ext_dims` reads its higher Ext groups off.  The
-torus tables are shipped as complete minimal resolutions of their
+simples, which the tests read Ext off as an oracle for `homalg.ext_dims`.
+The torus tables are shipped as complete minimal resolutions of their
 cohomology modules.  The higher-sphere tables ship the characteristic
 top rows
 

@@ -108,8 +108,8 @@ def check_ext_totals():
     s0 = make_catalog_rep("simple", 0)
     s1 = make_catalog_rep("simple", 1)
     for v, same, other in ((0, s0, s1), (1, s1, s0)):
-        d_same = ext_dims(v, same)
-        d_other = ext_dims(v, other)
+        d_same = ext_dims(same, same)
+        d_other = ext_dims(same, other)
         if d_same != (1, 0, 0, 1):
             return False, "Ext(S%d, S%d) = %r" % (v, v, d_same)
         if d_other != (0, 2, 2, 0):

@@ -427,6 +427,8 @@ _PINNED_ARGV = (
     + [["psi", "--object", "table:" + t, "--n", n] for t in _PINNED_TABLES for n in ("6", "7")]
     + [["ext", "--from", "simple:%d" % v, "--to", k, "--higher"]
        for v in (0, 1) for k in ("simple:0", "simple:1", "point:1:2", "vplus:3", "vminus:2")]
+    + [["ext", "--from", a, "--to", b, "--higher"]
+       for a, b in (("vplus:3", "vplus:3"), ("point:1:2", "point:1:2"), ("vminus:2", "vplus:3"))]
     + [["stable", "--kind", k, *ch] for k in _PINNED_KINDS for ch in _CHAMBERS]
     + [["truncate", "--n", str(n)] for n in range(13)] + [["relations"], ["mc"]])
 _PINNED = [argv + mode for argv in _PINNED_ARGV for mode in ([], ["--json"])]

@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conifold_flop import freecomplex, homalg, linalg, reps
+from conifold_flop import ainfty, cli, freecomplex, homalg, linalg, reps
 from conifold_flop.freecomplex import (FCGen, FreeComplex, ModuleSlices, StabilizationError,
                                        _minimal_generators, _syzygy_step, extend_resolution,
                                        graded_cohomology)
@@ -13,9 +13,13 @@ from conifold_flop.homalg import (ExtensionDatum, build_extension, ext1, ext1_di
                                   flop_point_analysis, free_complex_cohomology, hom, hom_dim,
                                   is_module_map, iso_check, psi_sphere, psi_spheres)
 from conifold_flop.paths import SRC, TGT, fpe, relations
-from conifold_flop.reps import is_stable, make_catalog_rep, rep, scale_arrow, stability_params
+from conifold_flop.exactcx import phase_lt
+from conifold_flop.reps import (central_charge, is_stable, make_catalog_rep, rep, scale_arrow,
+                                stability_params)
 from conifold_flop.tables import catalog_tables, table_sphere, table_sphere_m, table_torus
 from conifold_flop.truncated import _normal_word, truncated_algebra
+from test_cli import _PINNED_KINDS
+from test_tables import _hand_sphere
 
 CH1 = stability_params(-1, 2, 1, 1)
 CH2 = stability_params(1, 1, -1, 2)
@@ -151,15 +155,15 @@ def test_psi_sphere_stability_both_chambers():
 
 
 def test_ext_dims_totals():
-    assert ext_dims(0, S0) == (1, 0, 0, 1)
-    assert ext_dims(0, S1) == (0, 2, 2, 0)
-    assert ext_dims(1, S1) == (1, 0, 0, 1)
-    assert ext_dims(1, S0) == (0, 2, 2, 0)
+    assert ext_dims(S0, S0) == (1, 0, 0, 1)
+    assert ext_dims(S0, S1) == (0, 2, 2, 0)
+    assert ext_dims(S1, S1) == (1, 0, 0, 1)
+    assert ext_dims(S1, S0) == (0, 2, 2, 0)
 
 
 def test_ext_dims_against_point():
     pt = make_catalog_rep("point", 1, 1)
-    d = ext_dims(0, pt)
+    d = ext_dims(S0, pt)
     assert d[0] == hom_dim(S0, pt)
     assert d[1] == ext1_dim(S0, pt)
     assert d[0] - d[1] + d[2] - d[3] == 0
@@ -169,23 +173,64 @@ def test_ext_dims_rejects_a_module_that_breaks_the_relations():
     # nilpotent, yet Hom(P_*, m) is no complex: d o d is not zero on it
     m = rep((2, 2), [[-1, 0], [-1, 0]], [[0, 0], [0, 0]], [[0, 0], [-1, -1]], [[-1, 1], [0, 0]])
     assert reps.check_rep(m) == {"relations_ok": False, "nilpotent": True}
-    for v in (0, 1):
-        with pytest.raises(ValueError, match="satisfy the relations"):
-            ext_dims(v, m)
+    for s in (S0, S1):
+        for pair in ((s, m), (m, s)):
+            with pytest.raises(ValueError, match="satisfy the relations"):
+                ext_dims(*pair)
 
 
 def test_ext_dims_rejects_a_non_nilpotent_module():
     with pytest.raises(ValueError, match="nilpotent"):
-        ext_dims(0, rep((1, 1), [[1]], [[1]], [[1]], [[1]]))
+        ext_dims(S0, rep((1, 1), [[1]], [[1]], [[1]], [[1]]))
 
 
-@pytest.mark.parametrize("vertex", [2, -1])
-def test_ext_dims_rejects_a_vertex_outside_the_quiver(vertex):
-    with pytest.raises(ValueError, match="vertex must be 0 or 1"):
-        ext_dims(vertex, S0)
+# --- oracle: Ext of a vertex simple as the cohomology of Hom(P_*, m) -----------
 
 
-# --- oracle: Ext of a vertex simple from a resolution computed by syzygies -----
+def _hom_complex_dims(res, m):
+    """Ext dimensions of Hom(P_*, m) for a resolution P_* of a vertex simple
+    laid out in homological degrees 3 (P_0) down to 0 (P_3).  Asserts that
+    the complex squares to zero: that ties the table to the relations of
+    the Jacobi algebra, which m satisfies."""
+    levels = [res.gens_of_degree(3 - j) for j in range(4)]
+    hdims = [sum(m.dims[g.vertex] for g in lvl) for lvl in levels]
+    deltas = []
+    for j in range(1, 4):
+        upper, lower = levels[j], levels[j - 1]
+        # delta_j : Hom(P_{j-1}, m) -> Hom(P_j, m)
+        rows = []
+        col_off = {g.name: sum(m.dims[h.vertex] for h in lower[:i]) for i, g in enumerate(lower)}
+        ncols = hdims[j - 1]
+        for g in upper:
+            block_rows = [[Fraction(0)] * ncols for _ in range(m.dims[g.vertex])]
+            for coeff, out_name in res.diff[g.name]:
+                h = res.by_name[out_name]
+                act = None
+                for word, c in coeff.coeffs.items():
+                    wa = linalg.mat_scale(c, m.word_action(word))
+                    act = wa if act is None else linalg.mat_add(act, wa)
+                if act is None:
+                    continue
+                off = col_off[out_name]
+                for i in range(m.dims[g.vertex]):
+                    for jj in range(m.dims[h.vertex]):
+                        block_rows[i][off + jj] += act[i][jj]
+            rows.extend(tuple(rr) for rr in block_rows)
+        deltas.append(tuple(rows))
+    for j in (0, 1):
+        square = linalg.mat_mul(deltas[j + 1], deltas[j], bcols=hdims[j])
+        assert not any(any(row) for row in square), "Hom(P_*, m) does not square to zero"
+    ranks = [0] + [linalg.rank(d, hdims[j]) for j, d in enumerate(deltas)] + [0]
+    return tuple(hdims[j] - ranks[j] - ranks[j + 1] for j in range(4))
+
+
+@pytest.mark.parametrize("v", (0, 1))
+def test_hom_complex_oracle_agrees_on_the_hand_and_derived_sphere_tables(v):
+    hand, fc = _hand_sphere(v), table_sphere(v)
+    for kind in (("simple", 0), ("simple", 1), ("vplus", 2), ("vminus", 1), ("point", 1, 1),
+                 ("point", 1, 2), ("point_flopped", 1, 2)):
+        m = make_catalog_rep(*kind)
+        assert _hom_complex_dims(fc, m) == _hom_complex_dims(hand, m)
 
 
 @lru_cache(maxsize=None)
@@ -205,14 +250,16 @@ def _computed_resolution(vertex, cutoff):
 def _oracle_ext_dims(vertex, m):
     """Ext dimensions from the computed resolutions at the cutoffs 6 and 7,
     which must agree."""
-    first, second = (homalg._hom_complex_dims(_computed_resolution(vertex, c), m) for c in (6, 7))
+    first, second = (_hom_complex_dims(_computed_resolution(vertex, c), m) for c in (6, 7))
     assert first == second, "Ext dimensions did not stabilize: %r vs %r" % (first, second)
     return first
 
 
 def _assert_ext_dims_match_oracle(m):
-    for v in (0, 1):
-        assert ext_dims(v, m) == _oracle_ext_dims(v, m)
+    # the sphere table of the A-infinity structure, the computed resolution
+    # and the Ext complex of (S_v, m)
+    for v, s in ((0, S0), (1, S1)):
+        assert ext_dims(s, m) == _hom_complex_dims(table_sphere(v), m) == _oracle_ext_dims(v, m)
 
 
 # the 19 modules of the subrep-lattice benchmark workload
@@ -226,8 +273,8 @@ LATTICE_KINDS = ([("vplus", m) for m in range(1, 5)] + [("vplus_dag", m) for m i
 def test_ext_dims_match_hom_and_ext1(kind):
     # the 3-Calabi-Yau duality Ext^i(S_v, M) = Ext^(3-i)(M, S_v)^* in all four degrees
     m = psi_sphere(kind[1]) if kind[0] == "psi" else make_catalog_rep(*kind)
-    for v, s in ((0, S0), (1, S1)):
-        assert ext_dims(v, m) == (hom_dim(s, m), ext1_dim(s, m), ext1_dim(m, s), hom_dim(m, s))
+    for s in (S0, S1):
+        assert ext_dims(s, m) == (hom_dim(s, m), ext1_dim(s, m), ext1_dim(m, s), hom_dim(m, s))
 
 
 @pytest.mark.parametrize("kind", LATTICE_KINDS)
@@ -278,7 +325,28 @@ def test_ext_dims_match_oracle_on_iterated_extensions(seed):
         _assert_ext_dims_match_oracle(m)
 
 
-# --- Ext on the integer module against the Fraction body ----------------------
+def test_the_oracle_sees_a_wrong_sign_in_the_ainfty_table(monkeypatch):
+    # with one m3 sign flipped, Hom(P_*, m) still squares to zero on the
+    # catalog modules with two active arrows, but not on 14 of these 84
+    modules = [m for seed in range(6) for m in _iterated_extensions(seed, 14)]
+    sign, out = ainfty.TABLE.m3[("W", "Z", "Y")]
+    monkeypatch.setitem(ainfty.TABLE.m3, ("W", "Z", "Y"), (-sign, out))
+    table_sphere.cache_clear()
+    try:
+        failed = set()
+        for i, m in enumerate(modules):
+            for v in (0, 1):
+                try:
+                    _hom_complex_dims(table_sphere(v), m)
+                except AssertionError:
+                    failed.add(i)
+    finally:
+        monkeypatch.undo()
+        table_sphere.cache_clear()
+    assert len(failed) == 14
+
+
+# --- Ext on the integer modules against the Fraction body ---------------------
 
 
 def _sheared(m):
@@ -299,19 +367,88 @@ def _scaled(m):
 @pytest.mark.parametrize("kind", LATTICE_KINDS + [("point", Fraction(1, 2), 3)])
 def test_ext_dims_on_the_integer_module_match_the_fraction_body(kind, monkeypatch):
     r = make_catalog_rep(*kind)
-    real, seen = homalg._hom_complex_dims, []
+    real, seen = homalg._relation_rows, []
 
-    def record(res, m):
-        seen.append(m)
-        return real(res, m)
+    def record(m, n):
+        seen.append((m, n))
+        return real(m, n)
 
-    monkeypatch.setattr(homalg, "_hom_complex_dims", record)
+    monkeypatch.setattr(homalg, "_relation_rows", record)
     for m in (r, _sheared(r), _scaled(r), _scaled(_sheared(r))):
-        # the Fraction body: the complex built on m as given
-        want = tuple(real(table_sphere(v), m) for v in (0, 1))
-        assert (ext_dims(0, m), ext_dims(1, m)) == want
+        # the Fraction body: Hom(P_*, m) built on m as given
+        want = tuple(_hom_complex_dims(table_sphere(v), m) for v in (0, 1))
+        assert (ext_dims(S0, m), ext_dims(S1, m)) == want
     assert len(seen) == 8
-    assert all(type(c) is int for m in seen for a in "xzyw" for row in m.matrix(a) for c in row)
+    assert all(type(c) is int for pair in seen for m in pair
+               for a in "xzyw" for row in m.matrix(a) for c in row)
+
+
+# --- the Ext complex of any pair ----------------------------------------------
+
+
+@pytest.mark.parametrize("first", _PINNED_KINDS)
+def test_ext_dims_of_pinned_pairs_keep_serre_duality_and_match_hom_and_ext1(first):
+    m = cli._parse_kind(first)
+    for second in _PINNED_KINDS:
+        n = cli._parse_kind(second)
+        dims = ext_dims(m, n)
+        assert dims == ext_dims(n, m)[::-1]
+        assert dims[:2] == (hom_dim(m, n), ext1_dim(m, n))
+
+
+@pytest.mark.parametrize("k", (4, 8))
+def test_chain_modules_are_spherical(k):
+    m = make_catalog_rep("vplus", k)
+    assert ext_dims(m, m) == (1, 0, 0, 1)
+
+
+def test_ext_dims_scales_both_modules_together():
+    # one projective point, written with and without denominators; scaling
+    # each module on its own would give point(1, 2) and point(1, 1)
+    a, b = make_catalog_rep("point", 1, 2), make_catalog_rep("point", Fraction(1, 2), 1)
+    assert hom_dim(a, b) == 1
+    assert ext_dims(a, b)[0] == 1
+
+
+def test_ext_dims_raises_on_a_d2_with_the_sign_of_its_second_sum_flipped(monkeypatch):
+    # N -> -N in d^2 alone flips that sign; a module with all four arrows
+    # active sees it, while on catalog pairs the flip changes nothing
+    m = _iterated_extensions(0, 8)[7]
+    assert m.dims == (2, 2) and all(any(any(row) for row in m.matrix(a)) for a in "xzyw")
+    real = homalg._d2_rows
+
+    def flipped(m, n):
+        return real(m, reps.Representation(n.dims, *(tuple(tuple(-c for c in row) for row in
+                                                           n.matrix(a)) for a in "xzyw")))
+
+    monkeypatch.setattr(homalg, "_d2_rows", flipped)
+    with pytest.raises(RuntimeError, match="square to zero"):
+        ext_dims(m, m)
+    for n in (S0, S1, make_catalog_rep("vplus", 3), make_catalog_rep("vminus_dag", 2)):
+        assert ext_dims(n, n) == (1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("params", (CH1, CH2), ids=("chamber+1", "chamber-1"))
+def test_no_hom_from_a_stable_module_to_a_stable_one_of_smaller_phase(params):
+    # Hom(A, B) = 0 when A and B are stable and phase(A) > phase(B): a check
+    # of `is_stable` that shares no code with it
+    stable = [m for m in map(cli._parse_kind, _PINNED_KINDS) if is_stable(m, params).is_stable()]
+    pairs = [(a, b) for a in stable for b in stable
+             if phase_lt(central_charge(b, params), central_charge(a, params))]
+    assert len(pairs) >= 40
+    assert all(hom_dim(a, b) == 0 for a, b in pairs)
+    # maps the other way exist, so the check is not vacuous
+    assert any(hom_dim(b, a) for a, b in pairs)
+
+
+def test_ext_dims_raises_on_a_d1_with_a_relation_term_dropped(monkeypatch):
+    # an extension of dims (2, 1) on which the relation words act nonzero
+    m = _iterated_extensions(0, 2)[1]
+    assert m.dims == (2, 1) and ext_dims(m, m) == (2, 3, 3, 2)
+    (w1, w2, a, _), *rest = reps._relation_terms()
+    monkeypatch.setattr(homalg, "_relation_terms", lambda: ((w1, w2, a, 0), *rest))
+    with pytest.raises(RuntimeError, match="square to zero"):
+        ext_dims(m, m)
 
 
 def test_cohomology_of_catalog_tables():

@@ -997,6 +997,21 @@ def test_wall_rejected():
         is_stable(make_catalog_rep("vplus", 2), wall)
 
 
+def test_a_verdict_takes_the_sign_of_cross_z0_z1_once(monkeypatch):
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return cross(u, v)
+
+    monkeypatch.setattr(reps, "cross", counted)
+    for kind, args in (("vplus", (2,)), ("vminus", (3,)), ("point", (1, 1)), ("vplus_dag", (3,))):
+        for params in (CH1, CH2):
+            calls.clear()
+            is_stable(make_catalog_rep(kind, *args), params)
+            assert calls == [(params.z0, params.z1)]
+
+
 def test_preconditions_checked():
     bad = rep((1, 1), [[1]], [[1]], [[1]], [[1]])  # not nilpotent
     with pytest.raises(ValueError):
