@@ -19,8 +19,8 @@ from . import jsonio, scan, verify
 from .ainfty import mc_expand, stasheff_check
 from .arcs import DEFAULT_SCENE, catalog_arc, dehn_twist_map, flop_map, invariants
 from .exactcx import QC
-from .homalg import (ExtensionDatum, build_extension, ext1_dim, ext_dims,
-                     flop_point_analysis, free_complex_cohomology, hom_dim, psi_sphere)
+from .homalg import (ExtensionDatum, build_extension, ext_dims, flop_point_analysis,
+                     free_complex_cohomology, psi_sphere)
 from .paths import relations
 from .reps import Representation, StabilityParams, check_rep, flop_K, is_stable, make_catalog_rep
 from .tables import table_sphere, table_sphere_m, table_torus
@@ -246,14 +246,13 @@ def cmd_psi(ns, config):
 def cmd_ext(ns, config):
     src = _parse_kind(ns.src)
     dst = _parse_kind(ns.dst)
+    dims = ext_dims(src, dst)
     if ns.higher:
-        dims = ext_dims(src, dst)
         payload = {"ext_dims": list(dims), "total": sum(dims),
                    "euler": dims[0] - dims[1] + dims[2] - dims[3]}
         _emit(ns, payload, ["Ext^0..3 = %s, total %d" % (list(dims), sum(dims))])
-        return 0
-    payload = {"hom": hom_dim(src, dst), "ext1": ext1_dim(src, dst)}
-    _emit(ns, payload, ["hom %d ext1 %d" % (payload["hom"], payload["ext1"])])
+    else:
+        _emit(ns, {"hom": dims[0], "ext1": dims[1]}, ["hom %d ext1 %d" % dims[:2]])
     return 0
 
 

@@ -167,7 +167,9 @@ class ModuleSlices:
 class _DegreeCohomology:
     """Cycle/boundary data of one homological degree, all slices, from the
     ``kernels`` of d on its ``slices``; ``matrix_below(s, u)`` is the slice
-    matrix of d from the slices ``below``, of degree k - 1."""
+    matrix of d from the slices ``below``, of degree k - 1.  The boundaries
+    are kept as a span, their `linalg.echelon` form: a cycle has unique
+    coordinates on the representatives whatever basis the span has."""
 
     def __init__(self, slices, kernels, below, matrix_below):
         self.slices = slices
@@ -175,7 +177,7 @@ class _DegreeCohomology:
         for (s, u), zs in kernels.items():
             n = slices.slice_dim(s, u)
             if below.slice_dim(s, u):
-                boundaries = linalg.row_space(matrix_below(s, u), n)
+                boundaries = linalg.echelon(matrix_below(s, u), n)
             else:
                 boundaries = ()
             self.data[(s, u)] = {"boundaries": boundaries,

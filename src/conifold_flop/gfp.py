@@ -7,12 +7,13 @@ the rank of an integer matrix modulo the large prime LARGE_PRIME first.  A
 rank mod p is at most the rank over Q, so a nullity mod p bounds the
 nullity over Q from above.
 
-The subrepresentation scans count the arrow-closed subspace pairs of a
-module over GF(p).  They enumerate the subspaces of the smaller vertex
-only, as reduced echelon bases (`_subspaces_gfp`), and count the closed
-partners at the other vertex by Gaussian binomials over an interval of
-subspaces (`_interval_counts`).  Each subspace is listed with its
-annihilator once per (dim, p), in `_lattice`.
+The subrepresentation scans count the arrow-closed subspace pairs of an
+integer module, `reps._integerize(r)`, over GF(p).  They enumerate the
+subspaces of the smaller vertex only, as reduced echelon bases
+(`_subspaces_gfp`), and count the closed partners at the other vertex by
+Gaussian binomials over an interval of subspaces (`_interval_counts`).
+Each subspace is listed with its annihilator once per (dim, p), in
+`_lattice`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from operator import mul
-
-from . import linalg
 
 SCAN_PRIMES = (2, 3, 5)
 MAX_SCAN_DIM = 4
@@ -44,12 +43,6 @@ def rank(rows, ncols, p):
                 form.append((j, v, pow(v[j], -1, p)))
                 break
     return len(form)
-
-
-def _mod_matrix(m, p):
-    """The arrow ``m`` scaled to ints by `linalg.integer_matrix`, as
-    `reps._integerize` scales it, and reduced mod p."""
-    return tuple(tuple(c % p for c in row) for row in linalg.integer_matrix(m))
 
 
 def _subspaces_gfp(dim, p):
@@ -143,29 +136,30 @@ def _interval_counts(out_a, out_b, in_c, in_d, ds, dt, p):
 
 
 def subrep_scan_Fp(r, p: int):
-    """Exhaustive count of arrow-closed subspace pairs of the
-    `reps.Representation` ``r`` over GF(p).
+    """Exhaustive count of arrow-closed subspace pairs over GF(p) of the
+    `reps.Representation` ``r``, whose arrows hold ints (`reps.subrep_scan_Fp`
+    passes the cached integer module `reps._integerize(r)`).
 
-    Each arrow is scaled to ints as `reps._integerize` scales it.  A pair
-    (W0, W1) is closed exactly when x(W0) + z(W0) <= W1 and W1 lies in the
-    common preimage of W0 under y and w, so the scan enumerates the
-    subspaces of the smaller vertex only and counts the closed partners at
-    the other vertex by Gaussian binomials over that interval.  Returns the
-    sorted list of realized (dim vector, count) pairs, the zero and full
-    pairs included: a list, not a tuple, as the subrep-lattice workload
-    tells scans from verdicts (tuples) by type.
+    The arrows are read as they are: `_interval_counts` reduces every sum
+    mod p.  A pair (W0, W1) is closed exactly when x(W0) + z(W0) <= W1 and
+    W1 lies in the common preimage of W0 under y and w, so the scan
+    enumerates the subspaces of the smaller vertex only and counts the
+    closed partners at the other vertex by Gaussian binomials over that
+    interval.  Returns the sorted list of realized (dim vector, count)
+    pairs, the zero and full pairs included: a list, not a tuple, as the
+    subrep-lattice workload tells scans from verdicts (tuples) by type.
     """
     if p not in SCAN_PRIMES:
         raise ValueError("p must be one of %r" % (SCAN_PRIMES,))
     d0, d1 = r.dims
     if d0 > MAX_SCAN_DIM or d1 > MAX_SCAN_DIM:
         raise ValueError("vertex dimensions above %d are not scanned" % MAX_SCAN_DIM)
-    mx, mz, my, mw = (_mod_matrix(m, p) for m in (r.mx, r.mz, r.my, r.mw))
     counts = {}
     if d0 <= d1:
-        found = _interval_counts(mx, mz, my, mw, d0, d1, p)
+        found = _interval_counts(r.mx, r.mz, r.my, r.mw, d0, d1, p)
     else:
-        found = (((k0, k1), n) for (k1, k0), n in _interval_counts(my, mw, mx, mz, d1, d0, p))
+        found = (((k0, k1), n)
+                 for (k1, k0), n in _interval_counts(r.my, r.mw, r.mx, r.mz, d1, d0, p))
     for key, n in found:
         counts[key] = counts.get(key, 0) + n
     return sorted(counts.items())

@@ -17,7 +17,9 @@ exactly when their rows span the same space.  `annihilator` is the
 `echelon` of the kernel.  A reduced row echelon form is unique, so `rref`
 divides each row of `echelon` by its pivot (`monic`) and returns the same
 Fractions as elimination over Fraction would; `row_space` and `nullspace`
-build on it, and `rank` counts the rows of `echelon`.
+build on it, and `rank` counts the rows of `echelon`.  The program
+compares spans as `echelon` forms; `row_space` and `in_span` serve the
+tests as oracles.
 """
 
 from __future__ import annotations

@@ -12,11 +12,12 @@ in the dual module); positive verdicts rest on exhaustive finite-field
 subspace scans (`gfp.subrep_scan_Fp`), escalating through the primes 2,
 3, 5 until the flagged dimension vectors are explained.
 
-The chamber-free work (validity, the exact candidates, End(r)) runs on
-the integer module `_integerize(r)` and on canonical integer row spans,
-the `linalg.echelon` forms: every seed, layer, closure and annihilator is
-one, and only the returned candidates become Fraction bases.  End(r)
-takes one rank modulo a large prime before any exact rank (`_end_dim`).
+The chamber-free work (validity, the exact candidates, End(r), the GF(p)
+scans, `arrow_closed`) runs on the integer module `_integerize(r)` and on
+canonical integer row spans, the `linalg.echelon` forms: every seed,
+layer, closure and annihilator is one, and only the returned candidates
+become Fraction bases.  End(r) takes one rank modulo a large prime before
+any exact rank (`_end_dim`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 from . import gfp, linalg
 from .exactcx import QC, admissible, cross
-from .gfp import SCAN_PRIMES, subrep_scan_Fp
+from .gfp import SCAN_PRIMES
 from .paths import SRC, TGT, relations
 from .truncated import normal_words
 
@@ -197,9 +198,9 @@ def _valid(r: Representation) -> bool:
 def _integerize(r: Representation) -> Representation:
     """``r`` with each arrow scaled by the lcm of its denominators
     (`linalg.integer_matrix`): a module whose four matrices hold Python
-    ints.  Validity, the exact candidates and End(r) read their arrows
-    from this one copy, and the GF(p) scans scale each arrow in the same
-    way; `homalg.ext_dims` scales the arrows of two modules together.
+    ints.  The chamber-free work (module docstring) reads its arrows from
+    this one copy; `homalg.ext_dims` scales the arrows of two modules
+    together.
 
     Scaling an arrow by a nonzero number changes none of them.  Every term
     of a cyclic derivative uses the same three arrows, so each relation is
@@ -210,6 +211,11 @@ def _integerize(r: Representation) -> Representation:
     multiple of it, so End(r) stays.
     """
     return Representation(r.dims, *map(linalg.integer_matrix, (r.mx, r.mz, r.my, r.mw)))
+
+
+def subrep_scan_Fp(r: Representation, p: int):
+    """`gfp.subrep_scan_Fp` of `_integerize(r)`."""
+    return gfp.subrep_scan_Fp(_integerize(r), p)
 
 
 def scale_arrow(r: Representation, arrow: str, scalar) -> Representation:
@@ -495,14 +501,10 @@ def intertwiner_matrix(m: Representation, n: Representation) -> tuple:
 
 
 def arrow_closed(r: Representation, w0, w1) -> bool:
-    """Exact check that the row spans of w0 and w1 are carried into each
-    other by all four arrows, i.e. form a subrepresentation."""
-    for m, src, tgt in ((r.mx, w0, w1), (r.mz, w0, w1), (r.my, w1, w0), (r.mw, w1, w0)):
-        for v in src:
-            img = linalg.mat_vec(m, v)
-            if any(img) and not linalg.in_span(tgt, img):
-                return False
-    return True
+    """Exact check that the row spans of w0 and w1 form a subrepresentation:
+    their `linalg.echelon` forms equal their `_closure_up` in `_integerize(r)`."""
+    spans = tuple(map(linalg.echelon, (w0, w1), r.dims))
+    return _closure_up(_integerize(r), *spans) == spans
 
 
 def verify_witness(r: Representation, witness, params: StabilityParams) -> bool:

@@ -80,7 +80,7 @@ import sys
 from functools import lru_cache
 
 from .gfp import _subspaces_gfp, rank
-from .reps import Representation, intertwiner_matrix
+from .reps import Representation, _destab_sign, intertwiner_matrix
 
 
 def backend_name() -> str:
@@ -342,20 +342,17 @@ def scan_dims(d0, d1, destab, count_all=True):
 
 
 def destabilizing_pairs(chamber: int, d0: int, d1: int):
-    """Proper nonzero sub-dimension vectors of phase >= the total phase.
-
-    The phase comparison reduces to the sign of e0*d1 - e1*d0 once the
-    chamber is fixed, so the destabilizing set depends on the chamber only
-    through that sign.  Sorted small-first so witnesses are found early.
+    """Proper nonzero sub-dimension vectors of phase >= the total phase,
+    by the slope rule of the stability verdicts (`reps._destab_sign`), which
+    depends on the chamber only through its sign.  Sorted small-first so
+    witnesses are found early.
     """
     out = []
     for e0 in range(d0 + 1):
         for e1 in range(d1 + 1):
-            if (e0, e1) in ((0, 0), (d0, d1)):
-                continue
-            det = e0 * d1 - e1 * d0
-            if (chamber > 0 and det >= 0) or (chamber < 0 and det <= 0):
-                out.append((e0, e1))
+            e = (e0, e1)
+            if e not in ((0, 0), (d0, d1)) and _destab_sign(e, (d0, d1), -chamber) <= 0:
+                out.append(e)
     return sorted(out, key=lambda p: (p[0] + p[1], p))
 
 

@@ -17,7 +17,7 @@ from .ainfty import mc_expand, mc_matches_relations, stasheff_check
 from .arcs import DEFAULT_SCENE, catalog_arc, dehn_twist_map, flop_map, invariants
 from .exactcx import QC, admissible, cross, phase_lt
 from .freecomplex import d_squared_ideal_check
-from .homalg import ext_dims, flop_point_analysis, free_complex_cohomology, hom_dim, iso_check, psi_spheres
+from .homalg import ext_dims, flop_point_analysis, free_complex_cohomology, hom, iso_check, psi_spheres
 from .paths import FreePathElement
 from .reps import (flop_K, is_stable, make_catalog_rep, scale_arrow, stability_params,
                    stable_families, verify_witness)
@@ -182,7 +182,7 @@ def check_property_suites(samples=1000, seed=0):
     # Schur property of every stable verdict
     for kind, args in STABLE_FAMILY:
         r = make_catalog_rep(kind, *args)
-        if is_stable(r, CHAMBER_PLUS).is_stable() and hom_dim(r, r) != 1:
+        if is_stable(r, CHAMBER_PLUS).is_stable() and len(hom(r, r)) != 1:
             return False, "stable %s%r has endomorphisms beyond scalars" % (kind, args)
     # arrow rescaling invariance
     rng = random.Random(seed)

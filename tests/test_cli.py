@@ -421,16 +421,24 @@ _PINNED_KINDS = ["simple:0", "simple:1", "point:1:2", "point:1:0", "point:0:1", 
                  "vplus-dag:3", "vminus-dag:1", "vminus-dag:2"]
 _PINNED_TABLES = ["sphere0", "L0", "sphere1", "L1", "torus", "torus:3", "torus:1/2",
                   "sphere:2", "sphere:3", "sphere:4", "sphere:5", "sphere:6"]
+_PINNED_EXT_PAIRS = (
+    [("simple:%d" % v, k)
+     for v in (0, 1) for k in ("simple:0", "simple:1", "point:1:2", "vplus:3", "vminus:2")]
+    + [("vplus:3", "vplus:3"), ("point:1:2", "point:1:2"), ("vminus:2", "vplus:3")])
+_PINNED_ARCS = ["%s:%d" % (label, k) for label in ("S", "Sp") for k in range(-3, 4)]
 _PINNED_ARGV = (
     [["scan", "--bound", "5", *ch] for ch in _CHAMBERS]
     + [["psi", "--object", "sphere:%d" % k] for k in range(-5, 6)]
     + [["psi", "--object", "table:" + t, "--n", n] for t in _PINNED_TABLES for n in ("6", "7")]
-    + [["ext", "--from", "simple:%d" % v, "--to", k, "--higher"]
-       for v in (0, 1) for k in ("simple:0", "simple:1", "point:1:2", "vplus:3", "vminus:2")]
-    + [["ext", "--from", a, "--to", b, "--higher"]
-       for a, b in (("vplus:3", "vplus:3"), ("point:1:2", "point:1:2"), ("vminus:2", "vplus:3"))]
+    + [["ext", "--from", a, "--to", b, "--higher"] for a, b in _PINNED_EXT_PAIRS]
     + [["stable", "--kind", k, *ch] for k in _PINNED_KINDS for ch in _CHAMBERS]
-    + [["truncate", "--n", str(n)] for n in range(13)] + [["relations"], ["mc"]])
+    + [["truncate", "--n", str(n)] for n in range(13)] + [["relations"], ["mc"]]
+    + [["ext", "--from", a, "--to", b] for a, b in _PINNED_EXT_PAIRS]
+    + [["arc", "--op", op, "--catalog", c]
+       for op in ("invariants", "flop", "twist") for c in _PINNED_ARCS]
+    + [["arc", "--op", "twist", "--inverse", "--catalog", c] for c in _PINNED_ARCS[:7]]
+    + [["flop", "--dimvec", "3,2"], ["flop", "--point", "1,1", "--z0", "1,1", "--z1", "-1,2"],
+       ["rep", "make", "--kind", "vplus:3"], ["ainfty-check"]])
 _PINNED = [argv + mode for argv in _PINNED_ARGV for mode in ([], ["--json"])]
 _VERIFY_ALL_ARGV = ["verify-all", "--json"]
 

@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,10 +66,3 @@ def test_lattice_lists_each_subspace_with_its_annihilator(p):
             assert len(ann) == dim - len(w)
             assert all(sum(a * b for a, b in zip(f, v)) % p == 0 for f in ann for v in w)
             assert _forward_rank(ann, dim, p) == len(ann)
-
-
-def test_mod_matrix_scales_each_arrow_to_ints():
-    m = ((Fraction(1, 2), Fraction(2, 3)), (0, 5))
-    # times 6: (3, 4), (0, 30)
-    assert gfp._mod_matrix(m, 5) == ((3, 4), (0, 0))
-    assert gfp._mod_matrix(((-1, 7),), 3) == ((2, 1),)

@@ -9,8 +9,8 @@ from conifold_flop import ainfty, cli, freecomplex, homalg, linalg, reps
 from conifold_flop.freecomplex import (FCGen, FreeComplex, ModuleSlices, StabilizationError,
                                        _minimal_generators, _syzygy_step, extend_resolution,
                                        graded_cohomology)
-from conifold_flop.homalg import (ExtensionDatum, build_extension, ext1, ext1_dim, ext_dims,
-                                  flop_point_analysis, free_complex_cohomology, hom, hom_dim,
+from conifold_flop.homalg import (ExtensionDatum, build_extension, ext1, ext_dims,
+                                  flop_point_analysis, free_complex_cohomology, hom,
                                   is_module_map, iso_check, psi_sphere, psi_spheres)
 from conifold_flop.paths import SRC, TGT, fpe, relations
 from conifold_flop.exactcx import phase_lt
@@ -28,11 +28,22 @@ S0 = make_catalog_rep("simple", 0)
 S1 = make_catalog_rep("simple", 1)
 
 
+def _hom_dim(r, s):
+    """dim Hom(r, s) from the basis that `hom` builds: an oracle for
+    `ext_dims`, which takes ranks only."""
+    return len(hom(r, s))
+
+
+def _ext1_dim(m, n):
+    """dim Ext^1(m, n) from the basis that `ext1` builds."""
+    return len(ext1(m, n))
+
+
 def test_hom_dims():
-    assert hom_dim(S0, S0) == 1
-    assert hom_dim(S0, S1) == 0
-    assert hom_dim(make_catalog_rep("vplus", 2), make_catalog_rep("vplus", 2)) == 1
-    assert hom_dim(make_catalog_rep("point", 1, 0), make_catalog_rep("point", 0, 1)) == 0
+    assert _hom_dim(S0, S0) == 1
+    assert _hom_dim(S0, S1) == 0
+    assert _hom_dim(make_catalog_rep("vplus", 2), make_catalog_rep("vplus", 2)) == 1
+    assert _hom_dim(make_catalog_rep("point", 1, 0), make_catalog_rep("point", 0, 1)) == 0
 
 
 def test_hom_solutions_are_module_maps():
@@ -42,16 +53,16 @@ def test_hom_solutions_are_module_maps():
 
 
 def test_ext1_dims():
-    assert ext1_dim(S0, S1) == 2
-    assert ext1_dim(S0, S0) == 0
-    assert ext1_dim(make_catalog_rep("point", 1, -1), make_catalog_rep("vplus", 2)) == 1
+    assert _ext1_dim(S0, S1) == 2
+    assert _ext1_dim(S0, S0) == 0
+    assert _ext1_dim(make_catalog_rep("point", 1, -1), make_catalog_rep("vplus", 2)) == 1
 
 
 def test_ext1_invariant_under_rescaling():
     m = make_catalog_rep("point", 1, -1)
     n = make_catalog_rep("vplus", 2)
-    assert ext1_dim(scale_arrow(m, "x", Fraction(5, 3)), n) == 1
-    assert ext1_dim(m, scale_arrow(n, "z", Fraction(-7, 2))) == 1
+    assert _ext1_dim(scale_arrow(m, "x", Fraction(5, 3)), n) == 1
+    assert _ext1_dim(m, scale_arrow(n, "z", Fraction(-7, 2))) == 1
 
 
 def test_build_extension_point():
@@ -63,10 +74,42 @@ def test_build_extension_point():
     assert is_module_map(e, S0, proj.phi0, proj.phi1)
 
 
-def test_build_extension_zero_class_is_direct_sum():
+def _zero_class_extension():
+    """S0 (+) S1, built as the extension of S0 by S1 with class zero."""
     xi = ExtensionDatum({"x": ((Fraction(0),),), "z": ((Fraction(0),),), "y": (), "w": ()})
-    e, _, _ = build_extension(S0, S1, xi)
+    return build_extension(S0, S1, xi)[0]
+
+
+def test_build_extension_zero_class_is_direct_sum():
+    e = _zero_class_extension()
     assert not iso_check(e, make_catalog_rep("point", 1, 1))
+    # End(e) has the basis (1, 0), (0, 1): only a combination of the two,
+    # drawn from the seeded generator, is invertible
+    assert len(hom(e, e)) == 2 and iso_check(e, e)
+
+
+def test_iso_check_decides_a_one_dimensional_hom_space_without_combinations(monkeypatch):
+    e, pt = _zero_class_extension(), make_catalog_rep("point", 1, 1)
+    assert len(hom(e, pt)) == 1
+
+    def refuse(*args):
+        raise AssertionError("random combinations drawn for a one-dimensional Hom space")
+
+    monkeypatch.setattr(homalg.random, "Random", refuse)
+    assert not iso_check(e, pt)
+
+
+def test_iso_check_computes_one_hom_space_per_call(monkeypatch):
+    real, calls = homalg.hom, []
+    monkeypatch.setattr(homalg, "hom", lambda r, s: calls.append((r, s)) or real(r, s))
+    e = _zero_class_extension()
+    pairs = [(e, e), (e, make_catalog_rep("point", 1, 1)), (S0, S0),
+             (make_catalog_rep("point", 1, 1), make_catalog_rep("point", 1, 2)),
+             (psi_sphere(3), make_catalog_rep("vplus", 3))]
+    for r, s in pairs:
+        calls.clear()
+        iso_check(r, s)
+        assert calls == [(r, s)]
 
 
 def test_build_extension_rejects_non_cocycle():
@@ -164,8 +207,8 @@ def test_ext_dims_totals():
 def test_ext_dims_against_point():
     pt = make_catalog_rep("point", 1, 1)
     d = ext_dims(S0, pt)
-    assert d[0] == hom_dim(S0, pt)
-    assert d[1] == ext1_dim(S0, pt)
+    assert d[0] == _hom_dim(S0, pt)
+    assert d[1] == _ext1_dim(S0, pt)
     assert d[0] - d[1] + d[2] - d[3] == 0
 
 
@@ -274,7 +317,8 @@ def test_ext_dims_match_hom_and_ext1(kind):
     # the 3-Calabi-Yau duality Ext^i(S_v, M) = Ext^(3-i)(M, S_v)^* in all four degrees
     m = psi_sphere(kind[1]) if kind[0] == "psi" else make_catalog_rep(*kind)
     for s in (S0, S1):
-        assert ext_dims(s, m) == (hom_dim(s, m), ext1_dim(s, m), ext1_dim(m, s), hom_dim(m, s))
+        assert ext_dims(s, m) == (_hom_dim(s, m), _ext1_dim(s, m),
+                                  _ext1_dim(m, s), _hom_dim(m, s))
 
 
 @pytest.mark.parametrize("kind", LATTICE_KINDS)
@@ -393,7 +437,7 @@ def test_ext_dims_of_pinned_pairs_keep_serre_duality_and_match_hom_and_ext1(firs
         n = cli._parse_kind(second)
         dims = ext_dims(m, n)
         assert dims == ext_dims(n, m)[::-1]
-        assert dims[:2] == (hom_dim(m, n), ext1_dim(m, n))
+        assert dims[:2] == (_hom_dim(m, n), _ext1_dim(m, n))
 
 
 @pytest.mark.parametrize("k", (4, 8))
@@ -406,7 +450,7 @@ def test_ext_dims_scales_both_modules_together():
     # one projective point, written with and without denominators; scaling
     # each module on its own would give point(1, 2) and point(1, 1)
     a, b = make_catalog_rep("point", 1, 2), make_catalog_rep("point", Fraction(1, 2), 1)
-    assert hom_dim(a, b) == 1
+    assert _hom_dim(a, b) == 1
     assert ext_dims(a, b)[0] == 1
 
 
@@ -436,9 +480,9 @@ def test_no_hom_from_a_stable_module_to_a_stable_one_of_smaller_phase(params):
     pairs = [(a, b) for a in stable for b in stable
              if phase_lt(central_charge(b, params), central_charge(a, params))]
     assert len(pairs) >= 40
-    assert all(hom_dim(a, b) == 0 for a, b in pairs)
+    assert all(_hom_dim(a, b) == 0 for a, b in pairs)
     # maps the other way exist, so the check is not vacuous
-    assert any(hom_dim(b, a) for a, b in pairs)
+    assert any(_hom_dim(b, a) for a, b in pairs)
 
 
 def test_ext_dims_raises_on_a_d1_with_a_relation_term_dropped(monkeypatch):

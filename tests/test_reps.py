@@ -259,7 +259,7 @@ def _gfp_closed(mats, w0, w1, p, dims):
 def _oracle_scan(r, p):
     """Brute force: test arrow closure on every pair of subspaces."""
     ri = reps._integerize(r)
-    mats = {a: gfp._mod_matrix(ri.matrix(a), p) for a in "xzyw"}
+    mats = {a: tuple(tuple(c % p for c in row) for row in ri.matrix(a)) for a in "xzyw"}
     counts = {}
     for w0 in gfp._subspaces_gfp(r.dims[0], p):
         for w1 in gfp._subspaces_gfp(r.dims[1], p):
@@ -388,6 +388,52 @@ def test_exact_candidates_pinned_and_closed(kind, args):
         for w0, w1 in cands:
             assert (len(w0), len(w1)) not in ((0, 0), r.dims)
             assert arrow_closed(module, w0, w1)
+
+
+def _arrow_closed_by_images(r, w0, w1):
+    """Closure tested image by image, each image against the span it must
+    lie in: the oracle of `arrow_closed`."""
+    for m, src, tgt in ((r.mx, w0, w1), (r.mz, w0, w1), (r.my, w1, w0), (r.mw, w1, w0)):
+        for v in src:
+            img = linalg.mat_vec(m, v)
+            if any(img) and not linalg.in_span(tgt, img):
+                return False
+    return True
+
+
+def _assert_arrow_closed_matches_images(r, w0, w1):
+    """`arrow_closed` against its oracle on (w0, w1), on the pair with a
+    repeated row, and on the pair with its last row at either vertex
+    dropped; returns the verdict on (w0, w1)."""
+    w0, w1 = tuple(w0), tuple(w1)
+    pairs = [(w0, w1), (w0 + w0[-1:], w1 + w1[:1]), (w0[:-1], w1), (w0, w1[:-1])]
+    for a, b in pairs:
+        assert arrow_closed(r, a, b) == _arrow_closed_by_images(r, a, b), (r, a, b)
+    return arrow_closed(r, w0, w1)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_quadruples(), st.data())
+def test_arrow_closed_matches_image_oracle_on_quadruples(r, data):
+    # drawn rows, and their closure in the integer module as Fraction rows
+    rows = [data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=3))
+            for n in r.dims]
+    _assert_arrow_closed_matches_images(r, *rows)
+    spans = map(linalg.echelon, rows, r.dims)
+    closure = tuple(map(linalg.monic, reps._closure_up(reps._integerize(r), *spans)))
+    assert _assert_arrow_closed_matches_images(r, *closure)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_arrow_closed_matches_image_oracle_on_workload_witnesses(seed):
+    witnesses = 0
+    for _, module in WORKLOADS._lattice_prepare(seed):
+        for params in (CH1, CH2):
+            verdict = is_stable(module, params)
+            if verdict.witness is not None:
+                witnesses += 1
+                assert _assert_arrow_closed_matches_images(module, *verdict.witness)
+    assert witnesses >= 10
 
 
 def _span_intersect(a, b, ncols):

@@ -16,6 +16,11 @@ def test_destabilizing_pairs():
     assert scan.destabilizing_pairs(1, 1, 2) == [(1, 0), (1, 1)]
     assert scan.destabilizing_pairs(-1, 1, 2) == [(0, 1), (0, 2)]
     assert (1, 1) in scan.destabilizing_pairs(1, 2, 2)
+    # the slope rule stated on its own: the sign of e0 * d1 - e1 * d0 times the chamber
+    for chamber, d0, d1 in itertools.product((1, -1), range(8), range(8)):
+        want = [(e0, e1) for e0 in range(d0 + 1) for e1 in range(d1 + 1)
+                if (e0, e1) not in ((0, 0), (d0, d1)) and chamber * (e0 * d1 - e1 * d0) >= 0]
+        assert scan.destabilizing_pairs(chamber, d0, d1) == sorted(want, key=lambda p: (sum(p), p))
 
 
 def test_scan_bound_4_pure():
