@@ -141,8 +141,9 @@ def subrep_scan_Fp(r, p: int):
     passes the cached integer module `reps._integerize(r)`).
 
     The arrows are read as they are: `_interval_counts` reduces every sum
-    mod p.  A pair (W0, W1) is closed exactly when x(W0) + z(W0) <= W1 and
-    W1 lies in the common preimage of W0 under y and w, so the scan
+    mod p, and an entry that is not an int raises ValueError.  A pair
+    (W0, W1) is closed exactly when x(W0) + z(W0) <= W1 and W1 lies in
+    the common preimage of W0 under y and w, so the scan
     enumerates the subspaces of the smaller vertex only and counts the
     closed partners at the other vertex by Gaussian binomials over that
     interval.  Returns the sorted list of realized (dim vector, count)
@@ -154,6 +155,8 @@ def subrep_scan_Fp(r, p: int):
     d0, d1 = r.dims
     if d0 > MAX_SCAN_DIM or d1 > MAX_SCAN_DIM:
         raise ValueError("vertex dimensions above %d are not scanned" % MAX_SCAN_DIM)
+    if any(type(c) is not int for m in (r.mx, r.mz, r.my, r.mw) for row in m for c in row):
+        raise ValueError("arrow entries must be ints")
     counts = {}
     if d0 <= d1:
         found = _interval_counts(r.mx, r.mz, r.my, r.mw, d0, d1, p)

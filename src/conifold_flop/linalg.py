@@ -3,8 +3,8 @@
 Matrices are tuples of row tuples; the empty matrix keeps its shape
 through explicit (rows, cols) arguments where it matters.  Entries are
 ints or Fractions.  `mat_mul` and `mat_vec` keep int inputs as ints: an
-entry of a product is a Fraction when one of its terms is, or when it has
-no terms.
+entry of a product is a Fraction when one of its terms is, and the int 0
+when it has no terms.
 
 Every elimination runs on primitive integer rows: each row is first
 scaled to the integer row with coprime entries on the same ray
@@ -55,13 +55,13 @@ def mat_mul(a, b, bcols=None):
     if not a:
         return ()
     if not b:
-        return zeros(len(a), 0 if bcols is None else bcols)
+        return ((0,) * (0 if bcols is None else bcols),) * len(a)
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, ra, col)) for col in cols) for ra in a)
 
 
 def mat_vec(m, v):
-    return tuple(sum(map(mul, row, v)) if v else ZERO for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def transpose(m, ncols=None):
@@ -210,17 +210,16 @@ def annihilator(rows, ncols):
     return tuple(out)
 
 
-def independent(basis, vectors, ncols, form=None):
+def independent(basis, vectors, ncols):
     """The members of ``vectors``, in input order and as given, that lie
     outside the row span of ``basis`` and of the members kept before them.
 
-    One echelon form of primitive integer rows grows as rows are accepted:
-    each stored row is 0 at the pivots of the rows stored before it, so
-    every query is a single reduction.  ``form``, a list of (pivot column,
-    row) pairs, is that form: pass the same list to later calls to grow one
-    span across them without absorbing it again.
+    One echelon form of primitive integer rows, a list of (pivot column,
+    row) pairs, grows as rows are accepted: each stored row is 0 at the
+    pivots of the rows stored before it, so every query is a single
+    reduction.
     """
-    form = [] if form is None else form
+    form = []
 
     def absorb(vec):
         v = integer_row(vec)

@@ -7,10 +7,10 @@ satisfying the four cyclic-derivative relations as matrix identities.
 Stability follows the slope rule: an object is stable when every proper
 nonzero subrepresentation has strictly smaller phase.  Negative verdicts
 come with an exact rational witness subspace, a closure of a kernel or
-image seed (upward, or downward as the annihilator of an upward closure
-in the dual module); positive verdicts rest on exhaustive finite-field
-subspace scans (`gfp.subrep_scan_Fp`), escalating through the primes 2,
-3, 5 until the flagged dimension vectors are explained.
+image seed read off the module's table of path actions (`_path_table`);
+positive verdicts rest on exhaustive finite-field subspace scans
+(`gfp.subrep_scan_Fp`), escalating through the primes 2, 3, 5 until the
+flagged dimension vectors are explained.
 
 The chamber-free work (validity, the exact candidates, End(r), the GF(p)
 scans, `arrow_closed`) runs on the integer module `_integerize(r)` and on
@@ -32,8 +32,7 @@ from .gfp import SCAN_PRIMES
 from .paths import SRC, TGT, relations
 from .truncated import normal_words
 
-# modules whose chamber-free facts (validity, exact candidates, End
-# dimension) are kept, keyed by the frozen Representation value
+# modules whose chamber-free facts (module docstring) are kept, by value
 MODULE_CACHE_SIZE = 128
 
 
@@ -161,10 +160,11 @@ def _unit_rows(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _radical_chain(r: Representation):
-    """The descending layers V > sum_a im(a) > ... as canonical (basis at
-    v0, basis at v1) pairs of `linalg.echelon` forms, from V itself to the
-    first layer that no longer shrinks."""
+@lru_cache(maxsize=MODULE_CACHE_SIZE)
+def _radical_chain(r: Representation) -> tuple:
+    """The descending layers V > sum_a im(a) > ... as pairs of
+    `linalg.echelon` forms, from V itself to the first layer that no longer
+    shrinks; `_valid` and the candidates share it."""
     d0, d1 = r.dims
     chain = [(_unit_rows(d0), _unit_rows(d1))]
     while True:
@@ -172,7 +172,7 @@ def _radical_chain(r: Representation):
         n0 = linalg.echelon(_images((r.my, r.mw), u1), d0)
         n1 = linalg.echelon(_images((r.mx, r.mz), u0), d1)
         if (n0, n1) == (u0, u1):
-            return chain
+            return tuple(chain)
         chain.append((n0, n1))
 
 
@@ -214,8 +214,13 @@ def _integerize(r: Representation) -> Representation:
 
 
 def subrep_scan_Fp(r: Representation, p: int):
-    """`gfp.subrep_scan_Fp` of `_integerize(r)`."""
-    return gfp.subrep_scan_Fp(_integerize(r), p)
+    """`gfp.subrep_scan_Fp` of `_integerize(r)`, cached per (module, p)."""
+    return list(_scan_Fp(r, p))
+
+
+@lru_cache(maxsize=MODULE_CACHE_SIZE * len(SCAN_PRIMES))
+def _scan_Fp(r, p):
+    return tuple(gfp.subrep_scan_Fp(_integerize(r), p))
 
 
 def scale_arrow(r: Representation, arrow: str, scalar) -> Representation:
@@ -271,89 +276,75 @@ def central_charge(r: Representation, p: StabilityParams) -> QC:
 # exact subrepresentation candidates
 
 
-def _closure_up(r, seed0, seed1):
-    """The smallest subrepresentation containing the seeds, as a pair of
-    `linalg.echelon` forms.  One echelon form per vertex grows across the
-    passes through `linalg.independent`, and each pass maps only the rows
-    that the last one stored."""
-    into, form = ((r.my, r.mw), (r.mx, r.mz)), ([], [])
-    new = (seed0, seed1)
-    while True:
-        start = [len(f) for f in form]
-        for v in (0, 1):
-            linalg.independent((), new[v], r.dims[v], form[v])
-        if start == [len(f) for f in form]:
-            return tuple(linalg.echelon([row for _, row in f], n) for f, n in zip(form, r.dims))
-        new = [_images(into[v], [row for _, row in form[1 - v][start[1 - v]:]]) for v in (0, 1)]
+def _path_table(ri):
+    """``table[(s, t)]``, the distinct nonzero matrices of the normal words
+    from s to t in the integer module ``ri`` (on a module the words of a
+    class act alike), and the seeds (vertex, echelon form): image and
+    kernel of each word of length 1..4.  A word acts through its suffix
+    w[1:], also a normal word, so one with a zero suffix is not multiplied;
+    nilpotency ends the lengths at the first with no nonzero word."""
+    table, seeds = {(s, t): {} for s in (0, 1) for t in (0, 1)}, set()
+    for src in (0, 1):
+        n = ri.dims[src]
+        full = _unit_rows(n)
+        action, length, live = {}, 0, True
+        while live or length < 4:
+            length, live = length + 1, False
+            for word in normal_words(src, length):
+                tgt, m = TGT[word[0]], ri.matrix(word[0])
+                if length > 1:
+                    m = word[1:] in action and linalg.mat_mul(m, action[word[1:]], bcols=n)
+                if not (m and any(map(any, m))):  # image 0, kernel V_src
+                    if length <= 4:
+                        seeds.update(((tgt, ()), (src, full)))
+                    continue
+                live, action[word] = True, m
+                if m not in table[(src, tgt)]:
+                    table[(src, tgt)][m] = None
+                    if length <= 4:
+                        seeds.add((tgt, linalg.echelon(linalg.transpose(m, n), ri.dims[tgt])))
+                        seeds.add((src, linalg.annihilator(m, n)))
+    return table, seeds
 
 
-def _dual(r):
-    """The dual module on the same quiver: x' = y^T, z' = w^T, y' = x^T,
-    w' = z^T, valid exactly when ``r`` is.  (W0, W1) is a subrepresentation
-    of ``r`` exactly when (Ann W0, Ann W1) is one of the dual."""
-    d0, d1 = r.dims
-    t = linalg.transpose
-    return Representation(r.dims, t(r.my, d1), t(r.mw, d1), t(r.mx, d0), t(r.mz, d0))
+def _closure_up(table, dims, v, seed):
+    """The smallest subrepresentation containing ``seed`` at vertex v: at
+    each t, the span of its images under ``table[(v, t)]`` (at v, with it)."""
+    return tuple(linalg.echelon([*(seed if t == v else ()), *_images(table[(v, t)], seed)],
+                                dims[t]) for t in (0, 1))
+
+
+def _closure_down(pull, dims, v, seed):
+    """The largest subrepresentation inside (``seed`` at v, V at the other):
+    at each t, the annihilator of Ann(seed) pulled back through
+    ``pull[(t, v)]``, the transposed ``table[(t, v)]`` (at v, with Ann(seed))."""
+    ann = linalg.annihilator(seed, dims[v])
+    return tuple(linalg.annihilator([*(ann if t == v else ()), *_images(pull[(t, v)], ann)],
+                                    dims[t]) for t in (0, 1))
 
 
 @lru_cache(maxsize=MODULE_CACHE_SIZE)
 def exact_subrep_candidates(r: Representation) -> tuple:
-    """Proper nonzero subrepresentations found by exact seeds: kernels and
-    images of the path actions up to length 4 (one normal word per class,
-    as the words of a class act alike on ``r``, which `is_stable` has
-    checked to satisfy the relations; taken once per distinct (target
-    vertex, matrix) pair), radical and socle layers, socle coordinate
-    lines, and coordinate-line closures.  Seeds are deduplicated by
-    vertex and canonical row space; each seed S at v gives the smallest
-    subrepresentation containing (S, 0) and the largest inside (S, V), the
-    annihilator of the dual's smallest one containing (Ann S, 0).  It runs
-    on the integer module `_integerize(r)` and on `linalg.echelon` forms;
-    only the candidates returned become canonical Fraction RREFs.  Cached
-    per module value, so the result is a tuple."""
-    ri = _integerize(r)
-    dual = _dual(ri)
-    d0, d1 = r.dims
-    seeds = set()  # (vertex, echelon form)
-    for src in (0, 1):
-        n = r.dims[src]
-        # a word acts through its suffix w[1:], also a normal word: dropping
-        # the first letter leaves x before z and w before y at each vertex
-        action, distinct = {}, set()
-        for length in range(1, 5):
-            for word in normal_words(src, length):
-                m = ri.matrix(word[0])
-                if length > 1:
-                    m = linalg.mat_mul(m, action[word[1:]], bcols=n)
-                action[word] = m
-                tgt = TGT[word[0]]
-                if (tgt, m) not in distinct:
-                    distinct.add((tgt, m))
-                    seeds.add((tgt, linalg.echelon(linalg.transpose(m, n), r.dims[tgt])))
-                    seeds.add((src, linalg.annihilator(m, n)))
-    for v in (0, 1):
-        seeds.update((v, (row,)) for row in _unit_rows(r.dims[v]))
-
-    pairs = _radical_chain(ri)  # V itself is dropped with the trivial pairs below
-    # socle chain
-    s0 = linalg.annihilator(ri.mx + ri.mz, d0)
-    s1 = linalg.annihilator(ri.my + ri.mw, d1)
-    pairs.append((s0, s1))
-    # the seed pairs closed upwards in the module and in the dual; a socle
-    # line is an echelon form too, so it meets an equal seed in the set
-    up = {((vec,), ()) for vec in s0} | {((), (vec,)) for vec in s1}
-    down = set()
-    for v, seed in seeds:
-        lower, ann = [(), ()], [(), ()]
-        lower[v], ann[v] = seed, linalg.annihilator(seed, r.dims[v])
-        up.add(tuple(lower))
-        down.add(tuple(ann))
-    pairs += [_closure_up(ri, *lower) for lower in up]
-    pairs += [tuple(map(linalg.annihilator, _closure_up(dual, *ann), r.dims)) for ann in down]
-
-    seen = set()
-    for w0, w1 in pairs:
-        if (len(w0), len(w1)) not in ((0, 0), (d0, d1)):
-            seen.add((w0, w1))
+    """Proper nonzero subrepresentations found by exact seeds: the radical
+    and socle layers, and the closures of the seeds of `_path_table`, of
+    the coordinate lines and of the socle lines.  A seed S at v gives the
+    smallest subrepresentation containing (S, 0) unless S = 0, and the
+    largest inside (S, V) unless S = V_v.  The table needs a module: a
+    non-module raises ValueError.  Only the candidates become Fraction
+    RREFs.  Cached per module value, hence a tuple."""
+    if not _valid(r):
+        raise ValueError("representation must satisfy the relations and be nilpotent")
+    ri, dims = _integerize(r), r.dims
+    table, seeds = _path_table(ri)
+    pull = {key: [linalg.transpose(m) for m in mats] for key, mats in table.items()}
+    seeds |= {(v, (row,)) for v in (0, 1) for row in _unit_rows(dims[v])}
+    # socle lines are echelon forms too, so they meet equal seeds
+    socle = linalg.annihilator(ri.mx + ri.mz, dims[0]), linalg.annihilator(ri.my + ri.mw, dims[1])
+    lines = {(v, (vec,)) for v in (0, 1) for vec in socle[v]}
+    pairs = [*_radical_chain(ri), socle]  # V is dropped with the trivial pairs
+    pairs += [_closure_up(table, dims, v, seed) for v, seed in seeds | lines if seed]
+    pairs += [_closure_down(pull, dims, v, seed) for v, seed in seeds if len(seed) < dims[v]]
+    seen = {(w0, w1) for w0, w1 in pairs if (len(w0), len(w1)) not in ((0, 0), dims)}
     cands = [(linalg.monic(w0), linalg.monic(w1)) for w0, w1 in seen]
     return tuple(sorted(cands, key=lambda p: (len(p[0]) + len(p[1]), len(p[0]), p)))
 
@@ -393,8 +384,6 @@ def is_stable(r: Representation, params: StabilityParams) -> StabilityVerdict:
     c01 = -params.chamber()  # raises on the wall
     if r.is_zero():
         raise ValueError("stability of the zero representation is undefined")
-    if not _valid(r):
-        raise ValueError("representation must satisfy the relations and be nilpotent")
     dims = r.dims
     equal_phase_dims = set()
     for w0, w1 in exact_subrep_candidates(r):
@@ -405,11 +394,9 @@ def is_stable(r: Representation, params: StabilityParams) -> StabilityVerdict:
         if s == 0:
             equal_phase_dims.add(sub)
 
-    flagged = None
-    used = []
+    flagged, used = None, []
     for p in SCAN_PRIMES:
-        realized = {d for d, _ in subrep_scan_Fp(r, p)}
-        bad = {d for d in realized
+        bad = {d for d, _ in subrep_scan_Fp(r, p)
                if d not in ((0, 0), dims) and _destab_sign(d, dims, c01) <= 0}
         flagged = bad if flagged is None else (flagged & bad)
         used.append(p)
@@ -501,10 +488,12 @@ def intertwiner_matrix(m: Representation, n: Representation) -> tuple:
 
 
 def arrow_closed(r: Representation, w0, w1) -> bool:
-    """Exact check that the row spans of w0 and w1 form a subrepresentation:
-    their `linalg.echelon` forms equal their `_closure_up` in `_integerize(r)`."""
-    spans = tuple(map(linalg.echelon, (w0, w1), r.dims))
-    return _closure_up(_integerize(r), *spans) == spans
+    """Exact check that the row spans of w0 and w1 form a subrepresentation,
+    on any four matrices: their arrow images in `_integerize(r)` change no
+    `linalg.echelon` form."""
+    ri, spans = _integerize(r), tuple(map(linalg.echelon, (w0, w1), r.dims))
+    return all(linalg.echelon([*spans[v], *_images(into, spans[1 - v])], r.dims[v]) == spans[v]
+               for v, into in enumerate(((ri.my, ri.mw), (ri.mx, ri.mz))))
 
 
 def verify_witness(r: Representation, witness, params: StabilityParams) -> bool:

@@ -46,8 +46,8 @@ and w carry the module there.  The order changes how soon a witness is
 found, never a result.
 
 Both chambers are scanned with the destabilizing pairs of chamber -1,
-which changes no count.  The dual module ``reps._dual`` (x' = y^T,
-z' = w^T, y' = x^T, w' = z^T) is an involution that keeps the dims; it
+which changes no count.  The dual module on the same quiver, x' = y^T,
+z' = w^T, y' = x^T, w' = z^T, is an involution that keeps the dims; it
 transposes each relation into another (yzw = wzy into z'w'x' = x'w'z')
 and each path into a path, so it is a bijection on relation-satisfying
 nilpotent tuples.  It keeps dim End: (f0, f1) intertwines a tuple exactly

@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conifold_flop import gfp
+from conifold_flop import gfp, reps
 
 
 def _forward_rank(rows, ncols, p):
@@ -66,3 +66,14 @@ def test_lattice_lists_each_subspace_with_its_annihilator(p):
             assert len(ann) == dim - len(w)
             assert all(sum(a * b for a, b in zip(f, v)) % p == 0 for f in ann for v in w)
             assert _forward_rank(ann, dim, p) == len(ann)
+
+
+def test_scan_refuses_entries_that_are_not_ints():
+    # the point's arrows are Fractions of denominator 1; the scan reads
+    # arrows as they are, so it takes the integer module only
+    point = reps.make_catalog_rep("point", 1, 1)
+    for p in gfp.SCAN_PRIMES:
+        with pytest.raises(ValueError, match="arrow entries must be ints"):
+            gfp.subrep_scan_Fp(point, p)
+        got = gfp.subrep_scan_Fp(reps._integerize(point), p)
+        assert got == reps.subrep_scan_Fp(point, p) == [((0, 0), 1), ((0, 1), 1), ((1, 1), 1)]

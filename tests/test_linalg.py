@@ -273,13 +273,13 @@ def test_products_with_a_fraction_factor_are_fractions(factors, which):
     assert all(type(x) is Fraction for x in vec)
 
 
-def test_products_with_no_terms_are_fraction_zeros():
+def test_products_with_no_terms_are_int_zeros():
     for a in (((), ()), linalg.mat([[], []])):
-        # a is 2 x 0 and b is 0 x 3: each entry is an empty sum
-        assert linalg.mat_mul(a, (), bcols=3) == linalg.zeros(2, 3)
-        assert _all_fractions(linalg.mat_mul(a, (), bcols=3))
-        assert linalg.mat_vec(a, ()) == (Fraction(0), Fraction(0))
-        assert all(type(x) is Fraction for x in linalg.mat_vec(a, ()))
+        # a is 2 x 0 and b is 0 x 3: each entry is an empty sum, the int 0
+        got = linalg.mat_mul(a, (), bcols=3)
+        assert got == ((0, 0, 0), (0, 0, 0)) and all(type(x) is int for x in _entries(got))
+        vec = linalg.mat_vec(a, ())
+        assert vec == (0, 0) and all(type(x) is int for x in vec)
     assert linalg.mat_mul((), ((1, 2),)) == ()
     assert linalg.mat_mul(((1,), (2,)), ((), )) == ((), ())
 

@@ -322,9 +322,18 @@ def test_subrep_scan_zero_arrows_is_product_of_gaussian_binomials():
                                                 for k0 in range(d0 + 1) for k1 in range(d1 + 1)]
 
 
+def _dual(r):
+    """The dual module on the same quiver: x' = y^T, z' = w^T, y' = x^T,
+    w' = z^T, valid exactly when ``r`` is.  (W0, W1) is a subrepresentation
+    of ``r`` exactly when (Ann W0, Ann W1) is one of the dual."""
+    d0, d1 = r.dims
+    t = linalg.transpose
+    return reps.Representation(r.dims, t(r.my, d1), t(r.mw, d1), t(r.mx, d0), t(r.mz, d0))
+
+
 def _assert_dual_counts(r, p):
     d0, d1 = r.dims
-    dual = {(d0 - k0, d1 - k1): n for (k0, k1), n in subrep_scan_Fp(reps._dual(r), p)}
+    dual = {(d0 - k0, d1 - k1): n for (k0, k1), n in subrep_scan_Fp(_dual(r), p)}
     assert dict(subrep_scan_Fp(r, p)) == dual
 
 
@@ -390,6 +399,186 @@ def test_exact_candidates_pinned_and_closed(kind, args):
             assert arrow_closed(module, w0, w1)
 
 
+# --- the table of path actions against the closures it replaced ---------------
+#
+# exact_subrep_candidates used to multiply every normal word of length 1..4,
+# close each seed upwards by a worklist of arrow images, and close it
+# downwards as the annihilators of an upward closure in the dual module.
+# That body is kept here as the oracle of the table of path actions.
+
+
+def _worklist_closure_up(r, seed0, seed1):
+    """The smallest subrepresentation containing the seeds, as a pair of
+    `linalg.echelon` forms.  The rows kept at each vertex grow across the
+    passes through `linalg.independent`, and each pass maps only the rows
+    that the last one kept; it needs no relations."""
+    into, kept = ((r.my, r.mw), (r.mx, r.mz)), ([], [])
+    new = (seed0, seed1)
+    while True:
+        start = [len(k) for k in kept]
+        for v in (0, 1):
+            kept[v].extend(linalg.independent(kept[v], new[v], r.dims[v]))
+        if start == [len(k) for k in kept]:
+            return tuple(linalg.echelon(k, n) for k, n in zip(kept, r.dims))
+        new = [reps._images(into[v], kept[1 - v][start[1 - v]:]) for v in (0, 1)]
+
+
+def _worklist_candidates(r):
+    """exact_subrep_candidates through the worklist and the dual module."""
+    ri = reps._integerize(r)
+    dual = _dual(ri)
+    d0, d1 = r.dims
+    seeds = set()  # (vertex, echelon form)
+    for src in (0, 1):
+        n = r.dims[src]
+        action, distinct = {}, set()
+        for length in range(1, 5):
+            for word in normal_words(src, length):
+                m = ri.matrix(word[0])
+                if length > 1:
+                    m = linalg.mat_mul(m, action[word[1:]], bcols=n)
+                action[word] = m
+                tgt = TGT[word[0]]
+                if (tgt, m) not in distinct:
+                    distinct.add((tgt, m))
+                    seeds.add((tgt, linalg.echelon(linalg.transpose(m, n), r.dims[tgt])))
+                    seeds.add((src, linalg.annihilator(m, n)))
+    for v in (0, 1):
+        seeds.update((v, (row,)) for row in reps._unit_rows(r.dims[v]))
+    pairs = list(reps._radical_chain(ri))
+    s0 = linalg.annihilator(ri.mx + ri.mz, d0)
+    s1 = linalg.annihilator(ri.my + ri.mw, d1)
+    pairs.append((s0, s1))
+    up = {((vec,), ()) for vec in s0} | {((), (vec,)) for vec in s1}
+    down = set()
+    for v, seed in seeds:
+        lower, ann = [(), ()], [(), ()]
+        lower[v], ann[v] = seed, linalg.annihilator(seed, r.dims[v])
+        up.add(tuple(lower))
+        down.add(tuple(ann))
+    pairs += [_worklist_closure_up(ri, *lower) for lower in up]
+    pairs += [tuple(map(linalg.annihilator, _worklist_closure_up(dual, *ann), r.dims))
+              for ann in down]
+    seen = {(w0, w1) for w0, w1 in pairs if (len(w0), len(w1)) not in ((0, 0), (d0, d1))}
+    cands = [(linalg.monic(w0), linalg.monic(w1)) for w0, w1 in seen]
+    return tuple(sorted(cands, key=lambda p: (len(p[0]) + len(p[1]), len(p[0]), p)))
+
+
+def _assert_candidates_match_the_worklist(r):
+    assert reps._valid(r)
+    assert exact_subrep_candidates.__wrapped__(r) == _worklist_candidates(r)
+
+
+def _conjugated(r, rng):
+    """``r`` in an integer basis change at both vertices drawn from ``rng``,
+    as the subrep-lattice workload conjugates its modules."""
+    (g0, g0i), (g1, g1i) = (WORKLOADS._unimodular(n, rng) for n in r.dims)
+    c = WORKLOADS._conjugate
+    return rep(r.dims, c(r.mx, g1, g0i), c(r.mz, g1, g0i), c(r.my, g0, g1i), c(r.mw, g0, g1i))
+
+
+def _catalog_sums():
+    """The direct sums of two catalog modules within the scan cap."""
+    mods = [make_catalog_rep(kind, *args) for kind, args in CATALOG]
+    return [_direct_sum(a, b) for i, a in enumerate(mods) for b in mods[i:]
+            if max(a.dims[0] + b.dims[0], a.dims[1] + b.dims[1]) <= gfp.MAX_SCAN_DIM]
+
+
+def _all_four_arrows_act(r):
+    return all(any(map(any, r.matrix(a))) for a in "xzyw")
+
+
+@pytest.mark.parametrize("kind,args", CATALOG)
+def test_candidates_match_the_worklist_oracle_on_catalog(kind, args):
+    r = make_catalog_rep(kind, *args)
+    for module in (r, _sheared(r), _scaled(r)):
+        _assert_candidates_match_the_worklist(module)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_candidates_match_the_worklist_oracle_on_workload_conjugates(seed):
+    for _, module in WORKLOADS._lattice_prepare(seed):
+        _assert_candidates_match_the_worklist(module)
+
+
+def test_candidates_match_the_worklist_oracle_on_direct_sums():
+    sums = _catalog_sums()
+    assert len(sums) > 50
+    assert sum(map(_all_four_arrows_act, sums)) >= 5
+    for r in sums:
+        _assert_candidates_match_the_worklist(r)
+    for r in filter(_all_four_arrows_act, sums):
+        _assert_candidates_match_the_worklist(_sheared(r))
+
+
+@st.composite
+def _conjugated_modules(draw):
+    """A catalog module, or a direct sum of two within the scan cap, in a
+    drawn integer basis change at both vertices."""
+    kind, args = draw(st.sampled_from(CATALOG))
+    r = make_catalog_rep(kind, *args)
+    if draw(st.booleans()):
+        kind, args = draw(st.sampled_from(CATALOG))
+        s = _direct_sum(r, make_catalog_rep(kind, *args))
+        r = s if max(s.dims) <= gfp.MAX_SCAN_DIM else r
+    return _conjugated(r, random.Random(draw(st.integers(0, 2 ** 32))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_conjugated_modules())
+def test_candidates_match_the_worklist_oracle_on_conjugated_modules(r):
+    _assert_candidates_match_the_worklist(r)
+
+
+def test_exact_candidates_refuse_a_non_module():
+    # the table of path actions needs the relations (the words of a class
+    # act alike) and nilpotency (it ends)
+    broken = rep((2, 2), [[-1, 0], [-1, 0]], [[0, 0], [0, 0]], [[0, 0], [-1, -1]], [[-1, 1], [0, 0]])
+    loop = rep((1, 1), [[1]], [[1]], [[1]], [[1]])
+    assert check_rep(broken) == {"relations_ok": False, "nilpotent": True}
+    assert check_rep(loop) == {"relations_ok": True, "nilpotent": False}
+    for r in (broken, loop):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must satisfy the relations and be nilpotent"):
+                exact_subrep_candidates(r)
+
+
+def test_a_zero_dimensional_vertex_has_only_zero_words():
+    r = make_catalog_rep("vplus", 1)  # the vertex simple S1: dims (0, 1)
+    table, seeds = reps._path_table(reps._integerize(r))
+    assert table == {(0, 0): {}, (0, 1): {}, (1, 0): {}, (1, 1): {}}
+    # the zero words' images and kernels
+    assert seeds == {(0, ()), (1, ()), (1, ((1,),))}
+    calls = _closure_calls(r)
+    assert [(kind, v, seed) for kind, v, seed, _ in calls] == [("up", 1, ((1,),)), ("down", 1, ())]
+    assert [out for *_, out in calls] == [((), ((1,),)), ((), ())]
+    assert exact_subrep_candidates.__wrapped__(r) == _worklist_candidates(r) == ()
+    assert is_stable(r, CH1).is_stable() and is_stable(r, CH2).is_stable()
+
+
+def _string(n):
+    """e_0 -x-> f_0 -y-> e_1 -x-> ... -x-> f_(n-1), of dims (n, n) with
+    z = w = 0: each relation term holds z or w, so it is a module, and
+    x(yx)^(n-1) is a nonzero path of length 2n - 1."""
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    shift = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    zero = [[0] * n for _ in range(n)]
+    return rep((n, n), unit, zero, shift, zero)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_paths_longer_than_four_reach_the_table(n):
+    # the table runs past length 4 to the first length with no nonzero word;
+    # stopped at 4, the upward closure of e_0 would miss the end of the string
+    r = _string(n)
+    assert reps._valid(r)
+    table, _ = reps._path_table(reps._integerize(r))
+    assert len(table[(0, 1)]) == n  # x, xyx, ..., x(yx)^(n-1)
+    assert len(table[(0, 0)]) == len(table[(1, 0)]) == len(table[(1, 1)]) == n - 1
+    for module in (r, _conjugated(r, random.Random(n))):
+        _assert_candidates_match_the_worklist(module)
+
+
 def _arrow_closed_by_images(r, w0, w1):
     """Closure tested image by image, each image against the span it must
     lie in: the oracle of `arrow_closed`."""
@@ -420,7 +609,7 @@ def test_arrow_closed_matches_image_oracle_on_quadruples(r, data):
             for n in r.dims]
     _assert_arrow_closed_matches_images(r, *rows)
     spans = map(linalg.echelon, rows, r.dims)
-    closure = tuple(map(linalg.monic, reps._closure_up(reps._integerize(r), *spans)))
+    closure = tuple(map(linalg.monic, _worklist_closure_up(reps._integerize(r), *spans)))
     assert _assert_arrow_closed_matches_images(r, *closure)
 
 
@@ -476,50 +665,58 @@ def _closure_down_oracle(r, upper0, upper1):
         w0, w1 = n0, n1
 
 
-def _ann(basis, n):
-    """The annihilator of a row span, as a canonical basis."""
-    return linalg.row_space(linalg.nullspace(basis, n), n)
+def _fraction_rref(pair, dims):
+    """A pair of bases (ints or Fractions) as canonical Fraction RREFs."""
+    return tuple(linalg.row_space(tuple(basis), n) for basis, n in zip(pair, dims))
 
 
-def _dual_route(r, upper0, upper1):
-    """The largest subrepresentation inside (upper0, upper1) as
-    exact_subrep_candidates takes it: the annihilators of the smallest
-    subrepresentation of the dual module containing their annihilators."""
-    dual = reps._dual(reps._integerize(r))
-    return tuple(map(_ann, reps._closure_up(dual, _ann(upper0, r.dims[0]),
-                                            _ann(upper1, r.dims[1])), r.dims))
+def _closure_calls(r):
+    """Each closure that an uncached run of exact_subrep_candidates takes,
+    as (kind, vertex, seed, closure) with kind "up" or "down", recorded
+    through `reps._closure_up` and `reps._closure_down`."""
+    calls = []
 
-
-def _closure_down_seeds(r):
-    """The (upper0, upper1) pairs that exact_subrep_candidates closes
-    downwards through the dual module, recorded on an uncached run, each
-    with the subrepresentation that the dual route gave it.  A module equal
-    to its dual records its upward closures too, and for them the same
-    identity holds."""
-    seeds = []
-    real = reps._closure_up
-    dual = reps._dual(reps._integerize(r))
-
-    def record(module, seed0, seed1):
-        out = real(module, seed0, seed1)
-        if module == dual:
-            upper = tuple(map(_ann, (seed0, seed1), r.dims))
-            seeds.append((upper, tuple(map(_ann, out, r.dims))))
-        return out
+    def recorder(kind, real):
+        def record(table, dims, v, seed):
+            out = real(table, dims, v, seed)
+            calls.append((kind, v, seed, out))
+            return out
+        return record
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reps, "_closure_up", record)
+        for kind in ("up", "down"):
+            name = "_closure_" + kind
+            mp.setattr(reps, name, recorder(kind, getattr(reps, name)))
         exact_subrep_candidates.__wrapped__(r)
-    return seeds
+    return calls
+
+
+def _refused(r):
+    """True when ``r`` is not a module, after checking that the exact
+    candidates refuse it."""
+    if reps._valid(r):
+        return False
+    with pytest.raises(ValueError, match="must satisfy the relations and be nilpotent"):
+        exact_subrep_candidates.__wrapped__(r)
+    return True
+
+
+def _assert_canonical_ints(pair, dims):
+    assert all(type(x) is int for basis in pair for row in basis for x in row)
+    assert pair == tuple(map(linalg.echelon, pair, dims))
 
 
 def _assert_closure_down_matches_oracle(r):
-    d0, d1 = r.dims
-    seeds = _closure_down_seeds(r)
-    for upper in ((linalg.identity(d0), linalg.identity(d1)), ((), ())):
-        seeds.append((upper, _dual_route(r, *upper)))
-    for (upper0, upper1), got in seeds:
-        assert got == _closure_down_oracle(r, upper0, upper1)
+    # each downward closure of a seed S at v, the largest subrepresentation
+    # inside (S, V), against the preimages and intersections
+    if _refused(r):
+        return
+    for kind, v, seed, got in _closure_calls(r):
+        if kind == "down":
+            upper = [linalg.identity(n) for n in r.dims]
+            upper[v] = seed
+            _assert_canonical_ints(got, r.dims)
+            assert _fraction_rref(got, r.dims) == _closure_down_oracle(r, *upper)
 
 
 @pytest.mark.parametrize("kind,args", CATALOG)
@@ -532,45 +729,27 @@ def test_closure_down_matches_oracle_on_catalog(kind, args):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_quadruples())
 def test_closure_down_matches_oracle_on_quadruples(r):
+    # most quadruples are not modules, and are refused
     _assert_closure_down_matches_oracle(r)
 
 
-def _fraction_rref(pair, dims):
-    """A pair of bases (ints or Fractions) as canonical Fraction RREFs."""
-    return tuple(linalg.row_space(tuple(basis), n) for basis, n in zip(pair, dims))
-
-
-def _closure_up_calls(r):
-    """The seeds that exact_subrep_candidates closes upwards, each tagged
-    with the module it is closed in, recorded on an uncached run.  The run
-    passes integer echelon forms; they are recorded as Fraction RREFs."""
-    ri = reps._integerize(r)  # cached: the same object the run reads
-    calls = set()
-    real = reps._closure_up
-
-    def record(module, seed0, seed1):
-        calls.add(("module" if module is ri else "dual",) + _fraction_rref((seed0, seed1), r.dims))
-        return real(module, seed0, seed1)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reps, "_closure_up", record)
-        exact_subrep_candidates.__wrapped__(r)
-    return calls
-
-
 def _assert_seeds_taken_once_per_matrix_keep_the_seed_set(r):
-    # every word's image and kernel, with no word skipped, closed upwards in
-    # the module and, through their annihilators, in the dual; and the socle
-    # lines closed upwards
+    # every word's image and kernel, with no word skipped, and the coordinate
+    # lines: closed upwards unless zero and downwards unless the whole space;
+    # the socle lines closed upwards; and no closure taken twice
+    if _refused(r):
+        return
     s0 = _span_intersect(linalg.nullspace(r.mx, r.dims[0]), linalg.nullspace(r.mz, r.dims[0]),
                          r.dims[0])
     s1 = _span_intersect(linalg.nullspace(r.my, r.dims[1]), linalg.nullspace(r.mw, r.dims[1]),
                          r.dims[1])
-    want = {("module", (vec,), ()) for vec in s0} | {("module", (), (vec,)) for vec in s1}
-    for v, seed in _fraction_seeds(r):
-        for tag, basis in (("module", seed), ("dual", _ann(seed, r.dims[v]))):
-            want.add((tag,) + ((basis, ()) if v == 0 else ((), basis)))
-    assert _closure_up_calls(r) == want
+    seeds = _fraction_seeds(r)
+    lines = {(0, (vec,)) for vec in s0} | {(1, (vec,)) for vec in s1}
+    want = ({("up", v, seed) for v, seed in seeds | lines if seed}
+            | {("down", v, seed) for v, seed in seeds if len(seed) < r.dims[v]})
+    calls = [(kind, v, linalg.row_space(seed, r.dims[v])) for kind, v, seed, _ in _closure_calls(r)]
+    assert len(calls) == len(set(calls))
+    assert set(calls) == want
 
 
 @pytest.mark.parametrize("kind,args", CATALOG)
@@ -657,15 +836,16 @@ def _fraction_closure_up(r, seed0, seed1):
 
 
 def _assert_closure_up_matches_fractions(r):
-    # every closure an uncached run takes, in the module and in the dual; the
-    # closure is a pair of integer echelon forms, compared as Fraction RREFs
-    ri, dual = reps._integerize(r), reps._dual(reps._integerize(r))
-    for tag, seed0, seed1 in _closure_up_calls(r):
-        module = ri if tag == "module" else dual
-        got = reps._closure_up(module, seed0, seed1)
-        assert all(type(x) is int for basis in got for row in basis for x in row)
-        assert got == tuple(map(linalg.echelon, got, r.dims))
-        assert _fraction_rref(got, r.dims) == _fraction_closure_up(module, seed0, seed1)
+    # every upward closure an uncached run takes; the closure is a pair of
+    # integer echelon forms, compared as Fraction RREFs
+    if _refused(r):
+        return
+    for kind, v, seed, got in _closure_calls(r):
+        if kind == "up":
+            lower = [(), ()]
+            lower[v] = seed
+            _assert_canonical_ints(got, r.dims)
+            assert _fraction_rref(got, r.dims) == _fraction_closure_up(r, *lower)
 
 
 @pytest.mark.parametrize("kind,args", CATALOG)
@@ -745,9 +925,11 @@ def _assert_check_rep_matches_fractions(r):
 
 
 def _assert_integer_module_matches_fractions(r):
-    cands = exact_subrep_candidates.__wrapped__(r)
-    assert cands == _fraction_candidates(r)
-    assert all(type(x) is Fraction for pair in cands for basis in pair for row in basis for x in row)
+    if not _refused(r):
+        cands = exact_subrep_candidates.__wrapped__(r)
+        assert cands == _fraction_candidates(r)
+        assert all(type(x) is Fraction
+                   for pair in cands for basis in pair for row in basis for x in row)
     assert reps._valid.__wrapped__(r) == _fraction_valid(r)
     assert reps._end_dim.__wrapped__(r) == _fraction_end_dim(r)
     _assert_check_rep_matches_fractions(r)
@@ -774,7 +956,8 @@ def test_integer_module_matches_fractions_on_workload_conjugates(seed):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_quadruples())
 def test_integer_module_matches_fractions_on_quadruples(r):
-    # most quadruples break the relations; both outcomes of each check_rep fact occur
+    # most quadruples break the relations, and the candidates refuse them;
+    # both outcomes of each check_rep fact occur
     _assert_integer_module_matches_fractions(r)
     _assert_integer_module_matches_fractions(_scaled(r))
 
@@ -829,11 +1012,9 @@ def test_integerize_scales_each_arrow_to_ints():
 
 class _IntegerOnly:
     """Stands in for `linalg` inside `reps` and refuses a product or an
-    elimination whose inputs are not all ints.  A product with an empty
-    factor multiplies nothing, so its other factor may hold the Fraction
-    zeros of a product with no terms; an elimination may get such zeros
-    too (the word matrices of a module with a zero vertex), but no other
-    Fraction."""
+    elimination whose inputs are not all ints.  A product with no terms
+    gives int zeros, so a module with a zero vertex passes no Fraction
+    either."""
 
     def __getattr__(self, name):
         return getattr(linalg, name)
@@ -842,13 +1023,11 @@ class _IntegerOnly:
     def _ints(m):
         return all(type(x) is int for row in m for x in row)
 
-    @staticmethod
-    def _int_rows(m):
-        return all(type(x) is int or x == 0 for row in m for x in row)
-
     def mat_mul(self, a, b, bcols=None):
-        assert not (a and b) or (self._ints(a) and self._ints(b)), "Fraction product"
-        return linalg.mat_mul(a, b, bcols)
+        assert self._ints(a) and self._ints(b), "Fraction product"
+        out = linalg.mat_mul(a, b, bcols)
+        assert self._ints(out), "Fraction product"
+        return out
 
     def mat_vec(self, m, v):
         assert self._ints(m) and self._ints((v,)), "Fraction product"
@@ -859,16 +1038,12 @@ class _IntegerOnly:
         return linalg.rank(rows, ncols)
 
     def echelon(self, rows, ncols=None):  # seeds, layers and closures
-        assert self._int_rows(rows), "Fraction rows"
+        assert self._ints(rows), "Fraction rows"
         return linalg.echelon(rows, ncols)
 
     def annihilator(self, rows, ncols):
-        assert self._int_rows(rows), "Fraction rows"
+        assert self._ints(rows), "Fraction rows"
         return linalg.annihilator(rows, ncols)
-
-    def independent(self, basis, vectors, ncols, form=None):  # the closures' echelon forms
-        assert self._int_rows(basis) and self._int_rows(vectors), "Fraction rows"
-        return linalg.independent(basis, vectors, ncols, form)
 
 
 @pytest.mark.parametrize("kind,args", CATALOG)
@@ -948,7 +1123,8 @@ def test_end_dim_one_needs_no_exact_rank(kind, args):
 
 
 def _clear_module_caches():
-    for cached in (reps._valid, exact_subrep_candidates, reps._end_dim, reps._integerize):
+    for cached in (reps._valid, exact_subrep_candidates, reps._end_dim, reps._integerize,
+                   reps._radical_chain, reps._scan_Fp):
         cached.cache_clear()
 
 
@@ -974,6 +1150,27 @@ def test_equal_modules_share_cached_candidates():
     assert isinstance(first, tuple)
     assert exact_subrep_candidates(b) is first
     assert exact_subrep_candidates.cache_info().hits == 1
+
+
+def test_validity_and_candidates_share_one_radical_chain():
+    _clear_module_caches()
+    r = _sheared(make_catalog_rep("vminus", 3))
+    assert reps._valid(r)
+    assert reps._radical_chain.cache_info()[:2] == (0, 1)  # (hits, misses)
+    exact_subrep_candidates(r)
+    assert reps._radical_chain.cache_info()[:2] == (1, 1)
+
+
+def test_scans_are_cached_per_module_and_prime_as_fresh_lists():
+    _clear_module_caches()
+    r = make_catalog_rep("vplus", 3)
+    first = subrep_scan_Fp(r, 2)
+    first.append("a caller's own entry")
+    again = subrep_scan_Fp(r, 2)
+    assert again == first[:-1] == gfp.subrep_scan_Fp(reps._integerize(r), 2)
+    assert type(again) is list and again is not first
+    subrep_scan_Fp(make_catalog_rep("vplus", 3), 3)
+    assert reps._scan_Fp.cache_info()[:2] == (1, 2)
 
 
 def test_invalid_module_raises_on_every_call():
@@ -1084,8 +1281,8 @@ def test_rescaling_preserves_verdicts():
 
 
 def _assert_duality_invariants(r):
-    dual = reps._dual(r)
-    assert reps._dual(dual) == r
+    dual = _dual(r)
+    assert _dual(dual) == r
     assert reps._valid(dual) == reps._valid(r)
     for p in (2, 3, 5):
         _assert_dual_counts(r, p)
@@ -1121,7 +1318,7 @@ def test_exact_verdicts_swap_chambers_under_duality(seed):
         modules = [module for _, module in WORKLOADS._lattice_prepare(seed)]
     assert len(modules) == 19
     for r in modules:
-        dual = reps._dual(r)
+        dual = _dual(r)
         for params, flipped in ((CH1, CH2), (CH2, CH1)):
             assert is_stable(r, params).kind == is_stable(dual, flipped).kind
 
