@@ -8,12 +8,21 @@ cache starts empty, and times one criterion of `verify-all` in process.
 A criterion's time is the median of its REPEAT samples.  One more
 fresh interpreter runs `verify-all --json` in process and times it.
 Every criterion must pass, and the sha256 of the `verify-all --json`
-output must equal VERIFY_ALL_SHA256; either failure is a bug, not a
-benchmark result.  The run, with the Python version and the core count,
-is stored under `--label` in the JSON file `--out`, next to the runs
-already there, so one file holds the numbers of two versions.  The
-package is imported from the Python path: run it with PYTHONPATH=src
-from the root of a checkout.
+output must equal the pin in tests/data/verify_all.sha256; either
+failure is a bug, not a benchmark result.
+
+Every fresh interpreter also reports its cold start: the seconds of
+`import conifold_flop, conifold_flop.cli` (after this script's own
+imports) and its peak RSS (`ru_maxrss`) right after that import and at
+exit.  The run stores their medians over all fresh interpreters, and
+whether they wrote bytecode (`sys.flags.dont_write_bytecode`: with it
+set, every import compiles the package from source).
+
+The run, with the Python version and the core count, is stored under
+`--label` in the JSON file `--out`, next to the runs already there, so
+one file holds the numbers of two versions.  The package is imported
+from the Python path: run it with PYTHONPATH=src from the root of a
+checkout.
 """
 
 import argparse
@@ -23,13 +32,15 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 import time
 
-# sha256 of the stdout of `conifold-flop verify-all --json`
-VERIFY_ALL_SHA256 = "f34c4625c5d4ad9b572ad00eb12e1c49066fc239d92b7770ebe738c349379d7e"
+# sha256 of the stdout of `conifold-flop verify-all --json`, pinned for Tier-1 too
+SHA256_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                           "tests", "data", "verify_all.sha256")
 # cold samples per criterion
 REPEAT = 9
 
@@ -39,6 +50,10 @@ def _cores():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count()
+
+
+def _maxrss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _one_criterion(index):
@@ -78,15 +93,23 @@ def main():
     ns = ap.parse_args()
     if ns.child:
         kind, *rest = ns.child
+        t0 = time.perf_counter()
+        import conifold_flop.cli  # noqa: F401  (the cold start)
+        import_s, import_rss = time.perf_counter() - t0, _maxrss_mb()
         result = _one_criterion(int(rest[0])) if kind == "criterion" else _verify_all()
+        result.update(import_s=import_s, import_maxrss_mb=import_rss, exit_maxrss_mb=_maxrss_mb(),
+                      dont_write_bytecode=bool(sys.flags.dont_write_bytecode))
         json.dump(result, sys.stdout)
         return
 
     from conifold_flop import verify
 
-    criteria = {}
+    with open(SHA256_FILE) as fh:
+        pin = fh.read().strip()
+    criteria, children = {}, []
     for index, (name, _) in enumerate(verify.CRITERIA):
         samples = [_child("criterion", str(index)) for _ in range(REPEAT)]
+        children += samples
         failed = [s["detail"] for s in samples if not s["ok"]]
         if failed:
             raise SystemExit("criterion %s failed: %s" % (name, failed[0]))
@@ -95,15 +118,24 @@ def main():
                           "samples_s": [round(t, 4) for t in times]}
         print("  %-40s %7.3f s" % (name, statistics.median(times)))
     whole = _child("verify-all")
-    if whole["code"] != 0 or whole["sha256"] != VERIFY_ALL_SHA256:
+    children.append(whole)
+    if whole["code"] != 0 or whole["sha256"] != pin:
         raise SystemExit("verify-all --json exited %d with sha256 %s, expected 0 and %s"
-                         % (whole["code"], whole["sha256"], VERIFY_ALL_SHA256))
+                         % (whole["code"], whole["sha256"], pin))
     total = sum(c["median_s"] for c in criteria.values())
+    cold = {key: round(statistics.median(c[key] for c in children), 4)
+            for key in ("import_s", "import_maxrss_mb", "exit_maxrss_mb")}
+    cold.update(children=len(children),
+                dont_write_bytecode=any(c["dont_write_bytecode"] for c in children))
     print("  %-40s %7.3f s" % ("criteria, medians summed", total))
     print("  %-40s %7.3f s" % ("verify-all --json, in process", whole["s"]))
+    print("  %-40s %7.4f s" % ("import, median of %d" % len(children), cold["import_s"]))
+    print("  %-40s %7.2f MiB" % ("peak RSS after import, median", cold["import_maxrss_mb"]))
+    print("  %-40s %7.2f MiB" % ("peak RSS at exit, median", cold["exit_maxrss_mb"]))
     run = {"python": platform.python_version(), "cores": _cores(), "repeat": REPEAT,
            "criteria": criteria, "criteria_sum_s": round(total, 4),
-           "verify_all_s": round(whole["s"], 4), "verify_all_sha256": whole["sha256"]}
+           "verify_all_s": round(whole["s"], 4), "verify_all_sha256": whole["sha256"],
+           "cold_start": cold}
     if not ns.out:
         return
     data = {"runs": {}}

@@ -25,8 +25,7 @@ off ``deformed``, so the structure constants live only in m2 and m3 here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .exactcx import Record
 from .paths import FreePathElement, cyclic_derivative, POTENTIAL
 
 GENERATORS = ("unit0", "unit1", "pt0", "pt1", "X", "Y", "Z", "W", "Xbar", "Ybar", "Zbar", "Wbar")
@@ -69,12 +68,15 @@ def _default_m3():
     }
 
 
-@dataclass
-class AInftyTable:
-    """Structure constants; entries map generator tuples to (sign, generator)."""
+class AInftyTable(Record):
+    """Structure constants; entries map generator tuples to (sign, generator).
+    A table made without m2 or m3 gets a fresh copy of the default one."""
 
-    m2: dict = field(default_factory=_default_m2)
-    m3: dict = field(default_factory=_default_m3)
+    _fields = ("m2", "m3")
+
+    def __init__(self, m2: dict = None, m3: dict = None):
+        self.m2 = _default_m2() if m2 is None else m2
+        self.m3 = _default_m3() if m3 is None else m3
 
     def composable(self, gens):
         return all(BRANES[gens[i]][1] == BRANES[gens[i + 1]][0] for i in range(len(gens) - 1))
@@ -107,11 +109,13 @@ def _tuples(arity):
     return chains
 
 
-@dataclass
-class StasheffReport:
-    ok: bool
-    checked: int
-    violation: tuple = None  # (arity, tuple, residual dict)
+class StasheffReport(Record):
+    _fields = ("ok", "checked", "violation")
+
+    def __init__(self, ok: bool, checked: int, violation: tuple = None):
+        self.ok = ok
+        self.checked = checked
+        self.violation = violation  # (arity, tuple, residual dict)
 
     def __bool__(self):
         return self.ok

@@ -25,11 +25,11 @@ the full-turn twist.  Both maps reject an input arc that fails
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from .exactcx import Frozen
 from .linalg import integer_row
 
 F = Fraction
@@ -39,30 +39,21 @@ F = Fraction
 ARC_CACHE_SIZE = 128
 
 
-@dataclass(frozen=True)
-class SceneConfig:
-    a: Fraction
-    b: Fraction
-    r1: Fraction
-    r2: Fraction
-    eps: Fraction
+class SceneConfig(Frozen):
+    _fields = ("a", "b", "r1", "r2", "eps")
 
-    def __post_init__(self):
-        a, b = F(self.a), F(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "r1", F(self.r1))
-        object.__setattr__(self, "r2", F(self.r2))
-        object.__setattr__(self, "eps", F(self.eps))
+    def __init__(self, a, b, r1, r2, eps):
+        a, b, r1, r2, eps = F(a), F(b), F(r1), F(r2), F(eps)
+        self._store(a, b, r1, r2, eps)
         if not a < b < 0:
             raise ValueError("need a < b < 0")
-        if not self.r1 > (b - a) / 2:
+        if not r1 > (b - a) / 2:
             raise ValueError("inner radius must cover the marked points")
-        if not self.r2 > self.r1:
+        if not r2 > r1:
             raise ValueError("need r1 < r2")
-        if not self.r2 < abs(a + b) / 2:
+        if not r2 < abs(a + b) / 2:
             raise ValueError("outer disk must exclude the origin")
-        if self.eps <= 0:
+        if eps <= 0:
             raise ValueError("clearance must be positive")
 
     @property
@@ -73,24 +64,22 @@ class SceneConfig:
 DEFAULT_SCENE = SceneConfig(F(-4), F(-2), F(3, 2), F(5, 2), F(1, 8))
 
 
-@dataclass(frozen=True)
-class PLArc:
+class PLArc(Frozen):
     """Vertex chain with exact rational coordinates; endpoints at the
     marked points; orientation +1 traverses the vertex list as given."""
 
-    points: tuple
-    orientation: int = 1
+    _fields = ("points", "orientation")
 
-    def __post_init__(self):
+    def __init__(self, points, orientation=1):
         pts = tuple((x if type(x) is F else F(x), y if type(y) is F else F(y))
-                    for x, y in self.points)
-        object.__setattr__(self, "points", pts)
+                    for x, y in points)
         if len(pts) < 2:
             raise ValueError("an arc needs at least two vertices")
-        if self.orientation not in (1, -1):
+        if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
+        self._store(pts, orientation)
         # hashed once: `validate_arc` looks every arc up by it
-        object.__setattr__(self, "_hash", hash((pts, self.orientation)))
+        object.__setattr__(self, "_hash", hash((pts, orientation)))
 
     def __hash__(self):
         return self._hash
@@ -103,11 +92,12 @@ class PLArc:
         return list(zip(self.points[:-1], self.points[1:]))
 
 
-@dataclass(frozen=True)
-class ArcInvariants:
-    ray_crossings: int
-    seg_crossings: int
-    start: str  # "a" or "b": first endpoint under the arc's orientation
+class ArcInvariants(Frozen):
+    _fields = ("ray_crossings", "seg_crossings", "start")
+
+    def __init__(self, ray_crossings: int, seg_crossings: int, start: str):
+        # start, "a" or "b": first endpoint under the arc's orientation
+        self._store(ray_crossings, seg_crossings, start)
 
     def tuple(self):
         return (self.ray_crossings, self.seg_crossings)

@@ -44,26 +44,28 @@ def _parse_fracs(value, count):
 # vminus-dag): the modules are built as dense matrices of about N x N, so
 # an unbounded N could exhaust memory before any check runs
 MAX_CHAIN_LENGTH = 64
+# the cap of `ext`, whose Ext complex grows about as N^4.5 on chain self-pairs:
+# at N = 20 one took 2.4-3.0 s in process (2-core x86, Python 3.11), at 22 3.6-5.0 s
+MAX_EXT_CHAIN_LENGTH = 20
 
 
-def _chain_length(text):
-    n = int(text)
-    if n > MAX_CHAIN_LENGTH:
-        raise CliError("chain length %d is above the limit of %d" % (n, MAX_CHAIN_LENGTH))
-    return n
+def _parse_kind(text, max_chain=MAX_CHAIN_LENGTH) -> Representation:
+    def chain_length(t):
+        n = int(t)
+        if n > max_chain:
+            raise CliError("chain length %d is above the limit of %d" % (n, max_chain))
+        return n
 
-
-def _parse_kind(text) -> Representation:
     parts = text.split(":")
     name, args = parts[0], parts[1:]
     table = {
         "simple": ("simple", 1, int),
         "point": ("point", 2, jsonio.parse_frac),
         "point-flopped": ("point_flopped", 2, jsonio.parse_frac),
-        "vplus": ("vplus", 1, _chain_length),
-        "vminus": ("vminus", 1, _chain_length),
-        "vplus-dag": ("vplus_dag", 1, _chain_length),
-        "vminus-dag": ("vminus_dag", 1, _chain_length),
+        "vplus": ("vplus", 1, chain_length),
+        "vminus": ("vminus", 1, chain_length),
+        "vplus-dag": ("vplus_dag", 1, chain_length),
+        "vminus-dag": ("vminus_dag", 1, chain_length),
     }
     if name not in table:
         raise CliError("unknown kind %r (try simple:0, point:1:2, vplus:3, ...)" % name)
@@ -244,8 +246,8 @@ def cmd_psi(ns, config):
 
 
 def cmd_ext(ns, config):
-    src = _parse_kind(ns.src)
-    dst = _parse_kind(ns.dst)
+    src = _parse_kind(ns.src, MAX_EXT_CHAIN_LENGTH)
+    dst = _parse_kind(ns.dst, MAX_EXT_CHAIN_LENGTH)
     dims = ext_dims(src, dst)
     if ns.higher:
         payload = {"ext_dims": list(dims), "total": sum(dims),

@@ -10,16 +10,59 @@ cross product re(u) im(v) - im(u) re(v) decides it exactly, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class QC:
-    re: Fraction
-    im: Fraction
+class Record:
+    """Value semantics for a plain class whose ``__init__`` stores the
+    fields named in ``_fields``: equality on the field tuple within one
+    class (another class gives NotImplemented) and the repr
+    ``Cls(f=v, ...)``.  A Record is mutable and unhashable; a `Frozen` one
+    hashes its field tuple and refuses assignment.  The value classes of
+    the package are plain classes on these two bases, so importing the
+    package loads no `inspect` or `ast` and generates no methods."""
+
+    _fields = ()
+
+    def _key(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+class Frozen(Record):
+    """A Record whose fields are set once, in ``__init__``, by
+    ``object.__setattr__`` (`_store`).  Writing ``self.__dict__`` instead
+    would turn the instance's inline attribute values into a dict and
+    slow every later attribute read."""
+
+    def _store(self, *values):
+        """Set the fields, in ``_fields`` order."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class QC(Frozen):
+    _fields = ("re", "im")
 
     def __init__(self, re, im=0):
+        # written out: the hottest constructor of the package
         object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
         object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 

@@ -18,21 +18,20 @@ acting by postcomposition.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .exactcx import Frozen
 from .paths import SRC, TGT, FreePathElement
 from .reps import Representation
 from .truncated import TruncatedAlgebra, _normal_word, counts, truncated_algebra
 
 
-@dataclass(frozen=True)
-class FCGen:
-    name: str
-    vertex: int
-    degree: int
-    internal: int
+class FCGen(Frozen):
+    _fields = ("name", "vertex", "degree", "internal")
+
+    def __init__(self, name: str, vertex: int, degree: int, internal: int):
+        self._store(name, vertex, degree, internal)
 
 
 class FreeComplex:

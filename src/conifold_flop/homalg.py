@@ -11,23 +11,24 @@ ranks of all three maps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .exactcx import cross
+from .exactcx import Frozen, cross
 from .freecomplex import FreeComplex, graded_cohomology
 from .paths import ARROWS, SRC, TGT
 from .reps import (Representation, StabilityParams, _relation_terms, _unit_rows, _valid,
                    arrow_layout, central_charge, check_rep, flop_K, intertwiner_matrix,
                    is_stable, make_catalog_rep)
 
-@dataclass(frozen=True)
-class ModuleMap:
+
+class ModuleMap(Frozen):
     """phi0: R0 -> S0, phi1: R1 -> S1, intertwining all four arrows."""
 
-    phi0: tuple
-    phi1: tuple
+    _fields = ("phi0", "phi1")
+
+    def __init__(self, phi0: tuple, phi1: tuple):
+        self._store(phi0, phi1)
 
 
 def is_module_map(r: Representation, s: Representation, phi0, phi1) -> bool:
@@ -61,12 +62,14 @@ def hom(r: Representation, s: Representation):
 # first extensions
 
 
-@dataclass(frozen=True)
-class ExtensionDatum:
+class ExtensionDatum(Frozen):
     """Matrices xi_a : (quotient M's space at the source of a) -> (sub N's
     space at the target of a), one per arrow."""
 
-    xi: dict
+    _fields = ("xi",)
+
+    def __init__(self, xi: dict):
+        self._store(xi)
 
     def matrix(self, a):
         return self.xi[a]

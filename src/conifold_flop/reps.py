@@ -22,12 +22,11 @@ any exact rank (`_end_dim`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import gfp, linalg
-from .exactcx import QC, admissible, cross
+from .exactcx import QC, Frozen, admissible, cross
 from .gfp import SCAN_PRIMES
 from .paths import SRC, TGT, relations
 from .truncated import normal_words
@@ -36,28 +35,31 @@ from .truncated import normal_words
 MODULE_CACHE_SIZE = 128
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Frozen):
     """dims = (d0, d1); mx, mz are d1 x d0, my, mw are d0 x d1."""
 
-    dims: tuple
-    mx: tuple
-    mz: tuple
-    my: tuple
-    mw: tuple
+    _fields = ("dims", "mx", "mz", "my", "mw")
 
-    def __post_init__(self):
-        d0, d1 = self.dims
-        for name, m, r, c in (("mx", self.mx, d1, d0), ("mz", self.mz, d1, d0),
-                              ("my", self.my, d0, d1), ("mw", self.mw, d0, d1)):
+    def __init__(self, dims: tuple, mx: tuple, mz: tuple, my: tuple, mw: tuple):
+        d0, d1 = dims
+        for name, m, r, c in (("mx", mx, d1, d0), ("mz", mz, d1, d0),
+                              ("my", my, d0, d1), ("mw", mw, d0, d1)):
             if len(m) != r or any(len(row) != c for row in m):
                 raise ValueError("%s must be %dx%d" % (name, r, c))
+        # written out: the module constructors of every layer call it
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "mx", mx)
+        object.__setattr__(self, "mz", mz)
+        object.__setattr__(self, "my", my)
+        object.__setattr__(self, "mw", mw)
 
     def __hash__(self):
         # hashed on first use and kept: the module caches look modules up by value
-        if "_hash" not in self.__dict__:
+        try:
+            return self._hash
+        except AttributeError:
             object.__setattr__(self, "_hash", hash((self.dims, self.mx, self.mz, self.my, self.mw)))
-        return self._hash
+            return self._hash
 
     def matrix(self, arrow):
         return {"x": self.mx, "z": self.mz, "y": self.my, "w": self.mw}[arrow]
@@ -238,17 +240,16 @@ def scale_arrow(r: Representation, arrow: str, scalar) -> Representation:
 # stability parameters
 
 
-@dataclass(frozen=True)
-class StabilityParams:
+class StabilityParams(Frozen):
     """A pair of central-charge values with phases in (0, pi]."""
 
-    z0: QC
-    z1: QC
+    _fields = ("z0", "z1")
 
-    def __post_init__(self):
-        for z in (self.z0, self.z1):
+    def __init__(self, z0: QC, z1: QC):
+        for z in (z0, z1):
             if not admissible(z):
                 raise ValueError("central charge values need phase in (0, pi]")
+        self._store(z0, z1)
 
     def on_wall(self) -> bool:
         return cross(self.z0, self.z1) == 0
@@ -353,13 +354,20 @@ def exact_subrep_candidates(r: Representation) -> tuple:
 # verdicts
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    kind: str  # "stable" | "semistable_only" | "unstable" | "undetermined"
-    primes: tuple = ()
-    witness_dims: tuple = None
-    witness: tuple = None  # (basis rows at v0, basis rows at v1) for unstable
-    flagged: tuple = ()
+class StabilityVerdict(Frozen):
+    """kind is "stable", "semistable_only", "unstable" or "undetermined";
+    witness is (basis rows at v0, basis rows at v1) for unstable."""
+
+    _fields = ("kind", "primes", "witness_dims", "witness", "flagged")
+
+    def __init__(self, kind: str, primes: tuple = (), witness_dims: tuple = None,
+                 witness: tuple = None, flagged: tuple = ()):
+        # written out, as in Representation: every verdict builds one
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "witness_dims", witness_dims)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "flagged", flagged)
 
     def is_stable(self):
         return self.kind == "stable"

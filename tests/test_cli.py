@@ -1,6 +1,5 @@
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -364,6 +363,13 @@ def test_chain_length_cap_holds_for_every_command(capsys):
     assert main(["stable", "--kind", too_long, "--z0", "-1,2", "--z1", "1,1"]) == 2
     assert main(["ext", "--from", "simple:0", "--to", too_long]) == 2
     assert capsys.readouterr().err.count("above the limit") == 3
+    # ext has a lower cap of its own, on either module
+    ext_too_long = "vminus-dag:%d" % (cli.MAX_EXT_CHAIN_LENGTH + 1)
+    assert main(["ext", "--from", ext_too_long, "--to", "simple:0"]) == 2
+    assert main(["ext", "--from", "simple:1", "--to", ext_too_long, "--higher"]) == 2
+    assert capsys.readouterr().err.count("above the limit of %d" % cli.MAX_EXT_CHAIN_LENGTH) == 2
+    assert main(["ext", "--from", "simple:0", "--to", "vplus:%d" % cli.MAX_EXT_CHAIN_LENGTH]) == 0
+    assert main(["rep", "check", "--kind", ext_too_long]) == 0
     # library callers keep the full range
     assert make_catalog_rep("vplus", cli.MAX_CHAIN_LENGTH + 1).dims == (
         cli.MAX_CHAIN_LENGTH, cli.MAX_CHAIN_LENGTH + 1)
@@ -438,7 +444,8 @@ _PINNED_ARGV = (
        for op in ("invariants", "flop", "twist") for c in _PINNED_ARCS]
     + [["arc", "--op", "twist", "--inverse", "--catalog", c] for c in _PINNED_ARCS[:7]]
     + [["flop", "--dimvec", "3,2"], ["flop", "--point", "1,1", "--z0", "1,1", "--z1", "-1,2"],
-       ["rep", "make", "--kind", "vplus:3"], ["ainfty-check"]])
+       ["rep", "make", "--kind", "vplus:3"], ["ainfty-check"]]
+    + [["ext", "--from", "vplus:21", "--to", "vplus:21", "--higher"]])
 _PINNED = [argv + mode for argv in _PINNED_ARGV for mode in ([], ["--json"])]
 _VERIFY_ALL_ARGV = ["verify-all", "--json"]
 
@@ -456,12 +463,8 @@ def _cli_record(argv):
 
 
 def _verify_all_sha256():
-    """The pin of `verify-all --json` that the layer benchmark checks."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_layers.py"
-    spec = importlib.util.spec_from_file_location("bench_layers", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.VERIFY_ALL_SHA256
+    """The pin of `verify-all --json`, shared with the layer benchmark."""
+    return (Path(__file__).resolve().parent / "data" / "verify_all.sha256").read_text().strip()
 
 
 def test_cli_outputs_are_pinned():
