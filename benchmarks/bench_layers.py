@@ -11,12 +11,22 @@ Every criterion must pass, and the sha256 of the `verify-all --json`
 output must equal the pin in tests/data/verify_all.sha256; either
 failure is a bug, not a benchmark result.
 
+The exact stage of the stability verdicts is timed cold as well, REPEAT
+fresh interpreters each: `reps.exact_subrep_candidates` on vplus(32) and
+vplus(64), and `stable --kind vplus:64` in chamber +1 through the CLI in
+process, which refuses after the exact stage because vertex dimensions
+above `gfp.MAX_SCAN_DIM` are not scanned.  A candidate count other than
+EXACT_CANDIDATES, or a refusal other than exit code 2 with that message,
+is a bug.
+
 Every fresh interpreter also reports its cold start: the seconds of
 `import conifold_flop, conifold_flop.cli` (after this script's own
 imports) and its peak RSS (`ru_maxrss`) right after that import and at
-exit.  The run stores their medians over all fresh interpreters, and
-whether they wrote bytecode (`sys.flags.dont_write_bytecode`: with it
-set, every import compiles the package from source).
+exit.  The run stores their medians over the interpreters of the
+criteria and of `verify-all` (not of the exact stage, whose peak at exit
+is its own), and whether they wrote bytecode
+(`sys.flags.dont_write_bytecode`: with it set, every import compiles the
+package from source).
 
 The run, with the Python version and the core count, is stored under
 `--label` in the JSON file `--out`, next to the runs already there, so
@@ -41,8 +51,15 @@ import time
 # sha256 of the stdout of `conifold-flop verify-all --json`, pinned for Tier-1 too
 SHA256_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                            "tests", "data", "verify_all.sha256")
-# cold samples per criterion
+# cold samples per criterion and per exact-stage entry
 REPEAT = 9
+# the exact stage: label -> child arguments
+EXACT_STAGE = {"exact_subrep_candidates vplus(32)": ("exact", "32"),
+               "exact_subrep_candidates vplus(64)": ("exact", "64"),
+               "stable vplus:64 refusal, chamber +1": ("refusal",)}
+# the number of exact candidates of vplus(m)
+EXACT_CANDIDATES = {32: 99, 64: 195}
+REFUSAL = "vertex dimensions above 4 are not scanned"
 
 
 def _cores():
@@ -78,6 +95,27 @@ def _verify_all():
     return {"code": code, "s": elapsed, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
+def _exact_stage(kind, m="64"):
+    """Child mode: time the exact candidates of vplus(m), or the refusal of
+    `stable --kind vplus:64` in chamber +1, in process."""
+    if kind == "exact":
+        from conifold_flop import reps
+
+        r = reps.make_catalog_rep("vplus", int(m))
+        t0 = time.perf_counter()
+        n = len(reps.exact_subrep_candidates(r))
+        return {"s": time.perf_counter() - t0, "ok": n == EXACT_CANDIDATES[int(m)],
+                "detail": "%d candidates" % n}
+    from conifold_flop.cli import main
+
+    err = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code = main(["stable", "--kind", "vplus:64", "--z0", "-1,2", "--z1", "1,1"])
+    detail = "exit %d: %s" % (code, err.getvalue().strip())
+    return {"s": time.perf_counter() - t0, "ok": code == 2 and REFUSAL in detail, "detail": detail}
+
+
 def _child(*args):
     proc = subprocess.run([sys.executable, __file__, "--child", *args], capture_output=True, text=True)
     if proc.returncode != 0:
@@ -96,7 +134,12 @@ def main():
         t0 = time.perf_counter()
         import conifold_flop.cli  # noqa: F401  (the cold start)
         import_s, import_rss = time.perf_counter() - t0, _maxrss_mb()
-        result = _one_criterion(int(rest[0])) if kind == "criterion" else _verify_all()
+        if kind == "criterion":
+            result = _one_criterion(int(rest[0]))
+        elif kind == "verify-all":
+            result = _verify_all()
+        else:
+            result = _exact_stage(kind, *rest)
         result.update(import_s=import_s, import_maxrss_mb=import_rss, exit_maxrss_mb=_maxrss_mb(),
                       dont_write_bytecode=bool(sys.flags.dont_write_bytecode))
         json.dump(result, sys.stdout)
@@ -122,6 +165,16 @@ def main():
     if whole["code"] != 0 or whole["sha256"] != pin:
         raise SystemExit("verify-all --json exited %d with sha256 %s, expected 0 and %s"
                          % (whole["code"], whole["sha256"], pin))
+    exact = {}
+    for label, args in EXACT_STAGE.items():
+        samples = [_child(*args) for _ in range(REPEAT)]
+        failed = [s["detail"] for s in samples if not s["ok"]]
+        if failed:
+            raise SystemExit("%s failed: %s" % (label, failed[0]))
+        times = [s["s"] for s in samples]
+        exact[label] = {"median_s": round(statistics.median(times), 4),
+                        "samples_s": [round(t, 4) for t in times]}
+        print("  %-40s %7.3f s" % (label, statistics.median(times)))
     total = sum(c["median_s"] for c in criteria.values())
     cold = {key: round(statistics.median(c[key] for c in children), 4)
             for key in ("import_s", "import_maxrss_mb", "exit_maxrss_mb")}
@@ -135,7 +188,7 @@ def main():
     run = {"python": platform.python_version(), "cores": _cores(), "repeat": REPEAT,
            "criteria": criteria, "criteria_sum_s": round(total, 4),
            "verify_all_s": round(whole["s"], 4), "verify_all_sha256": whole["sha256"],
-           "cold_start": cold}
+           "exact_stage": exact, "cold_start": cold}
     if not ns.out:
         return
     data = {"runs": {}}

@@ -22,7 +22,8 @@ from .exactcx import QC
 from .homalg import (ExtensionDatum, build_extension, ext_dims, flop_point_analysis,
                      free_complex_cohomology, psi_sphere)
 from .paths import relations
-from .reps import Representation, StabilityParams, check_rep, flop_K, is_stable, make_catalog_rep
+from .reps import (Representation, StabilityParams, arrow_layout, check_rep, flop_K, is_stable,
+                   make_catalog_rep)
 from .tables import table_sphere, table_sphere_m, table_torus
 from .truncated import truncated_algebra
 
@@ -44,16 +45,18 @@ def _parse_fracs(value, count):
 # vminus-dag): the modules are built as dense matrices of about N x N, so
 # an unbounded N could exhaust memory before any check runs
 MAX_CHAIN_LENGTH = 64
-# the cap of `ext`, whose Ext complex grows about as N^4.5 on chain self-pairs:
-# at N = 20 one took 2.4-3.0 s in process (2-core x86, Python 3.11), at 22 3.6-5.0 s
-MAX_EXT_CHAIN_LENGTH = 20
+# the cap of `ext` on a pair (m, n): dim C^1 = sum over the arrows a of
+# dim m_s(a) * dim n_t(a), the size of the Ext complex.  vminus:20 and
+# vplus:21, each with itself (C^1 = 1,680), took 4.6-4.9 s in process
+# (2-core x86, Python 3.11); simple:0 with vplus:64 (C^1 = 128) 0.1 s
+MAX_EXT_C1 = 1680
 
 
-def _parse_kind(text, max_chain=MAX_CHAIN_LENGTH) -> Representation:
+def _parse_kind(text) -> Representation:
     def chain_length(t):
         n = int(t)
-        if n > max_chain:
-            raise CliError("chain length %d is above the limit of %d" % (n, max_chain))
+        if n > MAX_CHAIN_LENGTH:
+            raise CliError("chain length %d is above the limit of %d" % (n, MAX_CHAIN_LENGTH))
         return n
 
     parts = text.split(":")
@@ -246,8 +249,10 @@ def cmd_psi(ns, config):
 
 
 def cmd_ext(ns, config):
-    src = _parse_kind(ns.src, MAX_EXT_CHAIN_LENGTH)
-    dst = _parse_kind(ns.dst, MAX_EXT_CHAIN_LENGTH)
+    src, dst = _parse_kind(ns.src), _parse_kind(ns.dst)
+    c1 = arrow_layout(src, dst)[1]
+    if c1 > MAX_EXT_C1:
+        raise CliError("Ext complex with dim C^1 = %d is above the limit of %d" % (c1, MAX_EXT_C1))
     dims = ext_dims(src, dst)
     if ns.higher:
         payload = {"ext_dims": list(dims), "total": sum(dims),

@@ -105,11 +105,15 @@ def _interval_counts(out_a, out_b, in_c, in_d, ds, dt, p):
     f.c, f.d for f in the annihilator of W.  Yields ((dim W, dim W'),
     count) for every nonempty interval level.
 
-    The images of a basis vector and the conditions of a functional are
-    computed once per call, and zero ones are dropped.
+    Only the maps that do not vanish mod p are read.  When both maps out
+    of s vanish, U = 0 and no image is taken; when both maps into s
+    vanish, P = V_t and no condition is taken; either way no test of
+    U <= P runs.  The images of a basis vector and the conditions of a
+    functional are computed once per call, and zero ones are dropped.
     """
     images, conditions = {}, {}
-    outs, ins = (out_a, out_b), (tuple(zip(*in_c)), tuple(zip(*in_d)))
+    outs = [m for m in (out_a, out_b) if any(c % p for row in m for c in row)]
+    ins = [tuple(zip(*m)) for m in (in_c, in_d) if any(c % p for row in m for c in row)]
 
     def nonzero(rows):
         return [row for row in rows if any(row)]
@@ -125,12 +129,12 @@ def _interval_counts(out_a, out_b, in_c, in_d, ds, dt, p):
         return conditions[f]
 
     for w, ann in _lattice(ds, p):
-        imgs = [u for v in w for u in image(v)]
-        cond = [g for f in ann for g in condition(f)]
-        if any(sum(map(mul, g, u)) % p for g in cond for u in imgs):
+        imgs = [u for v in w for u in image(v)] if outs else ()
+        cond = [g for f in ann for g in condition(f)] if ins else ()
+        if imgs and cond and any(sum(map(mul, g, u)) % p for g in cond for u in imgs):
             continue  # U is not inside P
-        lo = rank(imgs, dt, p)
-        hi = dt - rank(cond, dt, p)
+        lo = rank(imgs, dt, p) if imgs else 0
+        hi = dt - (rank(cond, dt, p) if cond else 0)
         for j in range(hi - lo + 1):
             yield (len(w), lo + j), _gaussian_binomial(hi - lo, j, p)
 

@@ -4,7 +4,10 @@ Matrices are tuples of row tuples; the empty matrix keeps its shape
 through explicit (rows, cols) arguments where it matters.  Entries are
 ints or Fractions.  `mat_mul` and `mat_vec` keep int inputs as ints: an
 entry of a product is a Fraction when one of its terms is, and the int 0
-when it has no terms.
+when it has no terms.  The program takes its matrix-vector products by
+`combine`, over the nonzero entries of the vector and of the
+`sparse_rows` of the matrix only; `mat_vec` serves the tests as its
+oracle.
 
 Every elimination runs on primitive integer rows: each row is first
 scaled to the integer row with coprime entries on the same ray
@@ -62,6 +65,24 @@ def mat_mul(a, b, bcols=None):
 
 def mat_vec(m, v):
     return tuple(sum(map(mul, row, v)) for row in m)
+
+
+def sparse_rows(m):
+    """Each row of ``m`` as the (column, entry) pairs of its nonzero
+    entries."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
+
+
+def combine(vec, rows, n):
+    """sum_i vec[i] * rows[i] over the nonzero vec[i], for `sparse_rows`
+    ``rows`` of length ``n``, as a list: with the sparse rows of m that is
+    vec . m, with those of its transpose m vec.  Ints give ints."""
+    out = [0] * n
+    for c, row in zip(vec, rows):
+        if c:
+            for j, x in row:
+                out[j] += c * x
+    return out
 
 
 def transpose(m, ncols=None):

@@ -16,8 +16,10 @@ The chamber-free work (validity, the exact candidates, End(r), the GF(p)
 scans, `arrow_closed`) runs on the integer module `_integerize(r)` and on
 canonical integer row spans, the `linalg.echelon` forms: every seed,
 layer, closure and annihilator is one, and only the returned candidates
-become Fraction bases.  End(r) takes one rank modulo a large prime before
-any exact rank (`_end_dim`).
+become Fraction bases.  Images and pull-backs are `linalg.combine`s of
+sparse rows, and an empty block of the path table, such as each loop
+block of a module with two zero arrows, runs no elimination.  End(r)
+takes one rank modulo a large prime before any exact rank (`_end_dim`).
 """
 
 from __future__ import annotations
@@ -140,39 +142,65 @@ def _relation_terms() -> tuple:
 
 def relations_hold(r: Representation) -> bool:
     """The relations as matrix identities; on an integer module (such as
-    `_integerize(r)`) they multiply and compare ints only."""
+    `_integerize(r)`) they multiply and compare ints only.  A word through
+    a zero arrow acts as 0 and is not multiplied: the other side of its
+    relation is compared with 0, and a relation of two such words holds."""
     if 0 in r.dims:
         return True
+    zero = {a for a in "xzyw" if not any(map(any, r.matrix(a)))}
     for w1, w2, a, b in _relation_terms():
-        for row1, row2 in zip(r.word_action(w1), r.word_action(w2)):
-            if any(a * x != b * y for x, y in zip(row1, row2)):
+        live = [(c, r.word_action(w)) for c, w in ((a, w1), (b, w2)) if zero.isdisjoint(w)]
+        if len(live) == 2:
+            (a, m1), (b, m2) = live
+            if any(a * x != b * y for row1, row2 in zip(m1, m2) for x, y in zip(row1, row2)):
                 return False
+        elif live and any(map(any, live[0][1])):
+            return False
     return True
 
 
-def _images(mats, basis):
-    """The images of the rows of ``basis`` under each of ``mats``, a list
-    that spans the image: int images of int rows under integer matrices."""
-    return [linalg.mat_vec(m, v) for m in mats for v in basis]
+def _columns(m, ncols):
+    """The `linalg.sparse_rows` of the transpose of ``m``, which combine
+    into the images m v."""
+    return linalg.sparse_rows(linalg.transpose(m, ncols))
 
 
+def _images(blocks, basis, n):
+    """`linalg.combine` of each row of ``basis`` with each of ``blocks``:
+    images through `_columns`, pull-backs through `linalg.sparse_rows`."""
+    return [linalg.combine(f, rows, n) for rows in blocks for f in basis]
+
+
+@lru_cache(maxsize=MODULE_CACHE_SIZE)
 def _unit_rows(n):
     """The standard basis of Q^n: the `linalg.echelon` form of the whole
     space."""
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def _arrows_into(r):
+    """The `_columns` of the nonzero arrows of ``r``, by target vertex."""
+    into = ([], [])
+    for a in "xzyw":
+        cols = _columns(r.matrix(a), r.dims[SRC[a]])
+        if any(cols):
+            into[TGT[a]].append(cols)
+    return into
+
+
 @lru_cache(maxsize=MODULE_CACHE_SIZE)
 def _radical_chain(r: Representation) -> tuple:
     """The descending layers V > sum_a im(a) > ... as pairs of
     `linalg.echelon` forms, from V itself to the first layer that no longer
-    shrinks; `_valid` and the candidates share it."""
+    shrinks, through the nonzero arrows only; `_valid` and the candidates
+    share it."""
     d0, d1 = r.dims
+    into = _arrows_into(r)
     chain = [(_unit_rows(d0), _unit_rows(d1))]
     while True:
         u0, u1 = chain[-1]
-        n0 = linalg.echelon(_images((r.my, r.mw), u1), d0)
-        n1 = linalg.echelon(_images((r.mx, r.mz), u0), d1)
+        n0 = linalg.echelon(_images(into[0], u1, d0), d0)
+        n1 = linalg.echelon(_images(into[1], u0, d1), d1)
         if (n0, n1) == (u0, u1):
             return tuple(chain)
         chain.append((n0, n1))
@@ -308,20 +336,35 @@ def _path_table(ri):
     return table, seeds
 
 
-def _closure_up(table, dims, v, seed):
+def _closure_up(up, dims, v, seed):
     """The smallest subrepresentation containing ``seed`` at vertex v: at
-    each t, the span of its images under ``table[(v, t)]`` (at v, with it)."""
-    return tuple(linalg.echelon([*(seed if t == v else ()), *_images(table[(v, t)], seed)],
-                                dims[t]) for t in (0, 1))
+    each t, the span of its images under ``up[(v, t)]``, the `_columns` of
+    ``table[(v, t)]`` (at v, with it).  An empty block runs no elimination:
+    there the closure is the seed, an echelon form already, at v and ()
+    at the other vertex."""
+    out = [seed if t == v else () for t in (0, 1)]
+    for t in (0, 1):
+        if up[(v, t)]:
+            out[t] = linalg.echelon([*out[t], *_images(up[(v, t)], seed, dims[t])], dims[t])
+    return tuple(out)
 
 
 def _closure_down(pull, dims, v, seed):
     """The largest subrepresentation inside (``seed`` at v, V at the other):
     at each t, the annihilator of Ann(seed) pulled back through
-    ``pull[(t, v)]``, the transposed ``table[(t, v)]`` (at v, with Ann(seed))."""
+    ``pull[(t, v)]``, the `linalg.sparse_rows` of ``table[(t, v)]`` (at v,
+    with Ann(seed)).  An empty block runs no elimination: there the closure
+    is the seed at v and the unit rows at the other vertex.  Ann(seed) is
+    taken only when some block is nonempty."""
+    out = [seed if t == v else _unit_rows(dims[t]) for t in (0, 1)]
+    if not (pull[(0, v)] or pull[(1, v)]):
+        return tuple(out)
     ann = linalg.annihilator(seed, dims[v])
-    return tuple(linalg.annihilator([*(ann if t == v else ()), *_images(pull[(t, v)], ann)],
-                                    dims[t]) for t in (0, 1))
+    for t in (0, 1):
+        if pull[(t, v)]:
+            out[t] = linalg.annihilator([*(ann if t == v else ()),
+                                         *_images(pull[(t, v)], ann, dims[t])], dims[t])
+    return tuple(out)
 
 
 @lru_cache(maxsize=MODULE_CACHE_SIZE)
@@ -337,13 +380,14 @@ def exact_subrep_candidates(r: Representation) -> tuple:
         raise ValueError("representation must satisfy the relations and be nilpotent")
     ri, dims = _integerize(r), r.dims
     table, seeds = _path_table(ri)
-    pull = {key: [linalg.transpose(m) for m in mats] for key, mats in table.items()}
+    up = {(s, t): [_columns(m, dims[s]) for m in mats] for (s, t), mats in table.items()}
+    pull = {key: list(map(linalg.sparse_rows, mats)) for key, mats in table.items()}
     seeds |= {(v, (row,)) for v in (0, 1) for row in _unit_rows(dims[v])}
     # socle lines are echelon forms too, so they meet equal seeds
     socle = linalg.annihilator(ri.mx + ri.mz, dims[0]), linalg.annihilator(ri.my + ri.mw, dims[1])
     lines = {(v, (vec,)) for v in (0, 1) for vec in socle[v]}
     pairs = [*_radical_chain(ri), socle]  # V is dropped with the trivial pairs
-    pairs += [_closure_up(table, dims, v, seed) for v, seed in seeds | lines if seed]
+    pairs += [_closure_up(up, dims, v, seed) for v, seed in seeds | lines if seed]
     pairs += [_closure_down(pull, dims, v, seed) for v, seed in seeds if len(seed) < dims[v]]
     seen = {(w0, w1) for w0, w1 in pairs if (len(w0), len(w1)) not in ((0, 0), dims)}
     cands = [(linalg.monic(w0), linalg.monic(w1)) for w0, w1 in seen]
@@ -499,9 +543,9 @@ def arrow_closed(r: Representation, w0, w1) -> bool:
     """Exact check that the row spans of w0 and w1 form a subrepresentation,
     on any four matrices: their arrow images in `_integerize(r)` change no
     `linalg.echelon` form."""
-    ri, spans = _integerize(r), tuple(map(linalg.echelon, (w0, w1), r.dims))
-    return all(linalg.echelon([*spans[v], *_images(into, spans[1 - v])], r.dims[v]) == spans[v]
-               for v, into in enumerate(((ri.my, ri.mw), (ri.mx, ri.mz))))
+    into, spans = _arrows_into(_integerize(r)), tuple(map(linalg.echelon, (w0, w1), r.dims))
+    return all(linalg.echelon([*spans[v], *_images(into[v], spans[1 - v], r.dims[v])], r.dims[v])
+               == spans[v] for v in (0, 1))
 
 
 def verify_witness(r: Representation, witness, params: StabilityParams) -> bool:

@@ -363,13 +363,19 @@ def test_chain_length_cap_holds_for_every_command(capsys):
     assert main(["stable", "--kind", too_long, "--z0", "-1,2", "--z1", "1,1"]) == 2
     assert main(["ext", "--from", "simple:0", "--to", too_long]) == 2
     assert capsys.readouterr().err.count("above the limit") == 3
-    # ext has a lower cap of its own, on either module
-    ext_too_long = "vminus-dag:%d" % (cli.MAX_EXT_CHAIN_LENGTH + 1)
-    assert main(["ext", "--from", ext_too_long, "--to", "simple:0"]) == 2
-    assert main(["ext", "--from", "simple:1", "--to", ext_too_long, "--higher"]) == 2
-    assert capsys.readouterr().err.count("above the limit of %d" % cli.MAX_EXT_CHAIN_LENGTH) == 2
-    assert main(["ext", "--from", "simple:0", "--to", "vplus:%d" % cli.MAX_EXT_CHAIN_LENGTH]) == 0
-    assert main(["rep", "check", "--kind", ext_too_long]) == 0
+    # ext caps the pair by dim C^1 = sum_a dim m_s(a) * dim n_t(a): the
+    # largest chain self-pairs within it are vminus:20 and vplus:21 (C^1 =
+    # 4 * 20 * 21), and a simple against the longest chain is cheap
+    assert cli.MAX_EXT_C1 == 4 * 20 * 21
+    for kind in ("vplus-dag:22", "vminus:21"):  # C^1 = 4 * 21 * 22
+        assert main(["ext", "--from", kind, "--to", kind]) == 2
+    assert main(["ext", "--from", "vplus:22", "--to", "vplus:22", "--higher"]) == 2
+    assert capsys.readouterr().err.count(
+        "dim C^1 = 1848 is above the limit of %d" % cli.MAX_EXT_C1) == 3
+    for a, b in (("simple:0", "vplus:64"), ("vminus-dag:64", "simple:1"), ("vplus:64", "vplus:1")):
+        assert main(["ext", "--from", a, "--to", b]) == 0
+        assert main(["ext", "--from", b, "--to", a, "--higher"]) == 0
+    assert main(["rep", "check", "--kind", "vplus:22"]) == 0
     # library callers keep the full range
     assert make_catalog_rep("vplus", cli.MAX_CHAIN_LENGTH + 1).dims == (
         cli.MAX_CHAIN_LENGTH, cli.MAX_CHAIN_LENGTH + 1)
@@ -445,7 +451,7 @@ _PINNED_ARGV = (
     + [["arc", "--op", "twist", "--inverse", "--catalog", c] for c in _PINNED_ARCS[:7]]
     + [["flop", "--dimvec", "3,2"], ["flop", "--point", "1,1", "--z0", "1,1", "--z1", "-1,2"],
        ["rep", "make", "--kind", "vplus:3"], ["ainfty-check"]]
-    + [["ext", "--from", "vplus:21", "--to", "vplus:21", "--higher"]])
+    + [["ext", "--from", "vplus:22", "--to", "vplus:22", "--higher"]])
 _PINNED = [argv + mode for argv in _PINNED_ARGV for mode in ([], ["--json"])]
 _VERIFY_ALL_ARGV = ["verify-all", "--json"]
 

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conifold_flop import gfp, reps
+from conifold_flop.reps import make_catalog_rep
+from test_reps import CATALOG, _all_four_arrows_act, _catalog_sums, _oracle_scan, _sheared
 
 
 def _forward_rank(rows, ncols, p):
@@ -77,3 +79,58 @@ def test_scan_refuses_entries_that_are_not_ints():
             gfp.subrep_scan_Fp(point, p)
         got = gfp.subrep_scan_Fp(reps._integerize(point), p)
         assert got == reps.subrep_scan_Fp(point, p) == [((0, 0), 1), ((0, 1), 1), ((1, 1), 1)]
+
+
+# --- one-sided scans: maps that vanish mod p are not read -----------------------
+
+# arrows scaled by p: one arrow, the two out of a vertex, the two into it, all
+SCALED_ARROWS = ("x", "w", "xz", "yw", "xzyw")
+
+
+def _with_arrows_scaled(r, arrows, c):
+    """The integer module of ``r`` with each of ``arrows`` multiplied by c."""
+    ri = reps._integerize(r)
+    return reps.Representation(r.dims, *(tuple(tuple(c * x for x in row) for row in ri.matrix(a))
+                                         if a in arrows else ri.matrix(a) for a in "xzyw"))
+
+
+def _scan_modules():
+    """The catalog modules, sheared, and the direct sums of two of them
+    with all four arrows acting."""
+    mods = [_sheared(make_catalog_rep(kind, *args)) for kind, args in CATALOG]
+    sums = [_sheared(r) for r in _catalog_sums() if _all_four_arrows_act(r)]
+    assert len(sums) >= 5
+    return mods + sums
+
+
+@pytest.mark.parametrize("p", gfp.SCAN_PRIMES)
+@pytest.mark.parametrize("arrows", SCALED_ARROWS)
+def test_an_arrow_scaled_by_p_scans_like_a_zero_arrow(p, arrows):
+    for r in _scan_modules():
+        scaled = _with_arrows_scaled(r, arrows, p)
+        got = gfp.subrep_scan_Fp(scaled, p)
+        assert got == gfp.subrep_scan_Fp(_with_arrows_scaled(r, arrows, 0), p), (r, arrows)
+        # the pairwise oracle where it is affordable
+        if sum(r.dims) <= {2: 8, 3: 6, 5: 5}[p]:
+            assert got == _oracle_scan(scaled, p), (r, arrows)
+
+
+@pytest.mark.parametrize("p", gfp.SCAN_PRIMES)
+def test_a_scan_takes_no_rank_of_maps_that_vanish_mod_p(p, monkeypatch):
+    # U = 0 when both maps out of the scanned vertex vanish mod p, and P = V_t
+    # when both maps into it do: then at most one rank per subspace W, and
+    # none when all four vanish
+    real, ranks = gfp.rank, []
+
+    def counted(rows, ncols, q):
+        ranks.append(rows)
+        return real(rows, ncols, q)
+
+    monkeypatch.setattr(gfp, "rank", counted)
+    for r in _scan_modules():
+        outs, ins = ("xz", "yw") if r.dims[0] <= r.dims[1] else ("yw", "xz")
+        per_w = len(gfp._lattice(min(r.dims), p))
+        for arrows, most in (("xzyw", 0), (outs, per_w), (ins, per_w)):
+            ranks.clear()
+            gfp.subrep_scan_Fp(_with_arrows_scaled(r, arrows, p), p)
+            assert len(ranks) <= most and all(ranks), (r, arrows)

@@ -407,6 +407,12 @@ def test_exact_candidates_pinned_and_closed(kind, args):
 # That body is kept here as the oracle of the table of path actions.
 
 
+def _dense_images(mats, basis):
+    """The images of the rows of ``basis`` under each of the dense ``mats``,
+    by `linalg.mat_vec`: the oracle of the sparse `reps._images`."""
+    return [linalg.mat_vec(m, v) for m in mats for v in basis]
+
+
 def _worklist_closure_up(r, seed0, seed1):
     """The smallest subrepresentation containing the seeds, as a pair of
     `linalg.echelon` forms.  The rows kept at each vertex grow across the
@@ -420,7 +426,7 @@ def _worklist_closure_up(r, seed0, seed1):
             kept[v].extend(linalg.independent(kept[v], new[v], r.dims[v]))
         if start == [len(k) for k in kept]:
             return tuple(linalg.echelon(k, n) for k, n in zip(kept, r.dims))
-        new = [reps._images(into[v], kept[1 - v][start[1 - v]:]) for v in (0, 1)]
+        new = [_dense_images(into[v], kept[1 - v][start[1 - v]:]) for v in (0, 1)]
 
 
 def _worklist_candidates(r):
@@ -766,6 +772,141 @@ def test_seeds_taken_once_per_matrix_keep_the_seed_set_on_catalog(kind, args):
 @given(_quadruples())
 def test_seeds_taken_once_per_matrix_keep_the_seed_set_on_quadruples(r):
     _assert_seeds_taken_once_per_matrix_keep_the_seed_set(r)
+
+
+# --- zero arrows and empty blocks ----------------------------------------------
+#
+# Every module of the subrep-lattice workload is one-sided: two of its four
+# arrows are zero, so every loop block of the path table is empty.  The
+# closures run no elimination there, and the images combine sparse rows.
+
+
+@st.composite
+def _matrices_and_rows(draw):
+    """(mats, vs, fs, ncols): one to three integer matrices of one shape,
+    mostly zero, with rows vs to map and functionals fs to pull back."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 7))
+
+    def rows(n, length):
+        return [tuple(draw(entry) for _ in range(length)) for _ in range(n)]
+
+    mats = [rows(nrows, ncols) for _ in range(draw(st.integers(1, 3)))]
+    return mats, rows(draw(st.integers(0, 4)), ncols), rows(draw(st.integers(0, 4)), nrows), ncols
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_matrices_and_rows())
+def test_sparse_combinations_equal_dense_images(problem):
+    mats, vs, fs, ncols = problem
+    nrows = len(mats[0])
+    images = reps._images([reps._columns(m, ncols) for m in mats], vs, nrows)
+    pullbacks = reps._images(list(map(linalg.sparse_rows, mats)), fs, ncols)
+    assert list(map(tuple, images)) == _dense_images(mats, vs)
+    assert list(map(tuple, pullbacks)) == _dense_images([linalg.transpose(m, ncols) for m in mats], fs)
+    assert all(type(x) is int for row in images + pullbacks for x in row)
+
+
+def test_check_rep_is_false_with_zero_arrows():
+    # x = 0: the three relations through x hold, and yzw = wzy breaks
+    broken = rep((2, 2), [[0, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [1, 0]], [[0, 1], [0, 0]])
+    assert check_rep(broken) == {"relations_ok": False, "nilpotent": True}
+    assert not _fraction_relations_hold(broken)
+    # with two arrows zero every relation word, three of the four arrows,
+    # passes through one, so only nilpotency can fail: here the loop zw
+    loop = rep((1, 1), [[0]], [[1]], [[0]], [[1]])
+    assert check_rep(loop) == {"relations_ok": True, "nilpotent": False}
+
+
+def test_a_relation_word_through_a_zero_arrow_acts_as_zero(monkeypatch):
+    # the words of each relation of the potential pass through the same
+    # arrows; the made-up relation yx = wz does not
+    monkeypatch.setattr(reps, "_relation_terms", lambda: (("yx", "wz", 1, 1),))
+    one, two, zero = [[1]], [[2]], [[0]]
+    assert reps.relations_hold(rep((1, 1), one, one, one, one))
+    assert not reps.relations_hold(rep((1, 1), one, one, two, one))
+    assert not reps.relations_hold(rep((1, 1), zero, one, one, one))  # yx = 0, wz = 1
+    assert not reps.relations_hold(rep((1, 1), zero, one, zero, one))
+    assert reps.relations_hold(rep((1, 1), zero, zero, one, one))  # both words are 0
+    assert reps.relations_hold(rep((1, 1), one, zero, zero, one))
+
+
+@st.composite
+def _quadruples_with_zero_arrows(draw):
+    """A quadruple of `_quadruples` with one or two of its arrows zeroed."""
+    r = draw(_quadruples())
+    zeroed = draw(st.sampled_from(["x", "z", "y", "w", "xz", "yw", "xy", "xw", "zy", "zw"]))
+    mats = {a: linalg.zeros(*linalg.shape(r.matrix(a), r.dims[SRC[a]])) if a in zeroed
+            else r.matrix(a) for a in "xzyw"}
+    return reps.Representation(r.dims, *(mats[a] for a in "xzyw"))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(_quadruples_with_zero_arrows())
+def test_check_rep_matches_fractions_with_zero_arrows(r):
+    assert check_rep(r) == {"relations_ok": _fraction_relations_hold(r),
+                            "nilpotent": _fraction_is_nilpotent(r)}
+
+
+CHAINS = ["vplus", "vminus", "vplus_dag", "vminus_dag"]
+
+
+@pytest.mark.parametrize("kind", CHAINS)
+def test_candidates_of_the_chain_families_at_eight_match_the_worklist_oracle(kind):
+    r = make_catalog_rep(kind, 8)
+    for module in (r, _sheared(r)):
+        _assert_candidates_match_the_worklist(module)
+
+
+class _Eliminations:
+    """Stands in for `linalg` inside `reps` and records each call of
+    `echelon` and `annihilator` (not the calls inside `linalg`)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(linalg, name)
+
+    def echelon(self, rows, ncols=None):
+        self.calls.append("echelon")
+        return linalg.echelon(rows, ncols)
+
+    def annihilator(self, rows, ncols):
+        self.calls.append("annihilator")
+        return linalg.annihilator(rows, ncols)
+
+
+@pytest.mark.parametrize("kind", CHAINS)
+def test_closures_of_a_one_sided_module_eliminate_on_nonempty_blocks_only(kind):
+    r = make_catalog_rep(kind, 8)
+    table, _ = reps._path_table(reps._integerize(r))
+    (s, t), = [key for key, mats in table.items() if mats]  # the one live block, s -> t
+    assert s != t
+    elim, closures = _Eliminations(), []
+
+    def recorder(kind, real):
+        def record(blocks, dims, v, seed):
+            start = len(elim.calls)
+            out = real(blocks, dims, v, seed)
+            closures.append((kind, v, elim.calls[start:]))
+            return out
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("up", "down"):
+            mp.setattr(reps, "_closure_" + name, recorder(name, getattr(reps, "_closure_" + name)))
+        mp.setattr(reps, "linalg", elim)
+        got = exact_subrep_candidates.__wrapped__(r)
+    assert got == _worklist_candidates(r)
+    assert {(kind, v) for kind, v, _ in closures} == {(k, v) for k in ("up", "down") for v in (0, 1)}
+    # upwards one echelon form at t from s, none from t; downwards Ann(seed)
+    # and one pull-back at s from t, none from s
+    for kind, v, calls in closures:
+        if kind == "up":
+            assert calls == (["echelon"] if v == s else []), (kind, v)
+        else:
+            assert calls == (["annihilator"] * 2 if v == t else []), (kind, v)
 
 
 # --- the integer module against the Fraction bodies it replaced ----------------
